@@ -1,4 +1,4 @@
-"""Numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Numeric kernels: the phase-1 simplex and the capped-simplex gradient loop.
 
 Two kernels dominate runtime: the phase-1 simplex used for convex-combination
 feasibility (hull membership / vertex tests) and the box-projected gradient
@@ -7,57 +7,13 @@ negative reduced cost (Dantzig's rule) and falls back to the lowest-index
 column (Bland's rule) during long runs of degenerate pivots, so it cannot
 cycle.  The gradient loop projects each iterate onto the capped simplex with a
 safeguarded Newton iteration on the clip shift, warm-started from the previous
-iteration's shift.  The phase-1 simplex exists in two functionally identical
-implementations:
-
-* ``numpy`` -- plain-python pivot loop over vectorized numpy ops,
-* ``numba`` -- the same algorithm compiled with ``@njit``.
-
-The gradient loop has a numba twin too; it keeps a fixed 64-step bisection
-projection, which computes the same point up to round-off.
-
-The active default is chosen once per process from the environment variable
-``ONIONLABEL_BACKEND`` (``auto`` | ``numba`` | ``numpy``, default ``auto`` =
-numba when importable).  Every kernel also accepts an explicit ``backend=``
-argument so tests and benchmarks can compare both paths directly.
+iteration's shift.  Both are plain numpy: the per-pivot and per-iteration work
+is vectorised, and only the pivot and iteration loops run in Python.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-_ENV_FLAG = "ONIONLABEL_BACKEND"
-
-
-def active_backend() -> str:
-    """Resolve the backend name from the environment: 'numba' or 'numpy'."""
-    choice = os.environ.get(_ENV_FLAG, "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"{_ENV_FLAG} must be auto|numba|numpy, got {choice!r}")
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba" and not HAVE_NUMBA:
-        raise RuntimeError(f"{_ENV_FLAG}=numba but numba is not importable")
-    return "numba" if HAVE_NUMBA else "numpy"
-
 
 # ---------------------------------------------------------------------------
 # Phase-1 simplex: feasibility of  E @ lam = f,  lam >= 0.
@@ -79,8 +35,13 @@ def active_backend() -> str:
 _DEGENERATE_RUN = 50
 
 
-def _phase1_simplex_numpy(E, f, pivot_tol, max_pivots):
+def phase1_simplex(E, f, pivot_tol=1e-11, max_pivots=None):
+    """Run phase-1 simplex on ``E lam = f, lam >= 0`` (rows sign-normalized)."""
+    E = np.ascontiguousarray(E, dtype=np.float64)
+    f = np.ascontiguousarray(f, dtype=np.float64)
     m1, p = E.shape
+    if max_pivots is None:
+        max_pivots = 200 + 25 * (m1 + p)
     ncols = p + m1
     T = np.zeros((m1 + 1, ncols + 1))
     T[:m1, :p] = E
@@ -129,92 +90,6 @@ def _phase1_simplex_numpy(E, f, pivot_tol, max_pivots):
     return lam, pivots, status
 
 
-@njit(cache=True)
-def _phase1_simplex_numba(E, f, pivot_tol, max_pivots):  # pragma: no cover - jit
-    m1, p = E.shape
-    ncols = p + m1
-    T = np.zeros((m1 + 1, ncols + 1))
-    for i in range(m1):
-        for j in range(p):
-            T[i, j] = E[i, j]
-        T[i, p + i] = 1.0
-        T[i, ncols] = f[i]
-    for j in range(p):
-        s = 0.0
-        for i in range(m1):
-            s += E[i, j]
-        T[m1, j] = -s
-    fs = 0.0
-    for i in range(m1):
-        fs += f[i]
-    T[m1, ncols] = -fs
-
-    basis = np.arange(p, p + m1).astype(np.int64)
-    pivots = 0
-    degenerate = 0
-    while pivots < max_pivots:
-        enter = -1
-        if degenerate < _DEGENERATE_RUN:
-            low = -pivot_tol
-            for j in range(ncols):
-                if T[m1, j] < low:
-                    low = T[m1, j]
-                    enter = j
-        else:
-            for j in range(ncols):
-                if T[m1, j] < -pivot_tol:
-                    enter = j
-                    break
-        if enter < 0:
-            break
-        leave = -1
-        best = np.inf
-        for i in range(m1):
-            a = T[i, enter]
-            if a > pivot_tol:
-                r = T[i, ncols] / a
-                if r < best or (r == best and basis[i] < basis[leave]):
-                    best = r
-                    leave = i
-        if leave < 0:
-            break
-        if best <= pivot_tol:
-            degenerate += 1
-        else:
-            degenerate = 0
-        piv = T[leave, enter]
-        for j in range(ncols + 1):
-            T[leave, j] /= piv
-        for i in range(m1 + 1):
-            if i == leave:
-                continue
-            c = T[i, enter]
-            if c != 0.0:
-                for j in range(ncols + 1):
-                    T[i, j] -= c * T[leave, j]
-        basis[leave] = enter
-        pivots += 1
-
-    lam = np.zeros(p)
-    for i in range(m1):
-        if basis[i] < p:
-            lam[basis[i]] = T[i, ncols]
-    status = 0 if pivots < max_pivots else 1
-    return lam, pivots, status
-
-
-def phase1_simplex(E, f, pivot_tol=1e-11, max_pivots=None, backend=None):
-    """Run phase-1 simplex on ``E lam = f, lam >= 0`` (rows sign-normalized)."""
-    E = np.ascontiguousarray(E, dtype=np.float64)
-    f = np.ascontiguousarray(f, dtype=np.float64)
-    if max_pivots is None:
-        max_pivots = 200 + 25 * (E.shape[0] + E.shape[1])
-    name = backend or active_backend()
-    if name == "numba":
-        return _phase1_simplex_numba(E, f, float(pivot_tol), int(max_pivots))
-    return _phase1_simplex_numpy(E, f, float(pivot_tol), int(max_pivots))
-
-
 # ---------------------------------------------------------------------------
 # Projected gradient descent for  min ||A y - b||_2  over the capped simplex
 # {y in [0, 1]^p : sum(y) = target}.  Each iterate is projected back onto the
@@ -226,17 +101,15 @@ def phase1_simplex(E, f, pivot_tol=1e-11, max_pivots=None, backend=None):
 # gradient step's shift and keeps a bracket [lo, hi] with s(lo) <= target <=
 # s(hi); a step that leaves the bracket, or one taken with no free
 # coordinate, is replaced by bisection.  It stops when the sum is exact or the
-# next step is below the resolution of tau.  The numba twin keeps a fixed
-# 64-step bisection; both give the exact projection up to round-off.  The loop
-# stops when the infinity-norm change of the iterate falls below conv_tol.
+# next step is below the resolution of tau.  The gradient loop stops when the
+# infinity-norm change of the iterate falls below conv_tol.
 # ---------------------------------------------------------------------------
 
-_PROJ_BISECTIONS = 64
 _PROJ_MAX_STEPS = 200  # Newton steps plus bisection fallbacks, a safeguard only
 _TAU_RESOLUTION = 4.0 * np.finfo(np.float64).eps
 
 
-def _project_capped_numpy(z, target, tau=None):
+def _project_capped(z, target, tau=None):
     """Return ``(clip(z + tau*, 0, 1), tau*)`` with the sum equal to target.
 
     ``tau`` is a starting guess for the shift; None, or a guess outside the
@@ -265,89 +138,13 @@ def _project_capped_numpy(z, target, tau=None):
     return y, tau
 
 
-def _pgd_numpy(A, b, y0, target, lr, conv_tol, max_iters):
-    y, tau = _project_capped_numpy(y0, target)
-    delta = np.inf
-    it = 0
-    for it in range(1, max_iters + 1):
-        r = A @ y - b
-        z = y - lr * (A.T @ r)
-        ynew, tau = _project_capped_numpy(z, target, tau)
-        delta = float(np.max(np.abs(ynew - y)))
-        y = ynew
-        if delta < conv_tol:
-            return y, it, delta, True
-    return y, it, delta, False
-
-
-@njit(cache=True)
-def _project_capped_numba(z, target):  # pragma: no cover - jit
-    lo = -z[0]
-    hi = 1.0 - z[0]
-    for e in range(z.shape[0]):
-        if -z[e] < lo:
-            lo = -z[e]
-        if 1.0 - z[e] > hi:
-            hi = 1.0 - z[e]
-    for _ in range(_PROJ_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        s = 0.0
-        for e in range(z.shape[0]):
-            v = z[e] + mid
-            if v < 0.0:
-                v = 0.0
-            elif v > 1.0:
-                v = 1.0
-            s += v
-        if s < target:
-            lo = mid
-        else:
-            hi = mid
-    tau = 0.5 * (lo + hi)
-    out = np.empty_like(z)
-    for e in range(z.shape[0]):
-        v = z[e] + tau
-        if v < 0.0:
-            v = 0.0
-        elif v > 1.0:
-            v = 1.0
-        out[e] = v
-    return out
-
-
-@njit(cache=True)
-def _pgd_numba(A, b, y0, target, lr, conv_tol, max_iters):  # pragma: no cover - jit
-    y = _project_capped_numba(y0, target)
-    delta = np.inf
-    it = 0
-    for it in range(1, max_iters + 1):
-        r = np.dot(A, y) - b
-        g = np.dot(A.T, r)
-        z = np.empty_like(y)
-        for e in range(y.shape[0]):
-            z[e] = y[e] - lr * g[e]
-        ynew = _project_capped_numba(z, target)
-        delta = 0.0
-        for e in range(y.shape[0]):
-            d = abs(ynew[e] - y[e])
-            if d > delta:
-                delta = d
-        y = ynew
-        if delta < conv_tol:
-            return y, it, delta, True
-    return y, it, delta, False
-
-
-def project_capped_simplex(z, target, backend=None):
+def project_capped_simplex(z, target):
     """Shift-and-clip projection of z onto {y in [0,1]^p : sum(y) = target}."""
     z = np.ascontiguousarray(z, dtype=np.float64)
-    name = backend or active_backend()
-    if name == "numba":
-        return _project_capped_numba(z, float(target))
-    return _project_capped_numpy(z, float(target))[0]
+    return _project_capped(z, float(target))[0]
 
 
-def pgd(A, b, y0, target, lr, conv_tol, max_iters, backend=None):
+def pgd(A, b, y0, target, lr, conv_tol, max_iters):
     """Capped-simplex-projected gradient descent.
 
     Returns (y, iters, last_delta, converged).  ``target`` is the exact value
@@ -356,10 +153,16 @@ def pgd(A, b, y0, target, lr, conv_tol, max_iters, backend=None):
     A = np.ascontiguousarray(A, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
     y0 = np.ascontiguousarray(y0, dtype=np.float64)
-    name = backend or active_backend()
-    if name == "numba":
-        y, it, delta, conv = _pgd_numba(
-            A, b, y0, float(target), float(lr), float(conv_tol), int(max_iters)
-        )
-        return y, int(it), float(delta), bool(conv)
-    return _pgd_numpy(A, b, y0, float(target), float(lr), float(conv_tol), int(max_iters))
+    target, lr, conv_tol = float(target), float(lr), float(conv_tol)
+    y, tau = _project_capped(y0, target)
+    delta = np.inf
+    it = 0
+    for it in range(1, int(max_iters) + 1):
+        r = A @ y - b
+        z = y - lr * (A.T @ r)
+        ynew, tau = _project_capped(z, target, tau)
+        delta = float(np.max(np.abs(ynew - y)))
+        y = ynew
+        if delta < conv_tol:
+            return y, it, delta, True
+    return y, it, delta, False

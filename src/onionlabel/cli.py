@@ -2,9 +2,10 @@
 
 Subcommands: label, eval, inspect-hull, synth, ablate, sweep.  Exit codes:
 0 on success (a non-converged solve still exits 0 and is flagged in the
-artifact), 2 on input/parse errors, 3 on annealing failures.  Every artifact
-written to disk references the run manifest produced next to it.  Log level
-comes from the ``ONIONLABEL_LOG`` environment variable.
+artifact), 2 on input/parse errors, 3 on annealing failures and on hull LPs
+that exhaust their pivot budget.  Every artifact written to disk references
+the run manifest produced next to it.  Log level comes from the
+``ONIONLABEL_LOG`` environment variable.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .hull import build_A, hull_decompose, safe_region_status
+from .hull import PivotBudgetError, build_A, hull_decompose, safe_region_status
 from .metrics import accuracy, f1
 from .signals import LabelVector, WeakSignalMatrix, load_pws_matrix, reduce_signals
 from .solver import (
@@ -127,10 +128,11 @@ def _load_weak(args) -> WeakSignalMatrix:
     return load_pws_matrix(args.weak_labels, args.n, args.k)
 
 
-def cmd_label(args) -> int:
+def _write_label(args, pipeline) -> int:
+    """Run ``pipeline(w, cfg, chunks)`` on the weak labels; write its artifact."""
     cfg, chunks = _build_config(args)
     w = _load_weak(args)
-    label = run_oua(w, cfg, chunks)
+    label = pipeline(w, cfg, chunks)
     doc = label.to_dict()
     if args.out:
         manifest = _write_manifest(
@@ -148,23 +150,12 @@ def cmd_label(args) -> int:
     return EXIT_OK
 
 
+def cmd_label(args) -> int:
+    return _write_label(args, run_oua)
+
+
 def cmd_ablate(args) -> int:
-    cfg, chunks = _build_config(args)
-    w = _load_weak(args)
-    label = run_ablation(w, cfg, chunks)
-    doc = label.to_dict()
-    if args.out:
-        manifest = _write_manifest(
-            args.out, args, cfg, chunks,
-            inputs={"weak_labels": str(args.weak_labels)},
-            shape={"n": w.n, "k": w.k, "m": w.m},
-        )
-        doc["manifest"] = manifest.name
-        _dump_json(doc, args.out)
-    else:
-        doc["manifest"] = None
-        _dump_json(doc, None)
-    return EXIT_OK
+    return _write_label(args, run_ablation)
 
 
 def _read_truth(path: str) -> list[int]:
@@ -357,6 +348,9 @@ def main(argv: list[str] | None = None) -> int:
     except AnnealingError as exc:
         log.error("annealing failed: %s", exc)
         print(f"onionlabel: annealing failed: {exc}", file=sys.stderr)
+        return EXIT_ANNEAL
+    except PivotBudgetError as exc:
+        print(f"onionlabel: {exc}", file=sys.stderr)
         return EXIT_ANNEAL
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         log.error("input error: %s", exc)

@@ -118,8 +118,7 @@ def _unique_columns(matrix: np.ndarray):
     return uniq_rows.T, first_idx
 
 
-def convex_combination(columns: np.ndarray, q: np.ndarray, tol: float = DEFAULT_TOL,
-                       backend: str | None = None):
+def convex_combination(columns: np.ndarray, q: np.ndarray, tol: float = DEFAULT_TOL):
     """Coefficients expressing q as a convex combination of the columns.
 
     Returns ``(lam, feasible)``; feasibility means the reconstruction error
@@ -140,7 +139,7 @@ def convex_combination(columns: np.ndarray, q: np.ndarray, tol: float = DEFAULT_
     E = E.copy()
     E[neg] *= -1.0
     f = np.abs(f)
-    lam, pivots, status = phase1_simplex(E, f, backend=backend)
+    lam, pivots, status = phase1_simplex(E, f)
     if status == 1:
         raise PivotBudgetError(
             f"phase-1 simplex exhausted its pivot budget ({pivots} pivots) on "
@@ -163,6 +162,21 @@ def in_hull(q, cloud: ColumnCloud, tol: float = DEFAULT_TOL) -> bool:
     return feasible
 
 
+def _vertex_mask(distinct: np.ndarray, tol: float) -> np.ndarray:
+    """True for each distinct column that is not a convex combination of the others."""
+    d = distinct.shape[1]
+    if d == 1:
+        return np.ones(1, dtype=bool)
+    keep = np.ones(d, dtype=bool)
+    is_vertex = np.zeros(d, dtype=bool)
+    for t in range(d):
+        keep[t] = False
+        _, feasible = convex_combination(distinct[:, keep], distinct[:, t], tol)
+        keep[t] = True
+        is_vertex[t] = not feasible
+    return is_vertex
+
+
 def extreme_points(cloud: ColumnCloud, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Indices of the hull vertices, lowest index per duplicate group.
 
@@ -171,34 +185,20 @@ def extreme_points(cloud: ColumnCloud, tol: float = DEFAULT_TOL) -> np.ndarray:
     (collinear / coplanar) clouds.
     """
     distinct, first_idx = _unique_columns(cloud.matrix)
-    d = distinct.shape[1]
-    if d == 1:
-        return np.sort(first_idx[:1])
-    keep = np.ones(d, dtype=bool)
-    verts = []
-    for t in range(d):
-        keep[t] = False
-        _, feasible = convex_combination(distinct[:, keep], distinct[:, t], tol)
-        keep[t] = True
-        if not feasible:
-            verts.append(first_idx[t])
-    return np.sort(np.asarray(verts, dtype=np.int64))
+    return np.sort(first_idx[_vertex_mask(distinct, tol)])
 
 
 def hull_decompose(cloud: ColumnCloud, tol: float = DEFAULT_TOL) -> HullDecomposition:
     """Split columns into hull vertices (h1) and the interior rest (h2)."""
     distinct, first_idx = _unique_columns(cloud.matrix)
-    h1 = extreme_points(cloud, tol)
-    all_idx = np.arange(cloud.n_points, dtype=np.int64)
-    h2 = np.setdiff1d(all_idx, h1)
-    vertex_set = set(h1.tolist())
-    interior_sel = [t for t in range(distinct.shape[1]) if first_idx[t] not in vertex_set]
-    interior = distinct[:, interior_sel] if interior_sel else np.zeros((cloud.dim, 0))
+    is_vertex = _vertex_mask(distinct, tol)
+    h1 = np.sort(first_idx[is_vertex])
+    h2 = np.setdiff1d(np.arange(cloud.n_points, dtype=np.int64), h1)
     return HullDecomposition(
         h1=h1,
         h2=h2,
         vertex_columns=cloud.matrix[:, h1],
-        interior_columns=interior,
+        interior_columns=distinct[:, ~is_vertex],
     )
 
 

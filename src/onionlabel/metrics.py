@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import LabelVector, WeakSignalMatrix
+from .solver import epsilon_upper_bound
 
 __all__ = [
     "EvalReport",
@@ -123,6 +124,4 @@ def f1(pred: LabelVector, truth: LabelVector, positive_class: int = 1) -> EvalRe
 
 def random_baseline_error(k: int) -> float:
     """Expected error rate of a uniform random guesser: 2/k - 2/k**2."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    return 2.0 / k - 2.0 / k**2
+    return epsilon_upper_bound(k)

@@ -64,8 +64,9 @@ class HullInconsistencyError(AnnealingError):
 class SolverConfig:
     """Knobs for annealing and the gradient-descent solve.
 
-    ``learning_rate=None`` selects ``1 / sigma_max(A')**2`` estimated by power
-    iteration.  All randomness flows from ``seed``.
+    ``learning_rate=None`` selects ``1 / sigma_max(A')**2``, the top
+    eigenvalue of the (m+1) x (m+1) Gram matrix.  All randomness flows from
+    ``seed``.
     """
 
     alpha: float = 0.01
@@ -197,38 +198,9 @@ def augment_system(cloud: ColumnCloud, b: TargetVector, n: int):
     return A_aug, b_aug
 
 
-def _sigma_max_sq(M: np.ndarray, iters: int = 80) -> float:
-    """Largest squared singular value via power iteration (deterministic start)."""
-    p = M.shape[1]
-    v = np.full(p, 1.0 / math.sqrt(p))
-    for _ in range(iters):
-        w = M.T @ (M @ v)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-    return float(v @ (M.T @ (M @ v)))
-
-
-def _project_box_sum(y: np.ndarray, target: float, tol: float) -> np.ndarray:
-    """Shift-and-clip y onto {[0,1]^p, sum = target} until |sum - target| <= tol.
-
-    clip(y + tau) has a continuous nondecreasing sum in tau, so bisection on
-    tau converges; the box stays exact by construction.
-    """
-    if abs(float(y.sum()) - target) <= tol:
-        return y
-    lo, hi = -1.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        s = float(np.clip(y + mid, 0.0, 1.0).sum())
-        if abs(s - target) <= tol:
-            return np.clip(y + mid, 0.0, 1.0)
-        if s < target:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(y + 0.5 * (lo + hi), 0.0, 1.0)
+def _sigma_max_sq(M: np.ndarray) -> float:
+    """Largest squared singular value: top eigenvalue of the small Gram M M^T."""
+    return float(np.linalg.eigvalsh(M @ M.T)[-1])
 
 
 def decode_labels(soft: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -248,10 +220,9 @@ def solve_labels(a_aug: np.ndarray, b_aug: np.ndarray, cfg: SolverConfig | None 
     onto the feasible set {[0,1]^(nk), sum = n}; every step projects back onto
     that set, so the box stays exact and the label sum never drifts.  Stops
     when the infinity-norm iterate change drops below ``conv_tol`` or
-    ``max_iters`` is reached (reported via the ``converged`` flag).  A final
-    shift-projection guarantees the sum within ``n * 1e-6`` regardless of
-    projection round-off.  The reported residuals exclude the sum row;
-    ``initial_residual`` is taken at the first feasible iterate.
+    ``max_iters`` is reached (reported via the ``converged`` flag).  The
+    reported residuals exclude the sum row; ``initial_residual`` is taken at
+    the first feasible iterate.
     """
     cfg = cfg or SolverConfig()
     a_aug = np.ascontiguousarray(a_aug, dtype=np.float64)
@@ -285,7 +256,6 @@ def solve_labels(a_aug: np.ndarray, b_aug: np.ndarray, cfg: SolverConfig | None 
     )
     if not converged:
         log.warning("solver hit max_iters=%d with delta=%.3g", cfg.max_iters, delta)
-    y = _project_box_sum(y, float(n), 1e-6 * n)
     residual = float(np.linalg.norm(A @ y - b))
     return SyntheticLabel(
         soft=y,

@@ -163,35 +163,22 @@ def run_ablation(w: WeakSignalMatrix, cfg: SolverConfig | None = None,
                  chunks: int = 5) -> SyntheticLabel:
     """Deliberately solve with b/n inside the inner hull.
 
-    Mirrors the safe pipeline but anneals in the opposite direction: eps
-    starts at its upper bound and would be *raised* until b/n enters the
-    inner hull, except that eps is never allowed past the bound.  When b/n is
-    not inside at the bound the push cannot proceed and AblationEntryError is
-    raised.  The result is flagged ``mode="ablation"`` and is never SAFE.
+    Mirrors the safe pipeline, but where annealing lowers eps until b/n
+    leaves the inner hull, the ablation keeps eps at its upper bound, the end
+    of that path nearest the inner hull.  eps may not pass the bound, so when
+    b/n is not inside the inner hull there AblationEntryError is raised.  The
+    result is flagged ``mode="ablation"`` and is never SAFE.
     """
     cfg = cfg or SolverConfig()
     w_red = reduce_signals(w, chunks)
     cloud = build_A(w_red)
     decomp = hull_decompose(cloud)
-    ub = epsilon_upper_bound(w.k)
-    eps = ub
-    steps = 0
-    while True:
-        tv = init_b(w_red, eps)
-        status = safe_region_status(tv, w.n, decomp, cloud)
-        if status is SafeRegionStatus.INSIDE_H2:
-            break
-        if eps >= ub - 1e-15:
-            raise AblationEntryError(
-                "b/n cannot enter the inner hull: eps is already at its upper bound"
-            )
-        if steps >= cfg.max_anneal_steps:
-            raise AblationEntryError(
-                f"b/n did not enter the inner hull within {cfg.max_anneal_steps} steps"
-            )
-        eps = min(ub, eps + cfg.alpha)
-        steps += 1
-    log.debug("ablation: INSIDE_H2 at eps=%.6f after %d steps", eps, steps)
+    tv = init_b(w_red, epsilon_upper_bound(w.k))
+    if safe_region_status(tv, w.n, decomp, cloud) is not SafeRegionStatus.INSIDE_H2:
+        raise AblationEntryError(
+            "b/n cannot enter the inner hull: eps is already at its upper bound"
+        )
+    log.debug("ablation: INSIDE_H2 at eps=%.6f", tv.epsilon)
     a_aug, b_aug = augment_system(cloud, tv, w.n)
     return solve_labels(a_aug, b_aug, cfg, epsilon_used=tv.epsilon, mode="ablation")
 

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from onionlabel.backends import HAVE_NUMBA, pgd, phase1_simplex
 from onionlabel.hull import (
     ColumnCloud,
     SafeRegionStatus,
@@ -46,15 +45,6 @@ from onionlabel.synth import (
     generate_instance,
     run_ablation,
 )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the jit kernels once so timed criteria measure the algorithm."""
-    E = np.array([[0.0, 2.0], [1.0, 1.0]])
-    phase1_simplex(E, np.array([1.0, 1.0]))
-    A = np.array([[1.0, 1.0], [1.0, 1.0]])
-    pgd(A, np.array([1.0, 1.0]), np.array([0.3, 0.4]), 1.0, 0.1, 1e-6, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import onionlabel.hull
 from onionlabel import __version__
 from onionlabel.cli import main
 
@@ -161,6 +162,21 @@ def test_label_annealing_failure_exits_3(tmp_path, capsys):
                  "--alpha", "0.25")
     assert rc == 3
     assert "annealing failed" in capsys.readouterr().err
+
+
+def test_label_pivot_budget_failure_exits_3(synth_files, capsys, monkeypatch):
+    # a hull LP that runs out of pivots is a failed run, not a traceback
+    _, weak_path, _ = synth_files
+
+    def exhausted(E, f):
+        return np.zeros(E.shape[1]), 7, 1
+
+    monkeypatch.setattr(onionlabel.hull, "phase1_simplex", exhausted)
+    rc = run_cli("label", "--weak-labels", weak_path, "--n", "40", "--k", "2")
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("onionlabel: ") and "pivot budget" in err
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

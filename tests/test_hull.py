@@ -88,7 +88,7 @@ def test_convex_combination_shape_mismatch():
 
 def test_convex_combination_raises_when_pivot_budget_runs_out(monkeypatch):
     # an exhausted LP must not be read as "infeasible", i.e. as a vertex
-    def exhausted(E, f, backend=None):
+    def exhausted(E, f):
         return np.zeros(E.shape[1]), 7, 1
 
     monkeypatch.setattr(hull, "phase1_simplex", exhausted)
