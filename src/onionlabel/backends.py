@@ -23,25 +23,28 @@ import numpy as np
 # normalized (f >= 0).  Artificial variables start basic.  The entering column
 # is the one with the most negative reduced cost (Dantzig's rule, first index
 # on ties); the ratio test breaks ties by the lowest basis index.  After
-# _DEGENERATE_RUN consecutive degenerate pivots (step length <= pivot_tol) the
+# _DEGENERATE_RUN consecutive degenerate pivots (step length <= _PIVOT_TOL) the
 # entering rule switches to the lowest index with a negative reduced cost
 # (Bland's rule) until a pivot makes progress again.  Bland's rule cannot cycle
 # through degenerate bases and every other pivot lowers the objective, so the
 # loop terminates.  Returns (lam, n_pivots, status) with status 0 = optimum
-# reached, 1 = pivot budget exhausted.  The caller decides feasibility from the
-# explicit residual of lam, not from the phase-1 objective.
+# reached, 1 = pivot budget of 200 + 25 * (rows + columns) exhausted.  The
+# caller decides feasibility from the explicit residual of lam, not from the
+# phase-1 objective.
 # ---------------------------------------------------------------------------
 
 _DEGENERATE_RUN = 50
+_PIVOT_TOL = 1e-11
+_PIVOT_BUDGET_BASE = 200
+_PIVOT_BUDGET_PER_DIM = 25
 
 
-def phase1_simplex(E, f, pivot_tol=1e-11, max_pivots=None):
+def phase1_simplex(E, f):
     """Run phase-1 simplex on ``E lam = f, lam >= 0`` (rows sign-normalized)."""
     E = np.ascontiguousarray(E, dtype=np.float64)
     f = np.ascontiguousarray(f, dtype=np.float64)
     m1, p = E.shape
-    if max_pivots is None:
-        max_pivots = 200 + 25 * (m1 + p)
+    max_pivots = _PIVOT_BUDGET_BASE + _PIVOT_BUDGET_PER_DIM * (m1 + p)
     ncols = p + m1
     T = np.zeros((m1 + 1, ncols + 1))
     T[:m1, :p] = E
@@ -59,21 +62,21 @@ def phase1_simplex(E, f, pivot_tol=1e-11, max_pivots=None):
     while pivots < max_pivots:
         if degenerate < _DEGENERATE_RUN:
             enter = int(np.argmin(cost))
-            if cost[enter] >= -pivot_tol:
+            if cost[enter] >= -_PIVOT_TOL:
                 break
         else:
-            neg = np.flatnonzero(cost < -pivot_tol)
+            neg = np.flatnonzero(cost < -_PIVOT_TOL)
             if neg.size == 0:
                 break
             enter = int(neg[0])
-        rows = np.flatnonzero(T[:m1, enter] > pivot_tol)
+        rows = np.flatnonzero(T[:m1, enter] > _PIVOT_TOL)
         if rows.size == 0:
             break  # column unbounded; cannot improve -> stop
         ratios = rhs[rows] / T[rows, enter]
         best = ratios.min()
         ties = rows[ratios == best]
         leave = int(ties[np.argmin(basis[ties])])
-        degenerate = degenerate + 1 if best <= pivot_tol else 0
+        degenerate = degenerate + 1 if best <= _PIVOT_TOL else 0
         piv_row = T[leave] / T[leave, enter]
         col = T[:, enter].copy()
         col[leave] = 0.0

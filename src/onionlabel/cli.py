@@ -11,6 +11,7 @@ the run manifest produced next to it.  Log level comes from the
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import logging
@@ -45,14 +46,10 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_ANNEAL = 3
 
+# --config keys are the SolverConfig fields, each parsed as an int or a float
 _CONFIG_KEYS = {
-    "alpha": float,
-    "learning_rate": float,
-    "max_iters": int,
-    "conv_tol": float,
-    "seed": int,
-    "max_anneal_steps": int,
-    "chunks": int,
+    f.name: int if f.type in (int, "int") else float
+    for f in dataclasses.fields(SolverConfig)
 }
 
 
@@ -73,19 +70,14 @@ def _read_config(path: str) -> dict:
     return out
 
 
-def _build_config(args) -> tuple[SolverConfig, int]:
+def _build_config(args) -> SolverConfig:
     """Defaults, overridden by --config file, overridden by flags."""
-    merged: dict = {}
-    if getattr(args, "config", None):
-        merged.update(_read_config(args.config))
-    for key in ("alpha", "seed"):
-        v = getattr(args, key, None)
+    merged = _read_config(args.config) if args.config else {}
+    for key in ("alpha", "chunks", "seed"):
+        v = getattr(args, key)
         if v is not None:
             merged[key] = v
-    chunks = merged.pop("chunks", 5)
-    if getattr(args, "chunks", None) is not None:
-        chunks = args.chunks
-    return SolverConfig(**merged), chunks
+    return SolverConfig(**merged)
 
 
 def _dump_json(doc: dict, path: str | None) -> None:
@@ -100,23 +92,14 @@ def _manifest_path(out: str) -> Path:
     return Path(out).with_suffix(".manifest.json")
 
 
-def _write_manifest(out: str, args, cfg: SolverConfig, chunks: int,
-                    inputs: dict, shape: dict) -> Path:
+def _write_manifest(out: str, cfg: SolverConfig, inputs: dict, shape: dict) -> Path:
     path = _manifest_path(out)
     doc = {
         "command": " ".join(sys.argv) if sys.argv else "onionlabel",
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "inputs": inputs,
         "shape": shape,
-        "config": {
-            "alpha": cfg.alpha,
-            "learning_rate": cfg.learning_rate,
-            "max_iters": cfg.max_iters,
-            "conv_tol": cfg.conv_tol,
-            "seed": cfg.seed,
-            "max_anneal_steps": cfg.max_anneal_steps,
-            "chunks": chunks,
-        },
+        "config": dataclasses.asdict(cfg),
         "outputs": [str(out)],
         "version": __version__,
     }
@@ -129,14 +112,14 @@ def _load_weak(args) -> WeakSignalMatrix:
 
 
 def _write_label(args, pipeline) -> int:
-    """Run ``pipeline(w, cfg, chunks)`` on the weak labels; write its artifact."""
-    cfg, chunks = _build_config(args)
+    """Run ``pipeline(w, cfg)`` on the weak labels; write its artifact."""
+    cfg = _build_config(args)
     w = _load_weak(args)
-    label = pipeline(w, cfg, chunks)
+    label = pipeline(w, cfg)
     doc = label.to_dict()
     if args.out:
         manifest = _write_manifest(
-            args.out, args, cfg, chunks,
+            args.out, cfg,
             inputs={"weak_labels": str(args.weak_labels)},
             shape={"n": w.n, "k": w.k, "m": w.m},
         )
@@ -200,9 +183,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect_hull(args) -> int:
-    _, chunks = _build_config(args)
+    cfg = _build_config(args)
     w = _load_weak(args)
-    w_red = reduce_signals(w, chunks)
+    w_red = reduce_signals(w, cfg.chunks)
     cloud = build_A(w_red)
     decomp = hull_decompose(cloud)
     tv = init_b(w_red, epsilon_upper_bound(w.k))
@@ -246,25 +229,24 @@ def cmd_synth(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg, chunks = _build_config(args)
+    cfg = _build_config(args)
     with open(args.specs) as fh:
         raw = json.load(fh)
     if not isinstance(raw, list):
         raise ValueError(f"{args.specs}: expected a JSON list of spec objects")
     specs = []
-    base_seed = args.seed if args.seed is not None else 0
     for i, entry in enumerate(raw):
         entry = dict(entry)
         if "seed" not in entry:
             # counter-based fan-out keeps cells reproducible and independent
             entry["seed"] = int(
-                np.random.SeedSequence([base_seed, i]).generate_state(1)[0]
+                np.random.SeedSequence([cfg.seed, i]).generate_state(1)[0]
             )
         if "class_balance" in entry and entry["class_balance"] is not None:
             entry["class_balance"] = tuple(entry["class_balance"])
         specs.append(SynthSpec(**entry))
     methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
-    rows = sweep(specs, methods, cfg, chunks)
+    rows = sweep(specs, methods, cfg)
     write_sweep_csv(rows, args.out)
     return EXIT_OK
 
@@ -346,14 +328,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except AnnealingError as exc:
-        log.error("annealing failed: %s", exc)
         print(f"onionlabel: annealing failed: {exc}", file=sys.stderr)
         return EXIT_ANNEAL
     except PivotBudgetError as exc:
         print(f"onionlabel: {exc}", file=sys.stderr)
         return EXIT_ANNEAL
     except (ValueError, OSError, json.JSONDecodeError) as exc:
-        log.error("input error: %s", exc)
         print(f"onionlabel: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

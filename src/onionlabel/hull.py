@@ -8,7 +8,7 @@ classified as INSIDE_H2, SAFE, or OUTSIDE_H1.
 
 Membership is decided by convex-combination feasibility: ``q`` lies in the
 hull of a column set iff some ``lam >= 0`` with ``sum(lam) = 1`` reproduces
-``q`` within an infinity-norm tolerance (default 1e-8).  Points on a hull
+``q`` within the infinity-norm tolerance ``HULL_TOL``.  Points on a hull
 boundary therefore count as inside; in particular a point on the boundary of
 Conv(H2) is classified INSIDE_H2.
 
@@ -41,7 +41,7 @@ __all__ = [
     "safe_region_status",
 ]
 
-DEFAULT_TOL = 1e-8
+HULL_TOL = 1e-8
 
 
 class PivotBudgetError(RuntimeError):
@@ -118,11 +118,11 @@ def _unique_columns(matrix: np.ndarray):
     return uniq_rows.T, first_idx
 
 
-def convex_combination(columns: np.ndarray, q: np.ndarray, tol: float = DEFAULT_TOL):
+def convex_combination(columns: np.ndarray, q: np.ndarray):
     """Coefficients expressing q as a convex combination of the columns.
 
     Returns ``(lam, feasible)``; feasibility means the reconstruction error
-    ``max(|columns @ lam - q|_inf, |sum(lam) - 1|)`` is within ``tol``.
+    ``max(|columns @ lam - q|_inf, |sum(lam) - 1|)`` is within ``HULL_TOL``.
     Raises PivotBudgetError when the phase-1 LP exhausts its pivot budget.
     """
     columns = np.asarray(columns, dtype=np.float64)
@@ -149,20 +149,20 @@ def convex_combination(columns: np.ndarray, q: np.ndarray, tol: float = DEFAULT_
         float(np.max(np.abs(columns @ lam - q))),
         abs(float(lam.sum()) - 1.0),
     )
-    return lam, err <= tol
+    return lam, err <= HULL_TOL
 
 
-def in_hull(q, cloud: ColumnCloud, tol: float = DEFAULT_TOL) -> bool:
-    """True iff q lies in the convex hull of the cloud columns (within tol)."""
+def in_hull(q, cloud: ColumnCloud) -> bool:
+    """True iff q lies in the convex hull of the cloud columns (within HULL_TOL)."""
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (cloud.dim,):
         raise ValueError(f"query must have dimension {cloud.dim}")
     distinct, _ = _unique_columns(cloud.matrix)
-    _, feasible = convex_combination(distinct, q, tol)
+    _, feasible = convex_combination(distinct, q)
     return feasible
 
 
-def _vertex_mask(distinct: np.ndarray, tol: float) -> np.ndarray:
+def _vertex_mask(distinct: np.ndarray) -> np.ndarray:
     """True for each distinct column that is not a convex combination of the others."""
     d = distinct.shape[1]
     if d == 1:
@@ -171,13 +171,13 @@ def _vertex_mask(distinct: np.ndarray, tol: float) -> np.ndarray:
     is_vertex = np.zeros(d, dtype=bool)
     for t in range(d):
         keep[t] = False
-        _, feasible = convex_combination(distinct[:, keep], distinct[:, t], tol)
+        _, feasible = convex_combination(distinct[:, keep], distinct[:, t])
         keep[t] = True
         is_vertex[t] = not feasible
     return is_vertex
 
 
-def extreme_points(cloud: ColumnCloud, tol: float = DEFAULT_TOL) -> np.ndarray:
+def extreme_points(cloud: ColumnCloud) -> np.ndarray:
     """Indices of the hull vertices, lowest index per duplicate group.
 
     A distinct column value is a vertex iff it is not a convex combination of
@@ -185,13 +185,13 @@ def extreme_points(cloud: ColumnCloud, tol: float = DEFAULT_TOL) -> np.ndarray:
     (collinear / coplanar) clouds.
     """
     distinct, first_idx = _unique_columns(cloud.matrix)
-    return np.sort(first_idx[_vertex_mask(distinct, tol)])
+    return np.sort(first_idx[_vertex_mask(distinct)])
 
 
-def hull_decompose(cloud: ColumnCloud, tol: float = DEFAULT_TOL) -> HullDecomposition:
+def hull_decompose(cloud: ColumnCloud) -> HullDecomposition:
     """Split columns into hull vertices (h1) and the interior rest (h2)."""
     distinct, first_idx = _unique_columns(cloud.matrix)
-    is_vertex = _vertex_mask(distinct, tol)
+    is_vertex = _vertex_mask(distinct)
     h1 = np.sort(first_idx[is_vertex])
     h2 = np.setdiff1d(np.arange(cloud.n_points, dtype=np.int64), h1)
     return HullDecomposition(
@@ -203,7 +203,7 @@ def hull_decompose(cloud: ColumnCloud, tol: float = DEFAULT_TOL) -> HullDecompos
 
 
 def safe_region_status(b, n: int, decomp: HullDecomposition,
-                       cloud: ColumnCloud, tol: float = DEFAULT_TOL) -> SafeRegionStatus:
+                       cloud: ColumnCloud) -> SafeRegionStatus:
     """Classify b/n against the two hull layers.
 
     INSIDE_H2 when b/n lies in the inner hull (its boundary included), SAFE
@@ -215,10 +215,10 @@ def safe_region_status(b, n: int, decomp: HullDecomposition,
     if q.shape != (cloud.dim,):
         raise ValueError(f"target must have dimension {cloud.dim}")
     if decomp.interior_columns.shape[1]:
-        _, inside2 = convex_combination(decomp.interior_columns, q, tol)
+        _, inside2 = convex_combination(decomp.interior_columns, q)
         if inside2:
             return SafeRegionStatus.INSIDE_H2
-    _, inside1 = convex_combination(decomp.vertex_columns, q, tol)
+    _, inside1 = convex_combination(decomp.vertex_columns, q)
     if inside1:
         return SafeRegionStatus.SAFE
     return SafeRegionStatus.OUTSIDE_H1

@@ -41,18 +41,22 @@ def _class_tallies(w: WeakSignalMatrix) -> np.ndarray:
     return masked.sum(axis=0).reshape(w.k, w.n)
 
 
-def majority_vote(w: WeakSignalMatrix, seed: int = 0) -> LabelVector:
-    """Per-point argmax of non-abstain tallies; ties pick the lowest class.
-
-    Points on which every signal abstained get a seeded random class.
-    """
-    tallies = _class_tallies(w)
-    hard = tallies.argmax(axis=0) + 1
+def _decode_votes(scores: np.ndarray, w: WeakSignalMatrix, seed: int) -> LabelVector:
+    """Per-point argmax of (k, n) class scores; seeded random class where all abstain."""
+    hard = scores.argmax(axis=0) + 1
     all_abstain = w.abstain.reshape(w.m, w.k, w.n).all(axis=(0, 1))
     if all_abstain.any():
         rng = np.random.default_rng(seed)
         hard[all_abstain] = rng.integers(1, w.k + 1, size=int(all_abstain.sum()))
     return LabelVector(hard=hard, k=w.k)
+
+
+def majority_vote(w: WeakSignalMatrix, seed: int = 0) -> LabelVector:
+    """Per-point argmax of non-abstain tallies; ties pick the lowest class.
+
+    Points on which every signal abstained get a seeded random class.
+    """
+    return _decode_votes(_class_tallies(w), w, seed)
 
 
 def weighted_majority_vote(w: WeakSignalMatrix, prior: np.ndarray | None = None,
@@ -73,12 +77,7 @@ def weighted_majority_vote(w: WeakSignalMatrix, prior: np.ndarray | None = None,
             raise ValueError(f"prior must have length k = {w.k}")
         if prior.min() < 0 or abs(float(prior.sum()) - 1.0) > 1e-9:
             raise ValueError("prior must be nonnegative and sum to 1")
-    hard = (tallies * prior[:, None]).argmax(axis=0) + 1
-    all_abstain = w.abstain.reshape(w.m, w.k, w.n).all(axis=(0, 1))
-    if all_abstain.any():
-        rng = np.random.default_rng(seed)
-        hard[all_abstain] = rng.integers(1, w.k + 1, size=int(all_abstain.sum()))
-    return LabelVector(hard=hard, k=w.k)
+    return _decode_votes(tallies * prior[:, None], w, seed)
 
 
 def _check_pair(pred: LabelVector, truth: LabelVector):

@@ -29,6 +29,8 @@ __all__ = [
     "expected_error_rate",
 ]
 
+DEFAULT_CHUNKS = 5  # signals left after reduce_signals; SolverConfig.chunks
+
 
 def col_index(cls: int, point: int, n: int) -> int:
     """Column of class ``cls`` (1-based) and point ``point`` (0-based)."""
@@ -144,8 +146,8 @@ def _parse_pws_token(tok: str, k: int, where: str) -> int:
         v = float(tok)
     except ValueError:
         raise ValueError(f"{where}: unparsable entry {tok!r}")
-    if math.isnan(v):
-        raise ValueError(f"{where}: NaN entry")
+    if not math.isfinite(v):
+        raise ValueError(f"{where}: non-finite entry {tok!r}")
     if v != int(v):
         raise ValueError(f"{where}: entry {tok!r} outside the allowed alphabet")
     iv = int(v)
@@ -177,46 +179,50 @@ def _load_csv(path: str, n: int, k: int) -> WeakSignalMatrix:
 def _load_json(path: str, n: int, k: int) -> WeakSignalMatrix:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     for key in ("n", "k", "format", "rows"):
         if key not in doc:
             raise ValueError(f"{path}: missing key {key!r}")
-    if int(doc["n"]) != n or int(doc["k"]) != k:
+    if (doc["n"], doc["k"]) != (n, k):
         raise ValueError(
             f"{path}: header (n={doc['n']}, k={doc['k']}) does not match "
             f"declared (n={n}, k={k})"
         )
     fmt = doc["format"]
+    if fmt not in ("pws", "prob"):
+        raise ValueError(f"{path}: unknown format {fmt!r} (expected 'pws' or 'prob')")
     rows = doc["rows"]
-    if not rows:
-        raise ValueError(f"{path}: no signal rows")
+    if not isinstance(rows, list) or not rows:
+        raise ValueError(f"{path}: 'rows' must be a non-empty list of signal rows")
+    width = n if fmt == "pws" else n * k
+    for r, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise ValueError(f"row {r}: expected a list of {width} entries")
+        if len(row) != width:
+            raise ValueError(f"row {r}: expected {width} entries, found {len(row)}")
     if fmt == "pws":
-        votes = []
-        for r, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError(f"row {r}: expected {n} entries, found {len(row)}")
-            votes.append([_parse_pws_token(str(v), k, f"row {r}, col {c}")
-                          for c, v in enumerate(row)])
+        votes = [[_parse_pws_token(str(v), k, f"row {r}, col {c}") for c, v in enumerate(row)]
+                 for r, row in enumerate(rows)]
         return expand_pws(np.asarray(votes, dtype=np.int64), k)
-    if fmt == "prob":
-        m = len(rows)
-        values = np.zeros((m, n * k))
-        abstain = np.zeros((m, n * k), dtype=bool)
-        for r, row in enumerate(rows):
-            if len(row) != n * k:
-                raise ValueError(f"row {r}: expected {n * k} entries, found {len(row)}")
-            for c, v in enumerate(row):
-                if v is None:  # null marks an abstain on that entry
-                    values[r, c] = 1.0 / k
-                    abstain[r, c] = True
-                    continue
+    values = np.zeros((len(rows), width))
+    abstain = np.zeros((len(rows), width), dtype=bool)
+    for r, row in enumerate(rows):
+        for c, v in enumerate(row):
+            if v is None:  # null marks an abstain on that entry
+                values[r, c] = 1.0 / k
+                abstain[r, c] = True
+                continue
+            try:
                 v = float(v)
-                if math.isnan(v):
-                    raise ValueError(f"row {r}, col {c}: NaN entry")
-                if v < 0.0 or v > 1.0:
-                    raise ValueError(f"row {r}, col {c}: entry {v} outside [0, 1]")
-                values[r, c] = v
-        return WeakSignalMatrix(values=values, abstain=abstain, n=n, k=k)
-    raise ValueError(f"{path}: unknown format {fmt!r} (expected 'pws' or 'prob')")
+            except (TypeError, ValueError):
+                raise ValueError(f"row {r}, col {c}: unparsable entry {v!r}")
+            if math.isnan(v):
+                raise ValueError(f"row {r}, col {c}: NaN entry")
+            if v < 0.0 or v > 1.0:
+                raise ValueError(f"row {r}, col {c}: entry {v} outside [0, 1]")
+            values[r, c] = v
+    return WeakSignalMatrix(values=values, abstain=abstain, n=n, k=k)
 
 
 def load_pws_matrix(path: str, n: int, k: int) -> WeakSignalMatrix:
@@ -274,7 +280,7 @@ def validate(w: WeakSignalMatrix) -> ValidationReport:
     )
 
 
-def reduce_signals(w: WeakSignalMatrix, chunks: int = 5) -> WeakSignalMatrix:
+def reduce_signals(w: WeakSignalMatrix, chunks: int = DEFAULT_CHUNKS) -> WeakSignalMatrix:
     """Merge m signals into at most ``chunks`` by entrywise mean.
 
     Signals are grouped into contiguous chunks in their given order with sizes

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import backends
 from .hull import (
-    DEFAULT_TOL,
     ColumnCloud,
     HullDecomposition,
     SafeRegionStatus,
@@ -27,7 +26,7 @@ from .hull import (
     hull_decompose,
     safe_region_status,
 )
-from .signals import WeakSignalMatrix, reduce_signals
+from .signals import DEFAULT_CHUNKS, WeakSignalMatrix, reduce_signals
 
 __all__ = [
     "SolverConfig",
@@ -62,8 +61,9 @@ class HullInconsistencyError(AnnealingError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for annealing and the gradient-descent solve.
+    """Every run setting: signal reduction, annealing and the gradient solve.
 
+    ``chunks`` is the number of signals left after ``reduce_signals``.
     ``learning_rate=None`` selects ``1 / sigma_max(A')**2``, the top
     eigenvalue of the (m+1) x (m+1) Gram matrix.  All randomness flows from
     ``seed``.
@@ -75,6 +75,7 @@ class SolverConfig:
     conv_tol: float = 1e-6
     seed: int = 0
     max_anneal_steps: int = 10_000
+    chunks: int = DEFAULT_CHUNKS
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -87,6 +88,8 @@ class SolverConfig:
             raise ValueError("conv_tol must be positive")
         if self.max_anneal_steps < 1:
             raise ValueError("max_anneal_steps must be >= 1")
+        if self.chunks < 1:
+            raise ValueError("chunks must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -155,7 +158,7 @@ def init_b(w: WeakSignalMatrix, eps: float) -> TargetVector:
 
 
 def anneal_b(w: WeakSignalMatrix, cloud: ColumnCloud, decomp: HullDecomposition,
-             cfg: SolverConfig | None = None, tol: float = DEFAULT_TOL) -> TargetVector:
+             cfg: SolverConfig | None = None) -> TargetVector:
     """Lower eps from its upper bound until b/n escapes the inner hull.
 
     Each step subtracts ``alpha`` from eps (clamped at 0), which raises every
@@ -168,7 +171,7 @@ def anneal_b(w: WeakSignalMatrix, cloud: ColumnCloud, decomp: HullDecomposition,
     steps = 0
     while True:
         tv = init_b(w, eps)
-        status = safe_region_status(tv, w.n, decomp, cloud, tol)
+        status = safe_region_status(tv, w.n, decomp, cloud)
         if status is SafeRegionStatus.SAFE:
             log.debug("anneal: SAFE at eps=%.6f after %d steps", eps, steps)
             return tv
@@ -271,11 +274,10 @@ def solve_labels(a_aug: np.ndarray, b_aug: np.ndarray, cfg: SolverConfig | None 
     )
 
 
-def run_oua(w: WeakSignalMatrix, cfg: SolverConfig | None = None,
-            chunks: int = 5) -> SyntheticLabel:
+def run_oua(w: WeakSignalMatrix, cfg: SolverConfig | None = None) -> SyntheticLabel:
     """Full pipeline: reduce, layer the hull, anneal the target, solve."""
     cfg = cfg or SolverConfig()
-    w_red = reduce_signals(w, chunks)
+    w_red = reduce_signals(w, cfg.chunks)
     cloud = build_A(w_red)
     decomp = hull_decompose(cloud)
     tv = anneal_b(w_red, cloud, decomp, cfg)

@@ -8,9 +8,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .hull import DEFAULT_TOL, ColumnCloud, SafeRegionStatus, build_A, hull_decompose, safe_region_status
+from .hull import HULL_TOL, ColumnCloud, SafeRegionStatus, build_A, hull_decompose, safe_region_status
 from .metrics import accuracy, majority_vote, weighted_majority_vote
 from .signals import LabelVector, WeakSignalMatrix, expand_pws, reduce_signals
 from .solver import (
@@ -114,7 +113,7 @@ def generate_instance(spec: SynthSpec) -> tuple[WeakSignalMatrix, LabelVector]:
     return expand_pws(votes, spec.k), y
 
 
-def brute_force_vertex_oracle(cloud: ColumnCloud, tol: float = DEFAULT_TOL) -> np.ndarray:
+def brute_force_vertex_oracle(cloud: ColumnCloud) -> np.ndarray:
     """Hull vertices found by an independent LP route (scipy HiGHS).
 
     For each distinct column value, solve the feasibility program "is this a
@@ -123,6 +122,8 @@ def brute_force_vertex_oracle(cloud: ColumnCloud, tol: float = DEFAULT_TOL) -> n
     Guarded to small clouds (n*k <= 60); intended as the cross-check for
     ``extreme_points``, which uses a self-contained simplex instead.
     """
+    from scipy.optimize import linprog  # only here: it dominates the package import time
+
     if cloud.n_points > 60:
         raise ValueError("oracle is limited to clouds with at most 60 columns")
     uniq_rows, first_idx = np.unique(cloud.matrix.T, axis=0, return_index=True)
@@ -132,8 +133,8 @@ def brute_force_vertex_oracle(cloud: ColumnCloud, tol: float = DEFAULT_TOL) -> n
         return np.sort(first_idx[:1])
     verts = []
     opts = {
-        "primal_feasibility_tolerance": max(tol, 1e-10),
-        "dual_feasibility_tolerance": max(tol, 1e-10),
+        "primal_feasibility_tolerance": HULL_TOL,
+        "dual_feasibility_tolerance": HULL_TOL,
     }
     keep = np.ones(d, dtype=bool)
     for t in range(d):
@@ -153,14 +154,13 @@ def brute_force_vertex_oracle(cloud: ColumnCloud, tol: float = DEFAULT_TOL) -> n
         feasible = bool(res.success)
         if feasible:
             err = float(np.max(np.abs(others @ res.x - distinct[:, t])))
-            feasible = err <= max(tol, 1e-7)
+            feasible = err <= 1e-7
         if not feasible:
             verts.append(first_idx[t])
     return np.sort(np.asarray(verts, dtype=np.int64))
 
 
-def run_ablation(w: WeakSignalMatrix, cfg: SolverConfig | None = None,
-                 chunks: int = 5) -> SyntheticLabel:
+def run_ablation(w: WeakSignalMatrix, cfg: SolverConfig | None = None) -> SyntheticLabel:
     """Deliberately solve with b/n inside the inner hull.
 
     Mirrors the safe pipeline, but where annealing lowers eps until b/n
@@ -170,7 +170,7 @@ def run_ablation(w: WeakSignalMatrix, cfg: SolverConfig | None = None,
     result is flagged ``mode="ablation"`` and is never SAFE.
     """
     cfg = cfg or SolverConfig()
-    w_red = reduce_signals(w, chunks)
+    w_red = reduce_signals(w, cfg.chunks)
     cloud = build_A(w_red)
     decomp = hull_decompose(cloud)
     tv = init_b(w_red, epsilon_upper_bound(w.k))
@@ -183,13 +183,12 @@ def run_ablation(w: WeakSignalMatrix, cfg: SolverConfig | None = None,
     return solve_labels(a_aug, b_aug, cfg, epsilon_used=tv.epsilon, mode="ablation")
 
 
-def _run_method(method: str, w: WeakSignalMatrix, truth: LabelVector,
-                cfg: SolverConfig, chunks: int):
+def _run_method(method: str, w: WeakSignalMatrix, truth: LabelVector, cfg: SolverConfig):
     """Returns (accuracy value, epsilon_used, residual)."""
     if method == "oua":
-        lbl = run_oua(w, cfg, chunks)
+        lbl = run_oua(w, cfg)
     elif method == "ablation":
-        lbl = run_ablation(w, cfg, chunks)
+        lbl = run_ablation(w, cfg)
     elif method == "mv":
         pred = majority_vote(w, seed=cfg.seed)
         return accuracy(pred, truth).value, None, None
@@ -203,7 +202,7 @@ def _run_method(method: str, w: WeakSignalMatrix, truth: LabelVector,
 
 
 def sweep(specs: list[SynthSpec], methods: list[str],
-          cfg: SolverConfig | None = None, chunks: int = 5) -> list[dict]:
+          cfg: SolverConfig | None = None) -> list[dict]:
     """Accuracy of each method on each planted instance, one row per cell.
 
     A failing cell (e.g. an annealing error) keeps its row with empty value
@@ -217,7 +216,7 @@ def sweep(specs: list[SynthSpec], methods: list[str],
         for method in methods:
             t0 = time.perf_counter()
             try:
-                value, eps, resid = _run_method(method, w, truth, cfg, chunks)
+                value, eps, resid = _run_method(method, w, truth, cfg)
             except AnnealingError as exc:
                 log.warning("sweep cell (%s, %s) failed: %s", iid, method, exc)
                 value, eps, resid = None, None, None

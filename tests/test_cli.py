@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
 import subprocess
 import sys
 
@@ -10,8 +12,17 @@ import numpy as np
 import pytest
 
 import onionlabel.hull
-from onionlabel import __version__
+from onionlabel import SolverConfig, __version__
 from onionlabel.cli import main
+
+# prob-format signals whose target path never leaves the inner hull at alpha 0.25
+STUCK_DOC = {
+    "n": 4, "k": 2, "format": "prob",
+    "rows": [
+        [0.0, 1.0, 0.0, 1.0, 0.05, 0.05, 0.05, 0.95],
+        [0.0, 0.0, 1.0, 1.0, 0.05, 0.05, 0.05, 0.95],
+    ],
+}
 
 
 def run_cli(*argv) -> int:
@@ -140,6 +151,9 @@ def test_label_parse_errors_exit_2(tmp_path, capsys):
     bad.write_text("+1,0\n")  # row length 2, but n declared 4
     assert run_cli("label", "--weak-labels", str(bad), "--n", "4", "--k", "2") == 2
     assert "onionlabel:" in capsys.readouterr().err
+    bad.write_text("+1,0,1e400,-1\n")  # a vote that overflows to infinity
+    assert run_cli("label", "--weak-labels", str(bad), "--n", "4", "--k", "2") == 2
+    assert "row 0, col 2" in capsys.readouterr().err
 
 
 def test_label_json_header_mismatch_exits_2(tmp_path):
@@ -150,14 +164,8 @@ def test_label_json_header_mismatch_exits_2(tmp_path):
 
 
 def test_label_annealing_failure_exits_3(tmp_path, capsys):
-    # prob-format signals whose target path never leaves the inner hull
-    rows = [
-        [0.0, 1.0, 0.0, 1.0, 0.05, 0.05, 0.05, 0.95],
-        [0.0, 0.0, 1.0, 1.0, 0.05, 0.05, 0.05, 0.95],
-    ]
-    doc = {"n": 4, "k": 2, "format": "prob", "rows": rows}
     path = tmp_path / "stuck.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(STUCK_DOC))
     rc = run_cli("label", "--weak-labels", str(path), "--n", "4", "--k", "2",
                  "--alpha", "0.25")
     assert rc == 3
@@ -283,6 +291,22 @@ def test_config_file_and_flag_precedence(synth_files):
     assert man["config"]["seed"] == 11
 
 
+def test_config_file_sets_every_solver_field(synth_files):
+    tmp_path, weak_path, _ = synth_files
+    values = {"alpha": 0.05, "learning_rate": 0.001, "max_iters": 3000, "conv_tol": 1e-05,
+              "seed": 4, "max_anneal_steps": 400, "chunks": 4}
+    assert set(values) == {f.name for f in dataclasses.fields(SolverConfig)}
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{key} = {v}\n" for key, v in values.items()))
+    out = tmp_path / "all.json"
+    label = ["label", "--weak-labels", weak_path, "--n", "40", "--k", "2", "--config", str(cfg)]
+    assert run_cli(*label, "--out", str(out)) == 0
+    man = json.loads((tmp_path / "all.manifest.json").read_text())
+    assert man["config"] == values
+    cfg.write_text("chunks = 0\n")
+    assert run_cli(*label) == 2
+
+
 def test_config_unknown_key_exits_2(synth_files):
     tmp_path, weak_path, _ = synth_files
     cfg = tmp_path / "run.cfg"
@@ -376,6 +400,22 @@ def test_console_script_end_to_end(tmp_path):
     assert out.exists() and (tmp_path / "labels.manifest.json").exists()
 
 
+def test_errors_print_one_stderr_line(tmp_path):
+    # a fresh interpreter: under pytest the root logger would swallow a second line
+    path = tmp_path / "stuck.json"
+    path.write_text(json.dumps(STUCK_DOC))
+    env = {key: v for key, v in os.environ.items() if key != "ONIONLABEL_LOG"}
+    label = [sys.executable, "-m", "onionlabel", "label", "--n", "4", "--k", "2"]
+    for weak, rc, message in [
+        (path, 3, "onionlabel: annealing failed: "),
+        (tmp_path / "missing.csv", 2, "onionlabel: "),
+    ]:
+        r = subprocess.run(label + ["--weak-labels", str(weak), "--alpha", "0.25"],
+                           capture_output=True, text=True, env=env)
+        assert r.returncode == rc
+        assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith(message)
+
+
 def test_log_env_var_enables_debug(tmp_path):
     prefix = tmp_path / "inst"
     subprocess.run(
@@ -383,8 +423,6 @@ def test_log_env_var_enables_debug(tmp_path):
          "--m", "3", "--accuracy", "0.9", "--out-prefix", str(prefix)],
         capture_output=True, text=True, check=True,
     )
-    import os
-
     env = dict(os.environ, ONIONLABEL_LOG="DEBUG")
     r = subprocess.run(
         [sys.executable, "-m", "onionlabel", "label",

@@ -125,6 +125,8 @@ def test_load_csv_multiclass_alphabet(tmp_path):
         "1,2,nan\n",      # NaN entry
         "1,2,9\n",        # outside alphabet
         "1,2,1.5\n",      # non-integer vote
+        "1,2,inf\n",      # infinite vote
+        "1,2,1e400\n",    # overflows to an infinite vote
         "",               # empty
     ],
 )
@@ -178,17 +180,23 @@ def test_load_json_header_must_match(tmp_path):
 
 def test_load_json_rejects_bad_documents(tmp_path):
     path = tmp_path / "w.json"
-    path.write_text(json.dumps({"n": 1, "k": 2, "format": "huh", "rows": [[1]]}))
-    with pytest.raises(ValueError):
-        load_pws_matrix(str(path), n=1, k=2)
-    path.write_text(json.dumps({"n": 1, "k": 2, "rows": [[1]]}))  # missing format
-    with pytest.raises(ValueError):
-        load_pws_matrix(str(path), n=1, k=2)
-    path.write_text(
-        json.dumps({"n": 1, "k": 2, "format": "prob", "rows": [[1.5, 0.0]]})
-    )
-    with pytest.raises(ValueError):
-        load_pws_matrix(str(path), n=1, k=2)
+    for text, where in [
+        ('{"n": 1, "k": 2, "format": "huh", "rows": [[1]]}', "unknown format"),
+        ('{"n": 1, "k": 2, "rows": [[1]]}', "missing key"),
+        ('{"n": 1, "k": 2, "format": "prob", "rows": [[1.5, 0.0]]}', "row 0, col 0"),
+        ('{"n": 1, "k": 2, "format": "pws", "rows": [[1e400]]}', "row 0, col 0"),
+        ('{"n": 1, "k": 2, "format": "pws", "rows": [[Infinity]]}', "row 0, col 0"),
+        ('{"n": 1, "k": 2, "format": "prob", "rows": [[0.5, [0.5]]]}', "row 0, col 1"),
+        ('{"n": 1, "k": 2, "format": "prob", "rows": [[{"p": 0.5}, 0.5]]}', "row 0, col 0"),
+        ('{"n": 1, "k": 2, "format": "pws", "rows": 1}', "'rows' must be a non-empty list"),
+        ('{"n": 1, "k": 2, "format": "pws", "rows": [1]}', "row 0"),
+        ('{"n": [1], "k": 2, "format": "pws", "rows": [[1]]}', "does not match"),
+        ("5", "JSON object"),
+        ("null", "JSON object"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=where):
+            load_pws_matrix(str(path), n=1, k=2)
 
 
 # ---------------------------------------------------------------------------

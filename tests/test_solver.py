@@ -174,6 +174,8 @@ def test_solver_config_validation():
         SolverConfig(conv_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_anneal_steps=0)
+    with pytest.raises(ValueError):
+        SolverConfig(chunks=0)
 
 
 def test_synthetic_label_to_dict_maps_nan_epsilon_to_none():

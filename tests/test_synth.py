@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -136,6 +138,14 @@ def test_vertex_oracle_rejects_large_clouds():
     cloud = ColumnCloud(np.zeros((2, 61)))
     with pytest.raises(ValueError):
         brute_force_vertex_oracle(cloud)
+
+
+def test_package_import_leaves_out_scipy_optimize():
+    # only the oracle needs linprog; a fresh interpreter shows what the import loads
+    code = "import sys, onionlabel; print('scipy.optimize' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
