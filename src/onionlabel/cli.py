@@ -161,9 +161,13 @@ def _read_pred(path: str) -> list[int]:
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
         doc = json.loads(text)
-        if "hard" not in doc:
-            raise ValueError(f"{path}: artifact JSON lacks a 'hard' field")
-        return [int(v) for v in doc["hard"]]
+        hard = doc.get("hard")
+        if not isinstance(hard, list):
+            raise ValueError(f"{path}: artifact JSON lacks a 'hard' list")
+        for i, v in enumerate(hard):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"{path}: 'hard' entry {i} is not an integer class: {v!r}")
+        return hard
     return _read_truth(path)
 
 
@@ -236,15 +240,20 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"{args.specs}: expected a JSON list of spec objects")
     specs = []
     for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{args.specs}: spec {i} is not a JSON object: {entry!r}")
         entry = dict(entry)
         if "seed" not in entry:
             # counter-based fan-out keeps cells reproducible and independent
             entry["seed"] = int(
                 np.random.SeedSequence([cfg.seed, i]).generate_state(1)[0]
             )
-        if "class_balance" in entry and entry["class_balance"] is not None:
-            entry["class_balance"] = tuple(entry["class_balance"])
-        specs.append(SynthSpec(**entry))
+        try:
+            if entry.get("class_balance") is not None:
+                entry["class_balance"] = tuple(entry["class_balance"])
+            specs.append(SynthSpec(**entry))
+        except TypeError as exc:  # unknown or missing keys, wrongly typed values
+            raise ValueError(f"{args.specs}: spec {i}: {exc}") from None
     methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
     rows = sweep(specs, methods, cfg)
     write_sweep_csv(rows, args.out)

@@ -114,8 +114,13 @@ class SafeRegionStatus(enum.Enum):
 
 def _unique_columns(matrix: np.ndarray):
     """Distinct column values plus the lowest original index of each."""
-    uniq_rows, first_idx = np.unique(matrix.T, axis=0, return_index=True)
-    return uniq_rows.T, first_idx
+    # stable lexicographic sort, row 0 the primary key: the same order and the
+    # same lowest index per group as np.unique(matrix.T, axis=0), much faster
+    order = np.lexsort(matrix[::-1])
+    ordered = matrix[:, order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)
+    return ordered[:, starts], order[starts]
 
 
 def convex_combination(columns: np.ndarray, q: np.ndarray):

@@ -4,9 +4,12 @@ Pipeline: reduce the signals to at most five rows, double them into a column
 cloud, split the cloud into hull layers, then pick the target vector
 ``b_i = -n k eps + w_i . 1 + n`` by annealing the assumed error rate ``eps``
 downward from its upper bound ``2/k - 2/k**2`` until ``b/n`` leaves the inner
-hull.  The soft labels solve ``min ||A' y - b'||_2`` (the system augmented
-with the all-ones sum row) by gradient descent from a seeded uniform start,
-with every iterate projected back onto {y in [0, 1]^(nk) : sum(y) = n}.
+hull.  The annealing walks a grid of ``alpha`` steps; since ``b/n`` moves on a
+line and the inner hull is convex, the first grid point outside it is found
+by bisection rather than by testing every step.  The soft labels solve
+``min ||A' y - b'||_2`` (the system augmented with the all-ones sum row) by
+gradient descent from a seeded uniform start, with every iterate projected
+back onto {y in [0, 1]^(nk) : sum(y) = n}.
 """
 
 from __future__ import annotations
@@ -161,35 +164,62 @@ def anneal_b(w: WeakSignalMatrix, cloud: ColumnCloud, decomp: HullDecomposition,
              cfg: SolverConfig | None = None) -> TargetVector:
     """Lower eps from its upper bound until b/n escapes the inner hull.
 
-    Each step subtracts ``alpha`` from eps (clamped at 0), which raises every
-    b_i by ``n k alpha``.  Returns the first SAFE target.  Raises
-    NotSafeAtZeroError when eps reaches 0 still inside the inner hull and
-    HullInconsistencyError if b/n ever falls outside Conv(H1).
+    The candidate rates form the step grid ``eps_0 = 2/k - 2/k**2``,
+    ``eps_{j+1} = max(0, eps_j - alpha)``, ending at the first 0 or at index
+    ``max_anneal_steps``; each step raises every b_i by ``n k alpha``, so the
+    targets b/n walk along one line.  The answer is the first grid point whose
+    status is not INSIDE_H2: SAFE returns its target, OUTSIDE_H1 raises
+    HullInconsistencyError.  When the whole grid stays inside, the last grid
+    value decides: 0 raises NotSafeAtZeroError, anything else the
+    ``max_anneal_steps`` AnnealingError.
+
+    Index 0 is probed first and settles the run unless it is INSIDE_H2.  The
+    line meets the convex inner hull Conv(I) in a segment, so once index 0 is
+    inside, the inside grid indices form a prefix, and bisection finds its
+    end in about log2(grid length) membership tests instead of walking it.
     """
     cfg = cfg or SolverConfig()
-    eps = epsilon_upper_bound(w.k)
-    steps = 0
-    while True:
-        tv = init_b(w, eps)
-        status = safe_region_status(tv, w.n, decomp, cloud)
-        if status is SafeRegionStatus.SAFE:
-            log.debug("anneal: SAFE at eps=%.6f after %d steps", eps, steps)
-            return tv
-        if status is SafeRegionStatus.OUTSIDE_H1:
-            raise HullInconsistencyError(
-                f"b/n fell outside Conv(H1) at eps={eps:.6f}; "
-                "the annealing step overshot the safe shell"
-            )
-        if eps <= 0.0:
-            raise NotSafeAtZeroError(
-                "b/n is still inside the inner hull at eps=0; no safe target exists"
-            )
-        if steps >= cfg.max_anneal_steps:
-            raise AnnealingError(
-                f"no safe target within {cfg.max_anneal_steps} annealing steps"
-            )
-        eps = max(0.0, eps - cfg.alpha)
-        steps += 1
+    grid = [epsilon_upper_bound(w.k)]
+    while grid[-1] > 0.0 and len(grid) <= cfg.max_anneal_steps:
+        grid.append(max(0.0, grid[-1] - cfg.alpha))
+
+    probes = 0
+
+    def probe(j: int):
+        nonlocal probes
+        probes += 1
+        tv = init_b(w, grid[j])
+        return tv, safe_region_status(tv, w.n, decomp, cloud)
+
+    # invariant: index lo is INSIDE_H2 and index hi is not (len(grid): none is)
+    tv, status = probe(0)
+    lo, hi = 0, len(grid)
+    if status is not SafeRegionStatus.INSIDE_H2:
+        hi = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        mid_tv, mid_status = probe(mid)
+        if mid_status is SafeRegionStatus.INSIDE_H2:
+            lo = mid
+        else:
+            hi, tv, status = mid, mid_tv, mid_status
+    reached = min(hi, len(grid) - 1)
+    log.debug("anneal: %s at eps=%.6f, grid index %d of %d, %d probes",
+              status.value, grid[reached], reached, len(grid), probes)
+    if status is SafeRegionStatus.SAFE:
+        return tv
+    if status is SafeRegionStatus.OUTSIDE_H1:
+        raise HullInconsistencyError(
+            f"b/n fell outside Conv(H1) at eps={grid[hi]:.6f}; "
+            "the annealing step overshot the safe shell"
+        )
+    if grid[-1] <= 0.0:
+        raise NotSafeAtZeroError(
+            "b/n is still inside the inner hull at eps=0; no safe target exists"
+        )
+    raise AnnealingError(
+        f"no safe target within {cfg.max_anneal_steps} annealing steps"
+    )
 
 
 def augment_system(cloud: ColumnCloud, b: TargetVector, n: int):

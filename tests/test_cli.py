@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -237,6 +238,22 @@ def test_eval_bad_truth_file_exits_2(tmp_path):
     assert run_cli("eval", "--pred", str(pred), "--truth", str(truth)) == 2
 
 
+def test_eval_bad_pred_artifact_exits_2(tmp_path, capsys):
+    pred, truth = tmp_path / "pred.json", tmp_path / "truth.txt"
+    truth.write_text("1\n")
+    for doc, message in [
+        ({"hard": [[1]]}, "'hard' entry 0 is not an integer class: [1]"),
+        ({"hard": [1.5]}, "'hard' entry 0 is not an integer class: 1.5"),
+        ({"hard": [True]}, "'hard' entry 0 is not an integer class: True"),
+        ({"hard": 1}, "artifact JSON lacks a 'hard' list"),
+        ({"soft": [1.0]}, "artifact JSON lacks a 'hard' list"),
+    ]:
+        pred.write_text(json.dumps(doc))
+        assert run_cli("eval", "--pred", str(pred), "--truth", str(truth)) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"onionlabel: {pred}: {message}"]
+
+
 # ---------------------------------------------------------------------------
 # inspect-hull
 
@@ -359,6 +376,24 @@ def test_sweep_rejects_non_list_specs(tmp_path):
                    "--out", str(tmp_path / "s.csv")) == 2
 
 
+def test_sweep_rejects_bad_spec_entries(tmp_path, capsys):
+    spec_path = tmp_path / "specs.json"
+    good = {"n": 20, "k": 2, "m": 4, "signal_accuracy": 0.9}
+    missing_n = {key: v for key, v in good.items() if key != "n"}
+    for specs, message in [
+        ([5], "spec 0 is not a JSON object: 5"),
+        ([good, dict(good, warp=1)], "spec 1: SynthSpec.__init__() got an "
+                                     "unexpected keyword argument 'warp'"),
+        ([missing_n], "spec 0: SynthSpec.__init__() missing 1 required "
+                      "positional argument: 'n'"),
+    ]:
+        spec_path.write_text(json.dumps(specs))
+        assert run_cli("sweep", "--specs", str(spec_path),
+                       "--out", str(tmp_path / "s.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"onionlabel: {spec_path}: {message}"]
+
+
 # ---------------------------------------------------------------------------
 # parser-level behaviour
 
@@ -431,3 +466,6 @@ def test_log_env_var_enables_debug(tmp_path):
     )
     assert r.returncode == 0
     assert "DEBUG" in r.stderr  # anneal/solve diagnostics surface at this level
+    # the anneal reports the grid index it reached, the grid length and its probes
+    assert re.search(r"anneal: SAFE at eps=\S+, grid index \d+ of \d+, \d+ probes",
+                     r.stderr)

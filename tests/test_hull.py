@@ -130,6 +130,20 @@ def test_extreme_points_degenerate_clouds():
     assert extreme_points(cloud_of([1, 1], [1, 1], [1, 1])).tolist() == [0]
 
 
+def test_unique_columns_matches_np_unique():
+    # lattice clouds with many duplicates, including rows whose order alone
+    # separates columns, plus a single-column cloud
+    rng = np.random.default_rng(8)
+    clouds = [rng.integers(0, 5, size=(m, p)) * 0.5
+              for m, p in [(1, 40), (2, 300), (3, 7), (5, 2000), (5, 1)]]
+    clouds.append(np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0]]))
+    for matrix in clouds:
+        distinct, first_idx = hull._unique_columns(ColumnCloud(matrix).matrix)
+        uniq, want_idx = np.unique(matrix.T, axis=0, return_index=True)
+        np.testing.assert_array_equal(distinct, uniq.T)
+        np.testing.assert_array_equal(first_idx, want_idx)
+
+
 def _highs_vertices(cloud: ColumnCloud) -> list[int]:
     """Vertex indices from one HiGHS feasibility LP per distinct column."""
     uniq, first_idx = np.unique(cloud.matrix.T, axis=0, return_index=True)

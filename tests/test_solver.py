@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onionlabel.hull import build_A, hull_decompose
+from onionlabel import solver
+from onionlabel.hull import SafeRegionStatus, build_A, hull_decompose, safe_region_status
 from onionlabel.metrics import majority_vote, weighted_majority_vote, accuracy
-from onionlabel.signals import WeakSignalMatrix
+from onionlabel.signals import WeakSignalMatrix, reduce_signals
 from onionlabel.solver import (
     AnnealingError,
     HullInconsistencyError,
@@ -136,6 +137,130 @@ def test_anneal_hull_inconsistency():
     cloud = build_A(w)
     with pytest.raises(HullInconsistencyError):
         anneal_b(w, cloud, hull_decompose(cloud), SolverConfig(alpha=0.2))
+
+
+# ---------------------------------------------------------------------------
+# anneal_b against the eps stepper it replaced
+
+
+def _reference_anneal(w, cloud, decomp, cfg):
+    """The original annealing loop: one status check per eps step."""
+    eps = epsilon_upper_bound(w.k)
+    steps = 0
+    while True:
+        tv = init_b(w, eps)
+        status = safe_region_status(tv, w.n, decomp, cloud)
+        if status is SafeRegionStatus.SAFE:
+            return tv
+        if status is SafeRegionStatus.OUTSIDE_H1:
+            raise HullInconsistencyError(
+                f"b/n fell outside Conv(H1) at eps={eps:.6f}; "
+                "the annealing step overshot the safe shell"
+            )
+        if eps <= 0.0:
+            raise NotSafeAtZeroError(
+                "b/n is still inside the inner hull at eps=0; no safe target exists"
+            )
+        if steps >= cfg.max_anneal_steps:
+            raise AnnealingError(
+                f"no safe target within {cfg.max_anneal_steps} annealing steps"
+            )
+        eps = max(0.0, eps - cfg.alpha)
+        steps += 1
+
+
+def _anneal_outcome(anneal, w, cloud, decomp, cfg):
+    try:
+        tv = anneal(w, cloud, decomp, cfg)
+    except AnnealingError as exc:
+        return type(exc), str(exc)
+    return "target", tv.epsilon, tv.b.tobytes()
+
+
+def _reduced_instance(spec):
+    w, _ = generate_instance(spec)
+    w5 = reduce_signals(w)
+    cloud = build_A(w5)
+    return w5, cloud, hull_decompose(cloud)
+
+
+# the toy clouds above plus a perfect-signal cloud that is SAFE at index 0
+_TOY_CLOUDS = [
+    ([[0, 0], [1, 0], [0, 1], [1, 1], [0.5, 0.5], [0.5, 0.5]], 3),
+    ([[0, 0], [1, 0], [0, 1], [1, 1], [0.1, 0.1], [0.9, 0.9]], 3),
+    ([[0, 0], [1, 0], [0, 1], [1, 1],
+      [0.05, 0.05], [0.05, 0.05], [0.05, 0.05], [0.95, 0.95]], 4),
+    ([[0, 0], [1, 0], [0, 1], [0.5, 0.5], [0.25, 0.25], [0.25, 0.25]], 3),
+]
+
+_ANNEAL_CONFIGS = [
+    SolverConfig(alpha=alpha, max_anneal_steps=budget)
+    for alpha in (0.25, 0.2, 0.05, 0.01, 0.003, 0.0005)
+    for budget in (10_000, 30, 2)
+]
+
+
+@pytest.fixture(scope="module")
+def anneal_clouds():
+    """Toy clouds, the 50-instance safe-region suite and planted n=500 seeds 0-2."""
+    clouds = []
+    for cols, n in _TOY_CLOUDS:
+        w = signals_from_columns(cols, n=n, k=2)
+        cloud = build_A(w)
+        clouds.append((w, cloud, hull_decompose(cloud)))
+    clouds.append(_reduced_instance(SynthSpec(
+        n=30, k=2, m=6, signal_accuracy=1.0, abstain_rate=0.0, seed=2)))
+    for i in range(50):
+        clouds.append(_reduced_instance(SynthSpec(
+            n=100, k=2 + i % 2, m=10, signal_accuracy=0.8, abstain_rate=0.2,
+            seed=1000 + i)))
+    for seed in range(3):
+        clouds.append(_reduced_instance(SynthSpec(
+            n=500, k=2, m=10, signal_accuracy=0.8, abstain_rate=0.3, seed=seed)))
+    return clouds
+
+
+@pytest.mark.parametrize("cfg", _ANNEAL_CONFIGS,
+                         ids=lambda c: f"alpha{c.alpha}-steps{c.max_anneal_steps}")
+def test_anneal_matches_reference_stepper(anneal_clouds, cfg):
+    # bitwise-equal eps and b, or the same exception type and message
+    for w, cloud, decomp in anneal_clouds:
+        want = _anneal_outcome(_reference_anneal, w, cloud, decomp, cfg)
+        assert _anneal_outcome(anneal_b, w, cloud, decomp, cfg) == want
+
+
+def test_anneal_reference_cases_cover_every_outcome(anneal_clouds):
+    outcomes = set()
+    safe_at_bound = False
+    for cfg in _ANNEAL_CONFIGS:
+        for w, cloud, decomp in anneal_clouds:
+            got = _anneal_outcome(anneal_b, w, cloud, decomp, cfg)
+            outcomes.add(got[0])
+            safe_at_bound |= got[0] == "target" and got[1] == epsilon_upper_bound(w.k)
+    assert outcomes == {"target", AnnealingError, NotSafeAtZeroError,
+                        HullInconsistencyError}
+    assert safe_at_bound
+
+
+def test_anneal_probe_count_is_logarithmic(anneal_clouds, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return safe_region_status(*args)
+
+    monkeypatch.setattr(solver, "safe_region_status", counting)
+    for cfg in (SolverConfig(alpha=0.0005), SolverConfig(alpha=0.003),
+                SolverConfig(alpha=0.0005, max_anneal_steps=30)):
+        for w, cloud, decomp in anneal_clouds:
+            grid_len = 1
+            eps = epsilon_upper_bound(w.k)
+            while eps > 0.0 and grid_len <= cfg.max_anneal_steps:
+                eps = max(0.0, eps - cfg.alpha)
+                grid_len += 1
+            calls.clear()
+            _anneal_outcome(anneal_b, w, cloud, decomp, cfg)
+            assert 1 <= len(calls) <= math.ceil(math.log2(grid_len)) + 2
 
 
 # ---------------------------------------------------------------------------
