@@ -129,7 +129,8 @@ def _write_label(args, pipeline) -> int:
         doc["manifest"] = None
         _dump_json(doc, None)
     if not label.converged:
-        log.warning("solve did not converge within max_iters; artifact flagged")
+        log.warning("solve stopped at gap %.3g after its budget of %d Newton iterations "
+                    "(conv_tol %.3g); artifact flagged", label.gap, cfg.max_iters, cfg.conv_tol)
     return EXIT_OK
 
 
@@ -248,6 +249,9 @@ def cmd_sweep(args) -> int:
             entry["seed"] = int(
                 np.random.SeedSequence([cfg.seed, i]).generate_state(1)[0]
             )
+        elif type(entry["seed"]) is not int:  # null would draw an unseeded instance
+            raise ValueError(f"{args.specs}: spec {i}: seed must be an integer, "
+                             f"got {entry['seed']!r}")
         try:
             if entry.get("class_balance") is not None:
                 entry["class_balance"] = tuple(entry["class_balance"])

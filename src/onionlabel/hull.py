@@ -113,14 +113,17 @@ class SafeRegionStatus(enum.Enum):
 
 
 def _unique_columns(matrix: np.ndarray):
-    """Distinct column values plus the lowest original index of each."""
+    """Distinct column values, the lowest original index of each, and each
+    column's position among the distinct values."""
     # stable lexicographic sort, row 0 the primary key: the same order and the
     # same lowest index per group as np.unique(matrix.T, axis=0), much faster
     order = np.lexsort(matrix[::-1])
     ordered = matrix[:, order]
     starts = np.ones(order.size, dtype=bool)
     starts[1:] = np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)
-    return ordered[:, starts], order[starts]
+    group = np.empty(order.size, dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    return ordered[:, starts], order[starts], group
 
 
 def convex_combination(columns: np.ndarray, q: np.ndarray):
@@ -162,7 +165,7 @@ def in_hull(q, cloud: ColumnCloud) -> bool:
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (cloud.dim,):
         raise ValueError(f"query must have dimension {cloud.dim}")
-    distinct, _ = _unique_columns(cloud.matrix)
+    distinct, _, _ = _unique_columns(cloud.matrix)
     _, feasible = convex_combination(distinct, q)
     return feasible
 
@@ -189,13 +192,13 @@ def extreme_points(cloud: ColumnCloud) -> np.ndarray:
     the other distinct values.  Works in any dimension, including degenerate
     (collinear / coplanar) clouds.
     """
-    distinct, first_idx = _unique_columns(cloud.matrix)
+    distinct, first_idx, _ = _unique_columns(cloud.matrix)
     return np.sort(first_idx[_vertex_mask(distinct)])
 
 
 def hull_decompose(cloud: ColumnCloud) -> HullDecomposition:
     """Split columns into hull vertices (h1) and the interior rest (h2)."""
-    distinct, first_idx = _unique_columns(cloud.matrix)
+    distinct, first_idx, _ = _unique_columns(cloud.matrix)
     is_vertex = _vertex_mask(distinct)
     h1 = np.sort(first_idx[is_vertex])
     h2 = np.setdiff1d(np.arange(cloud.n_points, dtype=np.int64), h1)

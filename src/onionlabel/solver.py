@@ -7,9 +7,11 @@ downward from its upper bound ``2/k - 2/k**2`` until ``b/n`` leaves the inner
 hull.  The annealing walks a grid of ``alpha`` steps; since ``b/n`` moves on a
 line and the inner hull is convex, the first grid point outside it is found
 by bisection rather than by testing every step.  The soft labels solve
-``min ||A' y - b'||_2`` (the system augmented with the all-ones sum row) by
-gradient descent from a seeded uniform start, with every iterate projected
-back onto {y in [0, 1]^(nk) : sum(y) = n}.
+``min ||A y - b||_2`` over {y in [0, 1]^(nk) : sum(y) = n} exactly.  The
+objective depends on y only through the label sums of identical columns, so
+the solve runs over the distinct columns (``backends.pgd``: proximal point
+with semismooth Newton, stopped by a certified duality gap), and the optimal
+sums are then spread over a seeded uniform start projected onto that set.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .hull import (
     ColumnCloud,
     HullDecomposition,
     SafeRegionStatus,
+    _unique_columns,
     build_A,
     hull_decompose,
     safe_region_status,
@@ -64,16 +67,15 @@ class HullInconsistencyError(AnnealingError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Every run setting: signal reduction, annealing and the gradient solve.
+    """Every run setting: signal reduction, annealing and the label solve.
 
     ``chunks`` is the number of signals left after ``reduce_signals``.
-    ``learning_rate=None`` selects ``1 / sigma_max(A')**2``, the top
-    eigenvalue of the (m+1) x (m+1) Gram matrix.  All randomness flows from
-    ``seed``.
+    ``max_iters`` is the budget of Newton iterations of the label solve and
+    ``conv_tol`` the certified relative duality gap at which it stops (see
+    ``SyntheticLabel.gap``).  All randomness flows from ``seed``.
     """
 
     alpha: float = 0.01
-    learning_rate: float | None = None
     max_iters: int = 20_000
     conv_tol: float = 1e-6
     seed: int = 0
@@ -83,8 +85,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if self.learning_rate is not None and self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive when given")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.conv_tol <= 0:
@@ -110,7 +110,14 @@ class TargetVector:
 
 @dataclass(frozen=True)
 class SyntheticLabel:
-    """Solver output: soft labels plus decode and diagnostics."""
+    """Solver output: soft labels plus decode and diagnostics.
+
+    ``gap`` is the solve's certificate: sqrt(2 G) / max(1, ||b||) for the
+    Frank-Wolfe duality gap G of 1/2 ||A y - b||^2 at ``soft``.  It bounds
+    ||A y - A y*|| / max(1, ||b||) for the optimal fit A y*, and so also how far
+    the relative residual lies above its minimum.  ``converged`` means
+    ``gap <= conv_tol``.
+    """
 
     soft: np.ndarray  # (n*k,) in [0, 1]
     hard: np.ndarray  # (n,) classes 1..k
@@ -121,6 +128,7 @@ class SyntheticLabel:
     initial_residual: float
     n: int
     k: int
+    gap: float
     mode: str = "safe_region"
 
     def __post_init__(self):
@@ -138,6 +146,7 @@ class SyntheticLabel:
             "residual": self.residual,
             "epsilon_used": None if math.isnan(self.epsilon_used) else self.epsilon_used,
             "converged": self.converged,
+            "gap": self.gap,
             "iterations": self.iterations,
             "mode": self.mode,
         }
@@ -231,11 +240,6 @@ def augment_system(cloud: ColumnCloud, b: TargetVector, n: int):
     return A_aug, b_aug
 
 
-def _sigma_max_sq(M: np.ndarray) -> float:
-    """Largest squared singular value: top eigenvalue of the small Gram M M^T."""
-    return float(np.linalg.eigvalsh(M @ M.T)[-1])
-
-
 def decode_labels(soft: np.ndarray, n: int, k: int) -> np.ndarray:
     """Per-point argmax over class blocks; ties go to the lowest class."""
     soft = np.asarray(soft, dtype=np.float64)
@@ -247,15 +251,18 @@ def decode_labels(soft: np.ndarray, n: int, k: int) -> np.ndarray:
 def solve_labels(a_aug: np.ndarray, b_aug: np.ndarray, cfg: SolverConfig | None = None,
                  y0: np.ndarray | None = None, epsilon_used: float = float("nan"),
                  mode: str = "safe_region") -> SyntheticLabel:
-    """Projected gradient descent on the augmented system.
+    """Exact capped least squares on the augmented system.
 
-    Starts from a seeded Uniform(0,1) draw (or ``y0`` when supplied) projected
-    onto the feasible set {[0,1]^(nk), sum = n}; every step projects back onto
-    that set, so the box stays exact and the label sum never drifts.  Stops
-    when the infinity-norm iterate change drops below ``conv_tol`` or
-    ``max_iters`` is reached (reported via the ``converged`` flag).  The
-    reported residuals exclude the sum row; ``initial_residual`` is taken at
-    the first feasible iterate.
+    Minimizes ||A y - b|| over {y in [0,1]^(nk), sum(y) = n}, where the last
+    row of the augmented system is the sum row.  Columns of A with equal
+    values are grouped, ``backends.pgd`` finds optimal label sums per group,
+    and each group's sum is then spread over the seeded Uniform(0,1) draw (or
+    ``y0`` when supplied) projected onto the feasible set, by one shift per
+    group.  The answer is therefore exactly feasible, optimal up to the
+    reported gap, and depends on the seed where the optimum is not unique.
+    ``converged`` is False when ``max_iters`` Newton iterations end above
+    ``conv_tol``.  The reported residuals exclude the sum row;
+    ``initial_residual`` is taken at the projected start.
     """
     cfg = cfg or SolverConfig()
     a_aug = np.ascontiguousarray(a_aug, dtype=np.float64)
@@ -280,15 +287,16 @@ def solve_labels(a_aug: np.ndarray, b_aug: np.ndarray, cfg: SolverConfig | None 
     y_start = backends.project_capped_simplex(y0, float(n))
     initial_residual = float(np.linalg.norm(A @ y_start - b))
 
-    lr = cfg.learning_rate
-    if lr is None:
-        s2 = _sigma_max_sq(a_aug)
-        lr = 1.0 / s2 if s2 > 0 else 1.0
-    y, iters, delta, converged = backends.pgd(
-        a_aug, b_aug, y_start, float(n), lr, cfg.conv_tol, cfg.max_iters
+    distinct, _, group = _unique_columns(A)
+    counts = np.bincount(group).astype(np.float64)
+    sums, iters, gap, converged = backends.pgd(
+        distinct, b, counts, np.bincount(group, y_start), float(n),
+        cfg.conv_tol, cfg.max_iters,
     )
     if not converged:
-        log.warning("solver hit max_iters=%d with delta=%.3g", cfg.max_iters, delta)
+        log.warning("solver stopped after its budget of %d Newton iterations with "
+                    "gap %.3g above conv_tol %.3g", cfg.max_iters, gap, cfg.conv_tol)
+    y, _ = backends.shift_clip(y_start, sums, groups=group)
     residual = float(np.linalg.norm(A @ y - b))
     return SyntheticLabel(
         soft=y,
@@ -300,6 +308,7 @@ def solve_labels(a_aug: np.ndarray, b_aug: np.ndarray, cfg: SolverConfig | None 
         initial_residual=initial_residual,
         n=n,
         k=k,
+        gap=gap,
         mode=mode,
     )
 

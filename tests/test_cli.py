@@ -132,6 +132,24 @@ def test_label_writes_artifact_and_manifest(synth_files):
     assert man["config"]["seed"] == 5
     assert man["config"]["chunks"] == 5
     assert "timestamp" in man and "command" in man
+    # the artifact carries the solve's certificate
+    assert doc["converged"] is True
+    assert 0.0 <= doc["gap"] <= man["config"]["conv_tol"]
+
+
+def test_label_warns_with_gap_when_newton_budget_runs_out(synth_files, caplog):
+    tmp_path, weak_path, _ = synth_files
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("max_iters = 1\n")
+    out = tmp_path / "short.json"
+    rc = run_cli("label", "--weak-labels", weak_path, "--n", "40", "--k", "2",
+                 "--config", str(cfg), "--out", str(out))
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    assert doc["converged"] is False and doc["iterations"] == 1
+    assert doc["gap"] > 1e-6
+    assert re.search(r"solve stopped at gap \S+ after its budget of 1 Newton "
+                     r"iterations \(conv_tol 1e-06\); artifact flagged", caplog.text)
 
 
 def test_label_seed_reproducible(synth_files):
@@ -310,7 +328,7 @@ def test_config_file_and_flag_precedence(synth_files):
 
 def test_config_file_sets_every_solver_field(synth_files):
     tmp_path, weak_path, _ = synth_files
-    values = {"alpha": 0.05, "learning_rate": 0.001, "max_iters": 3000, "conv_tol": 1e-05,
+    values = {"alpha": 0.05, "max_iters": 3000, "conv_tol": 1e-05,
               "seed": 4, "max_anneal_steps": 400, "chunks": 4}
     assert set(values) == {f.name for f in dataclasses.fields(SolverConfig)}
     cfg = tmp_path / "all.cfg"
@@ -386,6 +404,7 @@ def test_sweep_rejects_bad_spec_entries(tmp_path, capsys):
                                      "unexpected keyword argument 'warp'"),
         ([missing_n], "spec 0: SynthSpec.__init__() missing 1 required "
                       "positional argument: 'n'"),
+        ([good, dict(good, seed=None)], "spec 1: seed must be an integer, got None"),
     ]:
         spec_path.write_text(json.dumps(specs))
         assert run_cli("sweep", "--specs", str(spec_path),

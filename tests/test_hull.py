@@ -138,10 +138,12 @@ def test_unique_columns_matches_np_unique():
               for m, p in [(1, 40), (2, 300), (3, 7), (5, 2000), (5, 1)]]
     clouds.append(np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0]]))
     for matrix in clouds:
-        distinct, first_idx = hull._unique_columns(ColumnCloud(matrix).matrix)
-        uniq, want_idx = np.unique(matrix.T, axis=0, return_index=True)
+        distinct, first_idx, group = hull._unique_columns(ColumnCloud(matrix).matrix)
+        uniq, want_idx, want_group = np.unique(
+            matrix.T, axis=0, return_index=True, return_inverse=True)
         np.testing.assert_array_equal(distinct, uniq.T)
         np.testing.assert_array_equal(first_idx, want_idx)
+        np.testing.assert_array_equal(group, want_group.ravel())
 
 
 def _highs_vertices(cloud: ColumnCloud) -> list[int]:

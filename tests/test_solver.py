@@ -1,4 +1,4 @@
-"""Target construction, annealing, and the projected-gradient label solver."""
+"""Target construction, annealing, and the exact label solver."""
 
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from onionlabel.solver import (
     init_b,
     run_oua,
     solve_labels,
-    _sigma_max_sq,
 )
 from onionlabel.synth import SynthSpec, generate_instance
 
@@ -292,8 +291,6 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(alpha=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(learning_rate=-1.0)
-    with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
         SolverConfig(conv_tol=0.0)
@@ -314,20 +311,13 @@ def test_synthetic_label_to_dict_maps_nan_epsilon_to_none():
         initial_residual=1.0,
         n=1,
         k=2,
+        gap=0.0,
     )
     doc = lbl.to_dict()
     assert doc["epsilon_used"] is None
+    assert doc["gap"] == 0.0
     assert doc["mode"] == "safe_region"
     assert doc["hard"] == [1]
-
-
-def test_sigma_max_estimate_matches_svd():
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        M = rng.uniform(-1, 2, size=(4, 9))
-        s2 = _sigma_max_sq(M)
-        want = float(np.linalg.svd(M, compute_uv=False)[0] ** 2)
-        assert s2 == pytest.approx(want, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
