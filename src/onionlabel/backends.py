@@ -20,21 +20,30 @@ import math
 import numpy as np
 
 # ---------------------------------------------------------------------------
-# Phase-1 simplex: feasibility of  E @ lam = f,  lam >= 0.
+# Phase-1 simplex: feasibility of  E @ lam = f,  lam >= 0,  for a batch of f.
 #
 # The caller builds E = [C; 1^T] and f = [q; 1] so feasibility means exactly
-# "q is a convex combination of the columns of C".  Rows must already be sign
-# normalized (f >= 0).  Artificial variables start basic.  The entering column
-# is the one with the most negative reduced cost (Dantzig's rule, first index
-# on ties); the ratio test breaks ties by the lowest basis index.  After
-# _DEGENERATE_RUN consecutive degenerate pivots (step length <= _PIVOT_TOL) the
-# entering rule switches to the lowest index with a negative reduced cost
-# (Bland's rule) until a pivot makes progress again.  Bland's rule cannot cycle
-# through degenerate bases and every other pivot lowers the objective, so the
-# loop terminates.  Returns (lam, n_pivots, status) with status 0 = optimum
-# reached, 1 = pivot budget of 200 + 25 * (rows + columns) exhausted.  The
-# caller decides feasibility from the explicit residual of lam, not from the
-# phase-1 objective.
+# "q is a convex combination of the columns of C".  Rows with f < 0 are sign
+# flipped first so the artificial basis is feasible.  Artificial variables
+# start basic.  The entering column is the one with the most negative reduced
+# cost (Dantzig's rule, first index on ties); the ratio test breaks ties by the
+# lowest basis index.  After _DEGENERATE_RUN consecutive degenerate pivots
+# (step length <= _PIVOT_TOL) the entering rule switches to the lowest index
+# with a negative reduced cost (Bland's rule) until a pivot makes progress
+# again.  Bland's rule cannot cycle through degenerate bases and every other
+# pivot lowers the objective, so the loop terminates.  Status 0 means the
+# optimum was reached, 1 that the pivot budget of 200 + 25 * (rows + columns)
+# ran out.  The caller decides feasibility from the explicit residual of lam,
+# not from the phase-1 objective.
+#
+# The LPs of a batch share the shape of E and pivot in lockstep, each on its
+# own tableau with the arithmetic of a lone solve, so every LP's lam, pivot
+# count and status are bitwise those of its solve on its own.  An LP leaves
+# the batch when it stops, and the remaining tableaus are compacted.  At the
+# optimum the duals of the sign-normalized rows are 1 minus the reduced costs
+# of the artificial columns; undoing the row signs gives duals y of E lam = f
+# with y.E_j <= _PIVOT_TOL for every column j and y.f equal to the phase-1
+# objective, so an infeasible LP's y separates f from the columns of E.
 # ---------------------------------------------------------------------------
 
 _DEGENERATE_RUN = 50
@@ -43,58 +52,91 @@ _PIVOT_BUDGET_BASE = 200
 _PIVOT_BUDGET_PER_DIM = 25
 
 
-def phase1_simplex(E, f):
-    """Run phase-1 simplex on ``E lam = f, lam >= 0`` (rows sign-normalized)."""
-    E = np.ascontiguousarray(E, dtype=np.float64)
-    f = np.ascontiguousarray(f, dtype=np.float64)
-    m1, p = E.shape
+def phase1_batch(E, F):
+    """Phase-1 simplex on ``E_b lam = F[b], lam >= 0`` for every row of ``F``.
+
+    ``E`` is ``(rows, p)``, shared by every LP, or ``(B, rows, p)``; ``F`` is
+    ``(B, rows)``.  Returns ``(lam, pivots, status, duals)`` of shapes
+    ``(B, p)``, ``(B,)``, ``(B,)`` and ``(B, rows)``.
+    """
+    F = np.ascontiguousarray(F, dtype=np.float64)
+    n_lp, m1 = F.shape
+    E = np.asarray(E, dtype=np.float64)
+    p = E.shape[-1]
     max_pivots = _PIVOT_BUDGET_BASE + _PIVOT_BUDGET_PER_DIM * (m1 + p)
     ncols = p + m1
-    T = np.zeros((m1 + 1, ncols + 1))
-    T[:m1, :p] = E
-    T[:m1, p : p + m1] = np.eye(m1)
-    T[:m1, ncols] = f
+    sign = np.where(F < 0, -1.0, 1.0)
+    T = np.zeros((n_lp, m1 + 1, ncols + 1))
+    T[:, :m1, :p] = E * sign[:, :, None]
+    T[:, :m1, p:ncols] = np.eye(m1)
+    T[:, :m1, ncols] = np.abs(F)
     # reduced costs for minimizing the sum of artificials
-    T[m1, :p] = -E.sum(axis=0)
-    T[m1, ncols] = -f.sum()
+    T[:, m1, :p] = -T[:, :m1, :p].sum(axis=1)
+    T[:, m1, ncols] = -T[:, :m1, ncols].sum(axis=1)
 
-    cost = T[m1, :ncols]  # views into the tableau, updated in place
-    rhs = T[:m1, ncols]
-    basis = np.arange(p, p + m1, dtype=np.int64)
-    pivots = 0
-    degenerate = 0
-    while pivots < max_pivots:
-        if degenerate < _DEGENERATE_RUN:
-            enter = int(np.argmin(cost))
-            if cost[enter] >= -_PIVOT_TOL:
-                break
+    lam = np.zeros((n_lp, p))
+    pivots = np.zeros(n_lp, dtype=np.int64)
+    status = np.zeros(n_lp, dtype=np.int64)
+    duals = np.zeros((n_lp, m1))
+    lp = np.arange(n_lp)  # the LP of each tableau still in the batch
+    at = lp
+    basis = np.arange(p, ncols)[None].repeat(n_lp, axis=0)
+    degenerate = np.zeros(n_lp, dtype=np.int64)
+    update = np.empty_like(T)
+    step = 0
+    while lp.size:
+        if step == max_pivots:
+            stop = np.ones(lp.size, dtype=bool)
         else:
-            neg = np.flatnonzero(cost < -_PIVOT_TOL)
-            if neg.size == 0:
+            cost = T[:, m1, :ncols]
+            enter = cost.argmin(axis=1)
+            if step >= _DEGENERATE_RUN and degenerate.max() >= _DEGENERATE_RUN:
+                bland = (cost < -_PIVOT_TOL).argmax(axis=1)
+                enter = np.where(degenerate < _DEGENERATE_RUN, enter, bland)
+            col = T[at, :, enter]
+            # rows that bound the step of an improving entering column
+            up = (col[:, :m1] > _PIVOT_TOL) & (col[:, m1:] < -_PIVOT_TOL)
+            ratios = np.where(up, T[:, :m1, ncols], np.inf)
+            np.divide(ratios, col[:, :m1], out=ratios, where=up)
+            best = np.minimum.reduce(ratios, axis=1, keepdims=True)
+            # optimal, or the entering column is unbounded and cannot improve
+            stop = best[:, 0] == np.inf
+        n_stop = np.count_nonzero(stop)
+        if n_stop:
+            done = lp[stop]
+            pivots[done] = step
+            status[done] = step == max_pivots
+            duals[done] = (1.0 - T[stop, m1, p:ncols]) * sign[done]
+            b_stop = basis[stop]
+            i, r = np.nonzero(b_stop < p)
+            lam[done[i], b_stop[i, r]] = T[stop, :m1, ncols][i, r]
+            if n_stop == lp.size:
                 break
-            enter = int(neg[0])
-        rows = np.flatnonzero(T[:m1, enter] > _PIVOT_TOL)
-        if rows.size == 0:
-            break  # column unbounded; cannot improve -> stop
-        ratios = rhs[rows] / T[rows, enter]
-        best = ratios.min()
-        ties = rows[ratios == best]
-        leave = int(ties[np.argmin(basis[ties])])
-        degenerate = degenerate + 1 if best <= _PIVOT_TOL else 0
-        piv_row = T[leave] / T[leave, enter]
-        col = T[:, enter].copy()
-        col[leave] = 0.0
-        T -= np.outer(col, piv_row)
-        T[leave] = piv_row
-        basis[leave] = enter
-        pivots += 1
+            keep = ~stop
+            T, lp, basis, degenerate = T[keep], lp[keep], basis[keep], degenerate[keep]
+            enter, col, ratios, best = enter[keep], col[keep], ratios[keep], best[keep]
+            at = np.arange(lp.size)
+        leave = np.where(ratios == best, basis, ncols).argmin(axis=1)
+        degenerate = (degenerate + 1) * (best[:, 0] <= _PIVOT_TOL)
+        piv_row = T[at, leave]
+        piv_row /= col[at, leave][:, None]
+        # the update's pivot row is discarded: the row is overwritten below
+        buf = update[: lp.size]
+        np.multiply(col[:, :, None], piv_row[:, None, :], out=buf)
+        T -= buf
+        T[at, leave] = piv_row
+        basis[at, leave] = enter
+        step += 1
+    return lam, pivots, status, duals
 
-    lam = np.zeros(p)
-    for i in range(m1):
-        if basis[i] < p:
-            lam[basis[i]] = T[i, ncols]
-    status = 0 if pivots < max_pivots else 1
-    return lam, pivots, status
+
+def phase1_simplex(E, f):
+    """Run phase-1 simplex on ``E lam = f, lam >= 0``: one LP of ``phase1_batch``.
+
+    Returns ``(lam, n_pivots, status)``.
+    """
+    lam, pivots, status, _ = phase1_batch(E, np.asarray(f, dtype=np.float64)[None])
+    return lam[0], int(pivots[0]), int(status[0])
 
 
 # ---------------------------------------------------------------------------

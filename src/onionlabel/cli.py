@@ -199,6 +199,9 @@ def cmd_inspect_hull(args) -> int:
         "h1_size": int(decomp.h1.size),
         "h2_size": int(decomp.h2.size),
         "status_at_eps_max": status.value,
+        "vertex_lps": decomp.vertex_lps,
+        "vertex_pivots": decomp.vertex_pivots,
+        "vertex_rounds": decomp.vertex_rounds,
     }
     _dump_json(doc, args.out)
     return EXIT_OK
@@ -298,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("inspect-hull", help="report hull layer sizes and start status")
+    p = sub.add_parser("inspect-hull",
+                       help="report hull layer sizes, start status and vertex-pass work")
     _add_weak_flags(p)
     _add_common_solver_flags(p)
     p.add_argument("--out", default=None)

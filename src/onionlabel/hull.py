@@ -12,6 +12,20 @@ hull of a column set iff some ``lam >= 0`` with ``sum(lam) = 1`` reproduces
 boundary therefore count as inside; in particular a point on the boundary of
 Conv(H2) is classified INSIDE_H2.
 
+Vertices are found by Clarkson's output-sensitive scheme (FOCS 1994) over the
+distinct column values, sorted lexicographically.  The vertex set V starts
+as the lexicographic maximum.  Each round solves every pending value against
+Conv(V), all LPs in one lockstep batch of the phase-1 simplex.  A feasible
+value is interior.  An infeasible value's duals (g, g0) separate it from V:
+g.v + g0 <= 0 < g.q + g0.  The maximum of g.x over the cloud then lies among
+the values still pending, and the last of them in lexicographic order that
+attains it is a vertex; it joins V, so every round adds at least one.  Rounds end when no value is pending.
+Rounding can break a tie in g.x and admit a non-vertex, so a final batch
+checks each member c of V against Conv(V without c) and drops those inside.
+Every tableau and score matrix of this pass is processed in blocks of at
+most ``_BLOCK_FLOATS`` floats, so its memory does not grow with the square
+of the number of distinct values.
+
 Duplicate columns keep their lowest index in ``h1`` and park the remaining
 copies in ``h2``.  The *geometry* of the inner hull, however, is generated by
 distinct column values that are not hull vertices: duplicate copies of a
@@ -27,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backends import phase1_simplex
+from .backends import phase1_batch, phase1_simplex
 
 __all__ = [
     "ColumnCloud",
@@ -42,6 +56,7 @@ __all__ = [
 ]
 
 HULL_TOL = 1e-8
+_BLOCK_FLOATS = 1 << 18  # bound on each work array of the vertex pass (2 MB)
 
 
 class PivotBudgetError(RuntimeError):
@@ -50,6 +65,13 @@ class PivotBudgetError(RuntimeError):
     Its iterate says nothing about the geometry, so membership cannot be
     decided from it.
     """
+
+
+def _budget_error(pivots: int, shape) -> PivotBudgetError:
+    return PivotBudgetError(
+        f"phase-1 simplex exhausted its pivot budget ({pivots} pivots) on "
+        f"{shape[1]} columns in R^{shape[0]}"
+    )
 
 
 @dataclass(frozen=True)
@@ -92,12 +114,17 @@ class HullDecomposition:
     ``vertex_columns`` holds the distinct vertex values; ``interior_columns``
     holds the distinct non-vertex values, i.e. the generators of Conv(H2).
     Both are cached here so membership queries never recompute the hull.
+    The ``vertex_*`` counts record the work of the vertex pass that found
+    them (zero for a decomposition built by hand).
     """
 
     h1: np.ndarray  # sorted vertex indices, one per duplicate group
     h2: np.ndarray  # all remaining indices, sorted
     vertex_columns: np.ndarray = field(repr=False)  # (m, |V|)
     interior_columns: np.ndarray = field(repr=False)  # (m, |I|), may be empty
+    vertex_lps: int = 0  # phase-1 LPs of the vertex pass, self-check included
+    vertex_pivots: int = 0
+    vertex_rounds: int = 0  # Clarkson rounds before the self-check
 
     def __post_init__(self):
         for name in ("h1", "h2", "vertex_columns", "interior_columns"):
@@ -141,18 +168,9 @@ def convex_combination(columns: np.ndarray, q: np.ndarray):
     if p == 0:
         return np.zeros(0), False
     E = np.vstack([columns, np.ones((1, p))])
-    f = np.append(q, 1.0)
-    # sign-normalize rows so the artificial basis is feasible
-    neg = f < 0
-    E = E.copy()
-    E[neg] *= -1.0
-    f = np.abs(f)
-    lam, pivots, status = phase1_simplex(E, f)
+    lam, pivots, status = phase1_simplex(E, np.append(q, 1.0))
     if status == 1:
-        raise PivotBudgetError(
-            f"phase-1 simplex exhausted its pivot budget ({pivots} pivots) on "
-            f"{p} columns in R^{columns.shape[0]}"
-        )
+        raise _budget_error(pivots, columns.shape)
     err = max(
         float(np.max(np.abs(columns @ lam - q))),
         abs(float(lam.sum()) - 1.0),
@@ -170,19 +188,69 @@ def in_hull(q, cloud: ColumnCloud) -> bool:
     return feasible
 
 
-def _vertex_mask(distinct: np.ndarray) -> np.ndarray:
-    """True for each distinct column that is not a convex combination of the others."""
-    d = distinct.shape[1]
-    if d == 1:
-        return np.ones(1, dtype=bool)
-    keep = np.ones(d, dtype=bool)
+def _membership(V: np.ndarray, Q: np.ndarray, drop=None):
+    """One phase-1 LP per column of Q against the columns of V, in blocks.
+
+    Returns ``(inside, duals, pivots)``: whether each column lies in Conv(V)
+    within ``HULL_TOL`` (the test of ``convex_combination``), each LP's duals
+    and the pivot total.  With ``drop``, LP b leaves out column ``drop[b]``
+    of V: a zero column never enters the basis.  Raises PivotBudgetError
+    when any LP exhausts its pivot budget.
+    """
+    m, p = V.shape
+    E = np.vstack([V, np.ones((1, p))])
+    F = np.vstack([Q, np.ones((1, Q.shape[1]))]).T
+    block = max(1, _BLOCK_FLOATS // ((m + 2) * (p + m + 2)))
+    inside = np.empty(F.shape[0], dtype=bool)
+    duals = np.empty(F.shape)
+    pivots = 0
+    for lo in range(0, F.shape[0], block):
+        part = slice(lo, lo + block)
+        E_part = E
+        if drop is not None:
+            lps = np.arange(drop[part].size)
+            E_part = np.repeat(E[None], lps.size, axis=0)
+            E_part[lps, :, drop[part]] = 0.0
+        lam, piv, status, y = phase1_batch(E_part, F[part])
+        duals[part] = y
+        if status.any():
+            raise _budget_error(int(piv[status == 1][0]), V.shape)
+        err = np.maximum(np.abs(lam @ V.T - Q[:, part].T).max(axis=1),
+                         np.abs(lam.sum(axis=1) - 1.0))
+        inside[part] = err <= HULL_TOL
+        pivots += int(piv.sum())
+    return inside, duals, pivots
+
+
+def _vertex_pass(distinct: np.ndarray):
+    """Clarkson rounds over the lexicographically sorted distinct columns.
+
+    Returns ``(is_vertex, lps, pivots, rounds)``: which distinct columns are
+    hull vertices, and the LPs, pivots and rounds it took.
+    """
+    m, d = distinct.shape
     is_vertex = np.zeros(d, dtype=bool)
-    for t in range(d):
-        keep[t] = False
-        _, feasible = convex_combination(distinct[:, keep], distinct[:, t])
-        keep[t] = True
-        is_vertex[t] = not feasible
-    return is_vertex
+    is_vertex[-1] = True  # the lexicographic maximum is a vertex
+    pending = np.arange(d - 1)
+    lps = pivots = rounds = 0
+    while pending.size:
+        inside, duals, piv = _membership(distinct[:, is_vertex], distinct[:, pending])
+        lps, pivots, rounds = lps + pending.size, pivots + piv, rounds + 1
+        pending, g = pending[~inside], duals[~inside, :m]
+        X = distinct[:, pending]
+        rows = max(1, _BLOCK_FLOATS // max(1, pending.size))
+        for lo in range(0, g.shape[0], rows):
+            scores = g[lo : lo + rows] @ X
+            # last maximum = lexicographic maximum: the columns are sorted
+            is_vertex[pending[-1 - np.argmax(scores[:, ::-1], axis=1)]] = True
+        pending = pending[~is_vertex[pending]]
+    verts = np.flatnonzero(is_vertex)
+    if verts.size > 1:
+        V = distinct[:, verts]
+        inside, _, piv = _membership(V, V, drop=np.arange(verts.size))
+        lps, pivots = lps + verts.size, pivots + piv
+        is_vertex[verts[inside]] = False
+    return is_vertex, lps, pivots, rounds
 
 
 def extreme_points(cloud: ColumnCloud) -> np.ndarray:
@@ -193,13 +261,13 @@ def extreme_points(cloud: ColumnCloud) -> np.ndarray:
     (collinear / coplanar) clouds.
     """
     distinct, first_idx, _ = _unique_columns(cloud.matrix)
-    return np.sort(first_idx[_vertex_mask(distinct)])
+    return np.sort(first_idx[_vertex_pass(distinct)[0]])
 
 
 def hull_decompose(cloud: ColumnCloud) -> HullDecomposition:
     """Split columns into hull vertices (h1) and the interior rest (h2)."""
     distinct, first_idx, _ = _unique_columns(cloud.matrix)
-    is_vertex = _vertex_mask(distinct)
+    is_vertex, lps, pivots, rounds = _vertex_pass(distinct)
     h1 = np.sort(first_idx[is_vertex])
     h2 = np.setdiff1d(np.arange(cloud.n_points, dtype=np.int64), h1)
     return HullDecomposition(
@@ -207,6 +275,9 @@ def hull_decompose(cloud: ColumnCloud) -> HullDecomposition:
         h2=h2,
         vertex_columns=cloud.matrix[:, h1],
         interior_columns=distinct[:, ~is_vertex],
+        vertex_lps=lps,
+        vertex_pivots=pivots,
+        vertex_rounds=rounds,
     )
 
 

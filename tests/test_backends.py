@@ -54,8 +54,65 @@ def _reference_pgd(A, b, y0, target, lr, conv_tol, max_iters):
     return y, it, delta, False
 
 
+def _reference_phase1(E, f):
+    """The one-LP phase-1 loop the batched kernel replaced, with its pivot rules.
+
+    Rows are sign-normalized here; returns ``(lam, pivots, status)``.
+    """
+    E = np.array(E, dtype=np.float64)
+    f = np.array(f, dtype=np.float64)
+    E[f < 0] *= -1.0
+    f = np.abs(f)
+    m1, p = E.shape
+    max_pivots = (backends._PIVOT_BUDGET_BASE
+                  + backends._PIVOT_BUDGET_PER_DIM * (m1 + p))
+    tol = backends._PIVOT_TOL
+    ncols = p + m1
+    T = np.zeros((m1 + 1, ncols + 1))
+    T[:m1, :p] = E
+    T[:m1, p:ncols] = np.eye(m1)
+    T[:m1, ncols] = f
+    T[m1, :p] = -E.sum(axis=0)
+    T[m1, ncols] = -f.sum()
+    cost, rhs = T[m1, :ncols], T[:m1, ncols]
+    basis = np.arange(p, ncols)
+    pivots = degenerate = 0
+    while pivots < max_pivots:
+        if degenerate < backends._DEGENERATE_RUN:
+            enter = int(np.argmin(cost))
+            if cost[enter] >= -tol:
+                break
+        else:
+            neg = np.flatnonzero(cost < -tol)
+            if neg.size == 0:
+                break
+            enter = int(neg[0])
+        rows = np.flatnonzero(T[:m1, enter] > tol)
+        if rows.size == 0:
+            break
+        ratios = rhs[rows] / T[rows, enter]
+        best = ratios.min()
+        ties = rows[ratios == best]
+        leave = int(ties[np.argmin(basis[ties])])
+        degenerate = degenerate + 1 if best <= tol else 0
+        piv_row = T[leave] / T[leave, enter]
+        col = T[:, enter].copy()
+        col[leave] = 0.0
+        T -= np.outer(col, piv_row)
+        T[leave] = piv_row
+        basis[leave] = enter
+        pivots += 1
+    lam = np.zeros(p)
+    for i in range(m1):
+        if basis[i] < p:
+            lam[basis[i]] = T[i, ncols]
+    return lam, pivots, 0 if pivots < max_pivots else 1
+
+
 # ---------------------------------------------------------------------------
 # phase-1 simplex
+
+
 
 
 def _combination_system(rng, feasible: bool):
@@ -100,6 +157,56 @@ def test_simplex_bland_fallback_still_solves(monkeypatch, feasible):
         assert status == 0
         assert lam.min() >= 0.0
         assert (np.max(np.abs(E @ lam - f)) <= 1e-9) == feasible
+
+
+@pytest.mark.parametrize("run", [backends._DEGENERATE_RUN, 0])
+def test_simplex_batch_matches_single_solves_and_certifies(monkeypatch, run):
+    # every LP of a lockstep batch is bitwise its own solve and the one-LP
+    # loop's, and each infeasible LP's duals separate its point from the
+    # shared columns.
+    # Queries with negative coordinates exercise the row sign flips.
+    monkeypatch.setattr(backends, "_DEGENERATE_RUN", run)
+    rng = np.random.default_rng(46)
+    for lattice in (False, True):
+        d, p = 4, 24
+        if lattice:
+            cols = rng.integers(0, 5, size=(d, p)) * 0.5
+        else:
+            cols = rng.uniform(0.0, 2.0, size=(d, p))
+        inside = cols @ rng.dirichlet(np.ones(p), size=20).T
+        corners = cols[:, rng.integers(0, p, size=5)]
+        outside = rng.uniform(-1.0, 3.0, size=(d, 20))
+        Q = np.hstack([inside, corners, outside])
+        E = np.vstack([cols, np.ones((1, p))])
+        F = np.vstack([Q, np.ones((1, Q.shape[1]))]).T
+        lam, pivots, status, duals = backends.phase1_batch(E, F)
+        n_infeasible = 0
+        for b in range(F.shape[0]):
+            for one in (phase1_simplex(E, F[b]), _reference_phase1(E, F[b])):
+                assert lam[b].tobytes() == one[0].tobytes()
+                assert (int(pivots[b]), int(status[b])) == one[1:]
+            assert status[b] == 0
+            if np.max(np.abs(E @ lam[b] - F[b])) > 1e-9:
+                n_infeasible += 1
+                assert np.max(duals[b] @ E) <= 1e-9
+                assert duals[b] @ F[b] > 1e-9
+        assert 0 < n_infeasible < F.shape[0]
+
+
+def test_simplex_batch_takes_one_matrix_per_lp():
+    # a column zeroed in one LP's matrix never enters that LP's basis
+    rng = np.random.default_rng(47)
+    cols = rng.uniform(0.0, 2.0, size=(3, 6))
+    E = np.vstack([cols, np.ones((1, 6))])
+    Es = np.repeat(E[None], 6, axis=0)
+    Es[np.arange(6), :, np.arange(6)] = 0.0
+    F = np.vstack([cols, np.ones((1, 6))]).T  # LP b asks for column b itself
+    lam, _, status, _ = backends.phase1_batch(Es, F)
+    assert (status == 0).all()
+    assert (np.diag(lam) == 0.0).all()
+    for b in range(6):
+        one = phase1_simplex(Es[b], F[b])
+        assert lam[b].tobytes() == one[0].tobytes()
 
 
 def test_simplex_finds_known_combination():

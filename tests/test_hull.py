@@ -91,12 +91,37 @@ def test_convex_combination_raises_when_pivot_budget_runs_out(monkeypatch):
     def exhausted(E, f):
         return np.zeros(E.shape[1]), 7, 1
 
+    def exhausted_batch(E, F):
+        n = F.shape[0]
+        return (np.zeros((n, E.shape[-1])), np.full(n, 7), np.ones(n, dtype=np.int64),
+                np.zeros(F.shape))
+
     monkeypatch.setattr(hull, "phase1_simplex", exhausted)
+    monkeypatch.setattr(hull, "phase1_batch", exhausted_batch)
     cols = np.array([[0.0, 2.0], [0.0, 2.0]])
     with pytest.raises(PivotBudgetError, match="pivot budget"):
         convex_combination(cols, np.array([1.0, 1.0]))
-    with pytest.raises(PivotBudgetError):
+    with pytest.raises(PivotBudgetError, match="pivot budget"):
         extreme_points(cloud_of([0, 0], [2, 0], [0, 2], [1, 1]))
+
+
+def test_vertex_pass_raises_when_one_lp_in_a_batch_runs_out(monkeypatch):
+    # one exhausted LP among many solved ones still fails the whole pass
+    real = hull.phase1_batch
+    sizes = []
+
+    def one_exhausted(E, F):
+        lam, pivots, status, duals = real(E, F)
+        sizes.append(F.shape[0])
+        if F.shape[0] > 1:
+            status[F.shape[0] // 2] = 1
+        return lam, pivots, status, duals
+
+    monkeypatch.setattr(hull, "phase1_batch", one_exhausted)
+    square = cloud_of([0, 0], [2, 0], [0, 2], [2, 2], [1, 1], [0.5, 1.5])
+    with pytest.raises(PivotBudgetError, match="pivot budget"):
+        hull_decompose(square)
+    assert sizes[-1] > 1
 
 
 def test_in_hull_square():
@@ -182,22 +207,124 @@ def test_hull_matches_highs_on_planted_n500_cloud(monkeypatch):
     w, _ = generate_instance(spec)
     cloud = build_A(reduce_signals(w, 5))
     statuses = []
-    real = hull.phase1_simplex
+    real = hull.phase1_batch
 
     def recording(*args, **kwargs):
         out = real(*args, **kwargs)
-        statuses.append(out[2])
+        statuses.extend(out[2].tolist())
         return out
 
-    monkeypatch.setattr(hull, "phase1_simplex", recording)
+    monkeypatch.setattr(hull, "phase1_batch", recording)
     decomp = hull_decompose(cloud)
     assert len(statuses) >= 685
     assert set(statuses) == {0}
+    assert decomp.vertex_lps == len(statuses)
 
     expected = _highs_vertices(cloud)
     assert len(expected) == 164
     assert extreme_points(cloud).tolist() == expected
     assert decomp.h1.tolist() == expected
+
+
+# ---------------------------------------------------------------------------
+# the vertex pass against the all-pairs reference
+
+
+def _all_pairs_vertex_mask(distinct: np.ndarray) -> np.ndarray:
+    """True for each distinct column that is not a convex combination of the others.
+
+    One phase-1 LP per distinct column against all the others: the vertex
+    finder the Clarkson rounds replaced, kept as their reference.
+    """
+    d = distinct.shape[1]
+    if d == 1:
+        return np.ones(1, dtype=bool)
+    keep = np.ones(d, dtype=bool)
+    is_vertex = np.zeros(d, dtype=bool)
+    for t in range(d):
+        keep[t] = False
+        _, feasible = convex_combination(distinct[:, keep], distinct[:, t])
+        keep[t] = True
+        is_vertex[t] = not feasible
+    return is_vertex
+
+
+def _assert_matches_all_pairs(cloud: ColumnCloud):
+    distinct, first_idx, _ = hull._unique_columns(cloud.matrix)
+    is_vertex = _all_pairs_vertex_mask(distinct)
+    h1 = np.sort(first_idx[is_vertex])
+    h2 = np.setdiff1d(np.arange(cloud.n_points, dtype=np.int64), h1)
+    decomp = hull_decompose(cloud)
+    assert decomp.h1.tobytes() == h1.tobytes()
+    assert decomp.h2.tobytes() == h2.tobytes()
+    assert decomp.interior_columns.tobytes() == distinct[:, ~is_vertex].tobytes()
+    assert decomp.interior_columns.shape == (cloud.dim, int((~is_vertex).sum()))
+    return decomp
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_vertex_pass_matches_all_pairs_on_planted_n500(k, seed):
+    spec = SynthSpec(n=500, k=k, m=10, signal_accuracy=0.8, abstain_rate=0.3, seed=seed)
+    w, _ = generate_instance(spec)
+    decomp = _assert_matches_all_pairs(build_A(reduce_signals(w, 5)))
+    assert decomp.vertex_rounds >= 1
+    assert decomp.vertex_lps >= decomp.h1.size + decomp.interior_columns.shape[1] - 1
+
+
+@pytest.mark.parametrize("seed", [10, 97])
+def test_vertex_pass_matches_all_pairs_on_saturated_lattice(seed):
+    # the benchmark's m=5 cloud: all 243 lattice points, 32 of them vertices
+    spec = SynthSpec(n=5000, k=2, m=5, signal_accuracy=0.8, abstain_rate=0.3, seed=seed)
+    w, _ = generate_instance(spec)
+    decomp = _assert_matches_all_pairs(build_A(reduce_signals(w, 5)))
+    assert decomp.h1.size + decomp.interior_columns.shape[1] == 243
+
+
+def test_final_check_drops_non_vertices_admitted_by_the_rounds(monkeypatch):
+    # zero duals carry no direction: every round admits the last pending
+    # column, vertex or not, so only the final check can restore the layers
+    real = hull.phase1_batch
+
+    def no_direction(E, F):
+        lam, pivots, status, duals = real(E, F)
+        return lam, pivots, status, np.zeros_like(duals)
+
+    monkeypatch.setattr(hull, "phase1_batch", no_direction)
+    rng = np.random.default_rng(9)
+    decomp = _assert_matches_all_pairs(ColumnCloud(rng.integers(0, 5, size=(3, 40)) * 0.5))
+    # each round but the last admits one column: more rounds than vertices
+    # means that non-vertices were admitted and dropped again
+    assert decomp.vertex_rounds > decomp.h1.size
+
+
+@st.composite
+def degenerate_clouds(draw):
+    """Small clouds with the degeneracies of vote lattices."""
+    kind = draw(st.sampled_from(["lattice", "collinear", "coplanar"]))
+    dim = draw(st.integers(1, 4))
+    p = draw(st.integers(1, 12))
+    if kind == "lattice":
+        # a subset of the half-step lattice in [0, 2]^dim
+        cells = st.integers(0, 4).map(lambda v: v * 0.5)
+        cols = [draw(st.lists(cells, min_size=dim, max_size=dim)) for _ in range(p)]
+        matrix = np.array(cols, dtype=np.float64).T
+    else:
+        # points on a segment or in a plane through the cube
+        rank = 1 if kind == "collinear" else 2
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        base = rng.uniform(0.5, 1.5, size=(dim, 1))
+        span = rng.uniform(-0.125, 0.125, size=(dim, rank))
+        steps = rng.integers(-2, 3, size=(rank, p)).astype(np.float64)
+        matrix = base + span @ steps  # within 0.5 of base: inside [0, 2]
+    dups = draw(st.lists(st.integers(0, p - 1), max_size=4))
+    return ColumnCloud(np.hstack([matrix, matrix[:, dups]]))
+
+
+@given(cloud=degenerate_clouds())
+@settings(max_examples=60, deadline=None)
+def test_property_vertex_pass_matches_all_pairs_on_degenerate_clouds(cloud):
+    _assert_matches_all_pairs(cloud)
 
 
 # ---------------------------------------------------------------------------

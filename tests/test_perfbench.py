@@ -4,7 +4,8 @@
 functions it names (``hull.phase1_simplex``, ``safe_region_status`` in
 ``solver`` and ``synth``, ``synth.hull_decompose``, ``backends.pgd``).  A
 rename or a changed return shape in ``src/`` breaks ``--trace 1`` without
-failing any package test, so one small traced run guards them all.
+failing any package test, so one small traced run guards them all.  The same
+run cross-checks the hull's vertices against the harness's HiGHS oracle.
 """
 
 from __future__ import annotations
@@ -29,3 +30,5 @@ def test_traced_benchmark_runs_and_replays_bitwise():
     assert result["failed"] == 0
     assert result["metrics"]["trace.replay_equal"]["value"] == 1
     assert result["metrics"]["solve.converged"]["value"] == 1
+    # the harness's HiGHS oracle agrees with hull_decompose's vertices
+    assert result["metrics"]["hull.vertex_mismatch"]["value"] == 0
