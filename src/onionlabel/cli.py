@@ -223,13 +223,11 @@ def cmd_synth(args) -> int:
     votes, truth = generate_votes(spec)
     weak_path = f"{args.out_prefix}.csv"
     truth_path = f"{args.out_prefix}.truth.txt"
+    # the loader's alphabet, indexed by vote: {0, +1, -1} for k=2, 0..k otherwise
+    tokens = np.array(["0", "+1", "-1"] if spec.k == 2 else [str(c) for c in range(spec.k + 1)])
     with open(weak_path, "w") as fh:
         for row in votes:
-            if spec.k == 2:
-                symbols = {0: "0", 1: "+1", 2: "-1"}
-                fh.write(",".join(symbols[int(v)] for v in row) + "\n")
-            else:
-                fh.write(",".join(str(int(v)) for v in row) + "\n")
+            fh.write(",".join(tokens[row].tolist()) + "\n")
     with open(truth_path, "w") as fh:
         fh.writelines(f"{int(c)}\n" for c in truth.hard)
     log.info("wrote %s and %s", weak_path, truth_path)

@@ -161,19 +161,59 @@ def _parse_pws_token(tok: str, k: int, where: str) -> int:
     return iv
 
 
+def _scan_votes(rows: list, row_numbers, k: int, text) -> np.ndarray:
+    """Parse ``text(token)`` one token at a time in row-major order.
+
+    Raises the error of the first bad entry, naming its row (``row_numbers``)
+    and column.
+    """
+    return np.asarray([[_parse_pws_token(text(tok), k, f"row {r}, col {c}")
+                        for c, tok in enumerate(row)]
+                       for r, row in zip(row_numbers, rows)], dtype=np.int64)
+
+
+def _parse_votes(rows: list, row_numbers, k: int, text) -> np.ndarray:
+    """Votes over {0 (abstain), 1..k} of equal-length token rows, as (m, n) int64.
+
+    One array parse and one alphabet check cover the whole matrix.  numpy
+    converts a number exactly and reads a string token with ``float()``,
+    which accepts a subset of what ``float(token.strip())`` does and agrees
+    with it there.  When the parse or the check fails, ``_scan_votes`` finds
+    the first bad entry; it also takes the few tokens only the stripped form
+    parses, such as ``'\\x1c1'``.
+    """
+    try:
+        v = np.array(rows, dtype=np.float64)
+    except (ValueError, TypeError, OverflowError):
+        return _scan_votes(rows, row_numbers, k, text)
+    lo, hi = (-1, 1) if k == 2 else (0, k)
+    # NaN fails all three comparisons and an infinity the range; a list entry
+    # in a JSON row adds a dimension
+    if v.ndim != 2 or not np.all((v >= lo) & (v <= hi) & (v == np.trunc(v))):
+        return _scan_votes(rows, row_numbers, k, text)
+    if k == 2:  # +1 -> class 1, -1 -> class 2, 0 -> abstain
+        return np.select([v == 1, v == -1], [1, 2], 0)
+    return v.astype(np.int64)
+
+
 def _load_csv(path: str, n: int, k: int) -> WeakSignalMatrix:
-    rows = []
+    rows, row_numbers, short = [], [], None
     with open(path, newline="") as fh:
         for r, line in enumerate(csv.reader(fh)):
             if not line or (len(line) == 1 and not line[0].strip()):
                 continue  # permit trailing blank line
             if len(line) != n:
-                raise ValueError(f"row {r}: expected {n} entries, found {len(line)}")
-            rows.append([_parse_pws_token(tok.strip(), k, f"row {r}, col {c}")
-                         for c, tok in enumerate(line)])
+                short = f"row {r}: expected {n} entries, found {len(line)}"
+                break
+            rows.append(line)
+            row_numbers.append(r)
+    if rows:  # a bad entry in an earlier row wins over a short row
+        votes = _parse_votes(rows, row_numbers, k, str.strip)
+    if short is not None:
+        raise ValueError(short)
     if not rows:
         raise ValueError(f"{path}: no signal rows")
-    return expand_pws(np.asarray(rows, dtype=np.int64), k)
+    return expand_pws(votes, k)
 
 
 def _load_json(path: str, n: int, k: int) -> WeakSignalMatrix:
@@ -202,9 +242,9 @@ def _load_json(path: str, n: int, k: int) -> WeakSignalMatrix:
         if len(row) != width:
             raise ValueError(f"row {r}: expected {width} entries, found {len(row)}")
     if fmt == "pws":
-        votes = [[_parse_pws_token(str(v), k, f"row {r}, col {c}") for c, v in enumerate(row)]
-                 for r, row in enumerate(rows)]
-        return expand_pws(np.asarray(votes, dtype=np.int64), k)
+        # np.array reads true and false as 1 and 0, where str() makes them unparsable
+        parse = _scan_votes if any(bool in map(type, row) for row in rows) else _parse_votes
+        return expand_pws(parse(rows, range(len(rows)), k, str), k)
     values = np.zeros((len(rows), width))
     abstain = np.zeros((len(rows), width), dtype=bool)
     for r, row in enumerate(rows):
@@ -232,7 +272,8 @@ def load_pws_matrix(path: str, n: int, k: int) -> WeakSignalMatrix:
     for k=2 (+1 is class 1, -1 class 2, 0 abstain) or {0, 1..k} otherwise.
     JSON: ``{"n", "k", "format": "pws"|"prob", "rows"}``; "prob" rows carry
     n*k probabilities in [0, 1] with ``null`` marking an abstained entry.
-    NaN anywhere is a hard error.
+    NaN anywhere is a hard error.  A bad file raises ``ValueError`` naming
+    its first bad row, or row and column, in row-major order.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")

@@ -15,6 +15,7 @@ import pytest
 import onionlabel.hull
 from onionlabel import SolverConfig, __version__
 from onionlabel.cli import main
+from onionlabel.synth import SynthSpec, generate_votes
 
 # prob-format signals whose target path never leaves the inner hull at alpha 0.25
 STUCK_DOC = {
@@ -81,6 +82,22 @@ def test_synth_is_deterministic(tmp_path):
     a = (tmp_path / "a.csv").read_text()
     b = (tmp_path / "b.csv").read_text()
     assert a == b
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_synth_csv_bytes_match_per_entry_writer(tmp_path, k):
+    prefix = tmp_path / "w"
+    assert run_cli("synth", "--n", "300", "--k", str(k), "--m", "4", "--accuracy", "0.7",
+                   "--abstain", "0.3", "--seed", "5", "--out-prefix", str(prefix)) == 0
+    votes, _ = generate_votes(SynthSpec(n=300, k=k, m=4, signal_accuracy=0.7,
+                                        abstain_rate=0.3, seed=5))
+    # the per-entry writer the token lookup replaced
+    symbols = {0: "0", 1: "+1", 2: "-1"}
+    expected = "".join(
+        ",".join(symbols[int(v)] if k == 2 else str(int(v)) for v in row) + "\n"
+        for row in votes
+    )
+    assert (tmp_path / "w.csv").read_bytes() == expected.encode()
 
 
 # ---------------------------------------------------------------------------

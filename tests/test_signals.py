@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import csv
 import json
+import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onionlabel import signals
 from onionlabel.signals import (
     LabelVector,
     WeakSignalMatrix,
@@ -117,24 +121,173 @@ def test_load_csv_multiclass_alphabet(tmp_path):
     assert w.abstain[0, col_index(1, 2, 3)]
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "1,2\n",          # wrong row length (n=3)
-        "1,2,x\n",        # unparsable token
-        "1,2,nan\n",      # NaN entry
-        "1,2,9\n",        # outside alphabet
-        "1,2,1.5\n",      # non-integer vote
-        "1,2,inf\n",      # infinite vote
-        "1,2,1e400\n",    # overflows to an infinite vote
-        "",               # empty
-    ],
-)
+# each bad file and the exact message it raises with n=3, k=3
+_BAD_CSV = {
+    "1,2\n": "row 0: expected 3 entries, found 2",
+    "1,2,x\n": "row 0, col 2: unparsable entry 'x'",
+    "1,2,nan\n": "row 0, col 2: non-finite entry 'nan'",
+    "1,2,9\n": "row 0, col 2: entry 9 outside alphabet 0..3",
+    "1,2,-1\n": "row 0, col 2: entry -1 outside alphabet 0..3",
+    "1,2,1.5\n": "row 0, col 2: entry '1.5' outside the allowed alphabet",
+    "1,2,inf\n": "row 0, col 2: non-finite entry 'inf'",
+    "1,2,1e400\n": "row 0, col 2: non-finite entry '1e400'",  # overflows
+    "": "{path}: no signal rows",
+    # the first bad entry in row-major order wins
+    "1,2,x\n1,2\n": "row 0, col 2: unparsable entry 'x'",
+    "1,2\n1,2,x\n": "row 0: expected 3 entries, found 2",
+    "1,x,9\n": "row 0, col 1: unparsable entry 'x'",
+    "1,nan,x\n": "row 0, col 1: non-finite entry 'nan'",
+    # row numbers count skipped blank and whitespace-only lines
+    "1,2,1\n\n1,2,x\n": "row 2, col 2: unparsable entry 'x'",
+    " \n1,2,1\n1,1\n": "row 2: expected 3 entries, found 2",
+    '1,"2,1",1\n': "row 0, col 1: unparsable entry '2,1'",  # a quoted comma
+}
+
+
+@pytest.mark.parametrize("text", list(_BAD_CSV))
 def test_load_csv_rejects_bad_rows(tmp_path, text):
     path = tmp_path / "w.csv"
     path.write_text(text)
-    with pytest.raises(ValueError):
+    message = _BAD_CSV[text].format(path=path)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         load_pws_matrix(str(path), n=3, k=3)
+
+
+@pytest.mark.parametrize(
+    "k, text, votes",
+    [
+        (2, ' 1 ,1.0,1e0,+1,"1"\n', [1, 1, 1, 1, 1]),
+        (2, '-1,-1.0, -1e0 ,0.0,"-0"\n', [2, 2, 2, 0, 0]),
+        (3, ' 3 ,2.0,1e0,+1,"0"\n', [3, 2, 1, 1, 0]),
+    ],
+)
+def test_load_csv_accepts_number_spellings(tmp_path, k, text, votes):
+    path = tmp_path / "w.csv"
+    path.write_text(text)
+    w = load_pws_matrix(str(path), n=5, k=k)
+    ref = expand_pws(np.array([votes]), k)
+    assert np.array_equal(w.values, ref.values)
+    assert np.array_equal(w.abstain, ref.abstain)
+
+
+def test_valid_votes_are_parsed_without_the_token_scan(tmp_path, monkeypatch):
+    monkeypatch.setattr(signals, "_scan_votes", None)  # only bad input may scan
+    path = tmp_path / "w.csv"
+    for k, text in [(2, ' 1 ,1.0,1e0,+1,"-1"\n0,-1,-0,1,1\n'), (3, '3, 2.0,1e0,+1,"0"\n')]:
+        path.write_text(text)
+        assert load_pws_matrix(str(path), n=5, k=k).m == text.count("\n")
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"n": 2, "k": 3, "format": "pws", "rows": [[1, 0.0], [3, "2"]]}))
+    assert load_pws_matrix(str(path), n=2, k=3).m == 2
+
+
+# The per-token loader the vectorised one replaced, kept as the reference.
+def _reference_parse_token(tok: str, k: int, where: str) -> int:
+    try:
+        v = float(tok)
+    except ValueError:
+        raise ValueError(f"{where}: unparsable entry {tok!r}")
+    if not math.isfinite(v):
+        raise ValueError(f"{where}: non-finite entry {tok!r}")
+    if v != int(v):
+        raise ValueError(f"{where}: entry {tok!r} outside the allowed alphabet")
+    iv = int(v)
+    if k == 2:
+        if iv not in (-1, 0, 1):
+            raise ValueError(f"{where}: entry {iv} outside binary alphabet {{-1,0,+1}}")
+        return {1: 1, -1: 2, 0: 0}[iv]
+    if iv < 0 or iv > k:
+        raise ValueError(f"{where}: entry {iv} outside alphabet 0..{k}")
+    return iv
+
+
+def _reference_load_csv(path: str, n: int, k: int) -> WeakSignalMatrix:
+    rows = []
+    with open(path, newline="") as fh:
+        for r, line in enumerate(csv.reader(fh)):
+            if not line or (len(line) == 1 and not line[0].strip()):
+                continue
+            if len(line) != n:
+                raise ValueError(f"row {r}: expected {n} entries, found {len(line)}")
+            rows.append([_reference_parse_token(tok.strip(), k, f"row {r}, col {c}")
+                         for c, tok in enumerate(line)])
+    if not rows:
+        raise ValueError(f"{path}: no signal rows")
+    return expand_pws(np.asarray(rows, dtype=np.int64), k)
+
+
+def _outcome(load, *args):
+    """(shape, values bytes, abstain bytes) of a load, or its ValueError text."""
+    try:
+        w = load(*args)
+    except ValueError as exc:
+        return str(exc)
+    assert w.values.dtype == np.float64 and w.abstain.dtype == bool
+    return w.values.shape, w.values.tobytes(), w.abstain.tobytes()
+
+
+_ODD_TOKENS = ["1.0", " +1 ", "1e0", "1_0", "nan", "inf", "1e400", "x", "", "1.5",
+               "-0", '"1"', '" 0 "', '"1,0"', "1e-400", "\x1c1", "9", "-2"]
+
+
+def _random_vote_csv(rng: np.random.Generator, n: int, k: int) -> str:
+    valid = ["-1", "0", "+1", "1"] if k == 2 else [str(c) for c in range(k + 1)]
+    odd_rate = rng.choice([0.0, 0.0, 0.02, 0.2])
+    lines = []
+    for _ in range(rng.integers(1, 7)):
+        kind = rng.random()
+        if kind < 0.08:
+            lines.append("")
+        elif kind < 0.14:
+            lines.append(" \t")
+        else:
+            width = n if kind < 0.96 else max(1, n + rng.choice([-1, 1]))
+            toks = [str(rng.choice(_ODD_TOKENS)) if rng.random() < odd_rate
+                    else str(rng.choice(valid)) for _ in range(width)]
+            lines.append(",".join(toks))
+    end = "\r\n" if rng.random() < 0.2 else "\n"
+    return end.join(lines) + (end if rng.random() < 0.8 else "")
+
+
+def test_load_csv_matches_per_token_reference_on_fuzzed_files(tmp_path):
+    rng = np.random.default_rng(20231)
+    path = tmp_path / "w.csv"
+    loaded = 0
+    for _ in range(400):
+        k = int(rng.choice([2, 3, 4]))
+        n = int(rng.integers(1, 6))
+        path.write_bytes(_random_vote_csv(rng, n, k).encode())
+        expected = _outcome(_reference_load_csv, str(path), n, k)
+        assert _outcome(load_pws_matrix, str(path), n, k) == expected
+        loaded += not isinstance(expected, str)
+    assert loaded >= 100  # both the parse and the error path are exercised
+
+
+def test_load_json_pws_matches_per_token_reference(tmp_path):
+    pool = [1, 0, -1, 2, 3, 1.0, -0.0, 1.5, 1e-300, True, False, None, "1", " 1 ",
+            "x", 10**400, math.inf, math.nan, [1], {"p": 1}]
+    rng = np.random.default_rng(7)
+    path = tmp_path / "w.json"
+
+    def reference(rows, k):
+        votes = [[_reference_parse_token(str(v), k, f"row {r}, col {c}")
+                  for c, v in enumerate(row)] for r, row in enumerate(rows)]
+        return expand_pws(np.asarray(votes, dtype=np.int64), k)
+
+    loaded = 0
+    for _ in range(200):
+        k = int(rng.choice([2, 3]))
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        odd_rate = rng.choice([0.0, 0.1])
+        rows = [[pool[rng.integers(len(pool))] if rng.random() < odd_rate
+                 else int(rng.integers(-1, 2) if k == 2 else rng.integers(0, k + 1))
+                 for _ in range(n)] for _ in range(m)]
+        path.write_text(json.dumps({"n": n, "k": k, "format": "pws", "rows": rows}))
+        rows = json.loads(path.read_text())["rows"]  # the values the loader sees
+        expected = _outcome(reference, rows, k)
+        assert _outcome(load_pws_matrix, str(path), n, k) == expected
+        loaded += not isinstance(expected, str)
+    assert loaded >= 50
 
 
 def test_load_csv_binary_rejects_class_labels(tmp_path):
@@ -186,6 +339,12 @@ def test_load_json_rejects_bad_documents(tmp_path):
         ('{"n": 1, "k": 2, "format": "prob", "rows": [[1.5, 0.0]]}', "row 0, col 0"),
         ('{"n": 1, "k": 2, "format": "pws", "rows": [[1e400]]}', "row 0, col 0"),
         ('{"n": 1, "k": 2, "format": "pws", "rows": [[Infinity]]}', "row 0, col 0"),
+        ('{"n": 1, "k": 2, "format": "pws", "rows": [[true]]}',
+         "row 0, col 0: unparsable entry 'True'"),
+        ('{"n": 1, "k": 2, "format": "pws", "rows": [[null]]}',
+         "row 0, col 0: unparsable entry 'None'"),
+        ('{"n": 1, "k": 2, "format": "pws", "rows": [[[1]]]}',
+         r"row 0, col 0: unparsable entry '\[1\]'"),
         ('{"n": 1, "k": 2, "format": "prob", "rows": [[0.5, [0.5]]]}', "row 0, col 1"),
         ('{"n": 1, "k": 2, "format": "prob", "rows": [[{"p": 0.5}, 0.5]]}', "row 0, col 0"),
         ('{"n": 1, "k": 2, "format": "pws", "rows": 1}', "'rows' must be a non-empty list"),
