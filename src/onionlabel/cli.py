@@ -22,14 +22,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .hull import PivotBudgetError, build_A, hull_decompose, safe_region_status
+from .hull import PivotBudgetError, safe_region_status
 from .metrics import accuracy, f1
-from .signals import LabelVector, WeakSignalMatrix, load_pws_matrix, reduce_signals
+from .signals import LabelVector, WeakSignalMatrix, load_pws_matrix
 from .solver import (
     AnnealingError,
     SolverConfig,
     epsilon_upper_bound,
     init_b,
+    prepare,
     run_oua,
 )
 from .synth import (
@@ -190,9 +191,7 @@ def cmd_eval(args) -> int:
 def cmd_inspect_hull(args) -> int:
     cfg = _build_config(args)
     w = _load_weak(args)
-    w_red = reduce_signals(w, cfg.chunks)
-    cloud = build_A(w_red)
-    decomp = hull_decompose(cloud)
+    w_red, cloud, decomp = prepare(w, cfg)
     tv = init_b(w_red, epsilon_upper_bound(w.k))
     status = safe_region_status(tv, w.n, decomp, cloud)
     doc = {

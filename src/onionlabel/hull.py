@@ -31,13 +31,16 @@ copies in ``h2``.  The *geometry* of the inner hull, however, is generated by
 distinct column values that are not hull vertices: duplicate copies of a
 vertex value do not drag the vertex into Conv(H2).  Without this rule the
 inner hull of any vote matrix with repeated extreme columns would swallow the
-outer hull and the safe region would vanish.
+outer hull and the safe region would vanish.  A cloud finds its distinct
+values once (``ColumnCloud.groups``); the vertex pass, ``in_hull`` and the
+label solve all read them.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -100,6 +103,14 @@ class ColumnCloud:
     @property
     def n_points(self) -> int:
         return self.matrix.shape[1]
+
+    @cached_property
+    def groups(self):
+        """``_unique_columns(matrix)``, read-only, computed once per cloud."""
+        groups = _unique_columns(self.matrix)
+        for a in groups:
+            a.setflags(write=False)
+        return groups
 
 
 def build_A(w) -> ColumnCloud:
@@ -180,12 +191,7 @@ def convex_combination(columns: np.ndarray, q: np.ndarray):
 
 def in_hull(q, cloud: ColumnCloud) -> bool:
     """True iff q lies in the convex hull of the cloud columns (within HULL_TOL)."""
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (cloud.dim,):
-        raise ValueError(f"query must have dimension {cloud.dim}")
-    distinct, _, _ = _unique_columns(cloud.matrix)
-    _, feasible = convex_combination(distinct, q)
-    return feasible
+    return convex_combination(cloud.groups[0], q)[1]
 
 
 def _membership(V: np.ndarray, Q: np.ndarray, drop=None):
@@ -260,13 +266,12 @@ def extreme_points(cloud: ColumnCloud) -> np.ndarray:
     the other distinct values.  Works in any dimension, including degenerate
     (collinear / coplanar) clouds.
     """
-    distinct, first_idx, _ = _unique_columns(cloud.matrix)
-    return np.sort(first_idx[_vertex_pass(distinct)[0]])
+    return hull_decompose(cloud).h1
 
 
 def hull_decompose(cloud: ColumnCloud) -> HullDecomposition:
     """Split columns into hull vertices (h1) and the interior rest (h2)."""
-    distinct, first_idx, _ = _unique_columns(cloud.matrix)
+    distinct, first_idx, _ = cloud.groups
     is_vertex, lps, pivots, rounds = _vertex_pass(distinct)
     h1 = np.sort(first_idx[is_vertex])
     h2 = np.setdiff1d(np.arange(cloud.n_points, dtype=np.int64), h1)

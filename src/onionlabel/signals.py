@@ -131,14 +131,10 @@ def expand_pws(votes: np.ndarray, k: int) -> WeakSignalMatrix:
     if votes.size and (votes.min() < 0 or votes.max() > k):
         raise ValueError(f"votes must lie in 0..{k}")
     m, n = votes.shape
-    values = np.zeros((m, n * k))
-    abstain = np.zeros((m, n * k), dtype=bool)
     ab = votes == 0
-    for c in range(1, k + 1):
-        block = slice((c - 1) * n, c * n)
-        values[:, block] = np.where(ab, 1.0 / k, (votes == c).astype(np.float64))
-        abstain[:, block] = ab
-    return WeakSignalMatrix(values=values, abstain=abstain, n=n, k=k)
+    # (m, k, n) with class c in plane c - 1: the reshape lays out the class blocks
+    values = np.where(ab[:, None], 1.0 / k, votes[:, None] == np.arange(1, k + 1)[:, None])
+    return WeakSignalMatrix(values=values.reshape(m, n * k), abstain=np.tile(ab, k), n=n, k=k)
 
 
 def _parse_pws_token(tok: str, k: int, where: str) -> int:

@@ -1,17 +1,18 @@
 """Constrained least-squares recovery of soft labels from weak signals.
 
-Pipeline: reduce the signals to at most five rows, double them into a column
-cloud, split the cloud into hull layers, then pick the target vector
-``b_i = -n k eps + w_i . 1 + n`` by annealing the assumed error rate ``eps``
-downward from its upper bound ``2/k - 2/k**2`` until ``b/n`` leaves the inner
-hull.  The annealing walks a grid of ``alpha`` steps; since ``b/n`` moves on a
+Pipeline: ``prepare`` reduces the signals to at most five rows, doubles them
+into a column cloud and splits the cloud into hull layers.  The target vector
+``b_i = -n k eps + w_i . 1 + n`` is then picked by annealing the assumed error
+rate ``eps`` downward from its upper bound ``2/k - 2/k**2`` until ``b/n``
+leaves the inner hull.  The annealing walks a grid of ``alpha`` steps; since ``b/n`` moves on a
 line and the inner hull is convex, the first grid point outside it is found
 by bisection rather than by testing every step.  The soft labels solve
 ``min ||A y - b||_2`` over {y in [0, 1]^(nk) : sum(y) = n} exactly.  The
 objective depends on y only through the label sums of identical columns, so
 the solve runs over the distinct columns (``backends.pgd``: proximal point
 with semismooth Newton, stopped by a certified duality gap), and the optimal
-sums are then spread over a seeded uniform start projected onto that set.
+sums are then spread over a seeded uniform start projected onto that set.  The
+cloud's column groups (``ColumnCloud.groups``) serve both the hull and the solve.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "augment_system",
     "solve_labels",
     "decode_labels",
+    "prepare",
     "run_oua",
 ]
 
@@ -83,12 +85,12 @@ class SolverConfig:
     chunks: int = DEFAULT_CHUNKS
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:  # also false for NaN
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.conv_tol <= 0:
-            raise ValueError("conv_tol must be positive")
+        if not 0 < self.conv_tol < math.inf:
+            raise ValueError(f"conv_tol must be positive and finite, got {self.conv_tol!r}")
         if self.max_anneal_steps < 1:
             raise ValueError("max_anneal_steps must be >= 1")
         if self.chunks < 1:
@@ -249,45 +251,51 @@ def decode_labels(soft: np.ndarray, n: int, k: int) -> np.ndarray:
 
 
 def solve_labels(a_aug: np.ndarray, b_aug: np.ndarray, cfg: SolverConfig | None = None,
-                 y0: np.ndarray | None = None, epsilon_used: float = float("nan"),
-                 mode: str = "safe_region") -> SyntheticLabel:
-    """Exact capped least squares on the augmented system.
+                 y0: np.ndarray | None = None,
+                 epsilon_used: float = float("nan")) -> SyntheticLabel:
+    """Exact capped least squares on an explicit augmented system.
 
     Minimizes ||A y - b|| over {y in [0,1]^(nk), sum(y) = n}, where the last
-    row of the augmented system is the sum row.  Columns of A with equal
-    values are grouped, ``backends.pgd`` finds optimal label sums per group,
-    and each group's sum is then spread over the seeded Uniform(0,1) draw (or
-    ``y0`` when supplied) projected onto the feasible set, by one shift per
-    group.  The answer is therefore exactly feasible, optimal up to the
-    reported gap, and depends on the seed where the optimum is not unique.
-    ``converged`` is False when ``max_iters`` Newton iterations end above
-    ``conv_tol``.  The reported residuals exclude the sum row;
-    ``initial_residual`` is taken at the projected start.
+    row of the augmented system is the sum row and its right-hand side is n,
+    a positive integer that divides nk.  Columns of A with equal values are
+    grouped, ``backends.pgd`` finds optimal label sums per group, and each
+    group's sum is then spread over the seeded Uniform(0,1) draw (or ``y0``
+    when supplied) projected onto the feasible set, by one shift per group.
+    The answer is therefore exactly feasible, optimal up to the reported gap,
+    and depends on the seed where the optimum is not unique.  ``converged`` is
+    False when ``max_iters`` Newton iterations end above ``conv_tol``.  The
+    reported residuals exclude the sum row; ``initial_residual`` is taken at
+    the projected start.  ``run_oua`` solves the same problem on its cloud
+    without building the augmented system.
     """
-    cfg = cfg or SolverConfig()
     a_aug = np.ascontiguousarray(a_aug, dtype=np.float64)
     b_aug = np.ascontiguousarray(b_aug, dtype=np.float64)
     if a_aug.ndim != 2 or b_aug.shape != (a_aug.shape[0],):
         raise ValueError("augmented system shapes are inconsistent")
-    nk = a_aug.shape[1]
-    n = int(round(b_aug[-1]))
-    if n < 1 or nk % n:
-        raise ValueError("sum row of the augmented system must equal n with n | nk")
-    k = nk // n
+    n = float(b_aug[-1])
+    if not (1.0 <= n < math.inf and n.is_integer()) or a_aug.shape[1] % int(n):
+        raise ValueError("sum row of the augmented system must be a positive "
+                         f"integer n with n | nk, got {n!r}")
+    A = a_aug[:-1]
+    return _solve(A, b_aug[:-1], int(n), _unique_columns(A), cfg or SolverConfig(),
+                  y0, epsilon_used)
 
+
+def _solve(A: np.ndarray, b: np.ndarray, n: int, groups, cfg: SolverConfig,
+           y0: np.ndarray | None = None, epsilon_used: float = float("nan"),
+           mode: str = "safe_region") -> SyntheticLabel:
+    """``solve_labels`` on A and b without the sum row, with n given and
+    ``groups = _unique_columns(A)`` (``ColumnCloud.groups`` for a cloud)."""
+    nk, n = A.shape[1], int(n)  # a numpy n would reach the JSON artifact
     if y0 is None:
-        rng = np.random.default_rng(cfg.seed)
-        y0 = rng.uniform(0.0, 1.0, size=nk)
-    else:
-        y0 = np.asarray(y0, dtype=np.float64)
-        if y0.shape != (nk,):
-            raise ValueError(f"y0 must have length {nk}")
+        y0 = np.random.default_rng(cfg.seed).uniform(0.0, 1.0, size=nk)
+    elif np.shape(y0) != (nk,):
+        raise ValueError(f"y0 must have length {nk}")
 
-    A, b = a_aug[:-1], b_aug[:-1]
     y_start = backends.project_capped_simplex(y0, float(n))
     initial_residual = float(np.linalg.norm(A @ y_start - b))
 
-    distinct, _, group = _unique_columns(A)
+    distinct, _, group = groups
     counts = np.bincount(group).astype(np.float64)
     sums, iters, gap, converged = backends.pgd(
         distinct, b, counts, np.bincount(group, y_start), float(n),
@@ -297,28 +305,34 @@ def solve_labels(a_aug: np.ndarray, b_aug: np.ndarray, cfg: SolverConfig | None 
         log.warning("solver stopped after its budget of %d Newton iterations with "
                     "gap %.3g above conv_tol %.3g", cfg.max_iters, gap, cfg.conv_tol)
     y, _ = backends.shift_clip(y_start, sums, groups=group)
-    residual = float(np.linalg.norm(A @ y - b))
     return SyntheticLabel(
         soft=y,
-        hard=decode_labels(y, n, k),
-        residual=residual,
+        hard=decode_labels(y, n, nk // n),
+        residual=float(np.linalg.norm(A @ y - b)),
         epsilon_used=epsilon_used,
         converged=converged,
         iterations=iters,
         initial_residual=initial_residual,
         n=n,
-        k=k,
+        k=nk // n,
         gap=gap,
         mode=mode,
     )
 
 
+def prepare(w: WeakSignalMatrix, cfg: SolverConfig | None = None):
+    """Reduce the signals, double them into a column cloud and layer its hull.
+
+    Returns ``(w_red, cloud, decomp)``; every pipeline entry point starts here.
+    """
+    w_red = reduce_signals(w, (cfg or SolverConfig()).chunks)
+    cloud = build_A(w_red)
+    return w_red, cloud, hull_decompose(cloud)
+
+
 def run_oua(w: WeakSignalMatrix, cfg: SolverConfig | None = None) -> SyntheticLabel:
     """Full pipeline: reduce, layer the hull, anneal the target, solve."""
     cfg = cfg or SolverConfig()
-    w_red = reduce_signals(w, cfg.chunks)
-    cloud = build_A(w_red)
-    decomp = hull_decompose(cloud)
+    w_red, cloud, decomp = prepare(w, cfg)
     tv = anneal_b(w_red, cloud, decomp, cfg)
-    a_aug, b_aug = augment_system(cloud, tv, w.n)
-    return solve_labels(a_aug, b_aug, cfg, epsilon_used=tv.epsilon)
+    return _solve(cloud.matrix, tv.b, w.n, cloud.groups, cfg, epsilon_used=tv.epsilon)

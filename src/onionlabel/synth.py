@@ -9,18 +9,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hull import HULL_TOL, ColumnCloud, SafeRegionStatus, build_A, hull_decompose, safe_region_status
+from .hull import HULL_TOL, ColumnCloud, SafeRegionStatus, safe_region_status
+from .hull import hull_decompose  # noqa: F401  (perfbench/tracing.py patches synth.hull_decompose)
 from .metrics import accuracy, majority_vote, weighted_majority_vote
-from .signals import LabelVector, WeakSignalMatrix, expand_pws, reduce_signals
+from .signals import LabelVector, WeakSignalMatrix, expand_pws
 from .solver import (
     AnnealingError,
     SolverConfig,
     SyntheticLabel,
-    augment_system,
+    _solve,
     epsilon_upper_bound,
     init_b,
+    prepare,
     run_oua,
-    solve_labels,
 )
 
 __all__ = [
@@ -170,17 +171,15 @@ def run_ablation(w: WeakSignalMatrix, cfg: SolverConfig | None = None) -> Synthe
     result is flagged ``mode="ablation"`` and is never SAFE.
     """
     cfg = cfg or SolverConfig()
-    w_red = reduce_signals(w, cfg.chunks)
-    cloud = build_A(w_red)
-    decomp = hull_decompose(cloud)
+    w_red, cloud, decomp = prepare(w, cfg)
     tv = init_b(w_red, epsilon_upper_bound(w.k))
     if safe_region_status(tv, w.n, decomp, cloud) is not SafeRegionStatus.INSIDE_H2:
         raise AblationEntryError(
             "b/n cannot enter the inner hull: eps is already at its upper bound"
         )
     log.debug("ablation: INSIDE_H2 at eps=%.6f", tv.epsilon)
-    a_aug, b_aug = augment_system(cloud, tv, w.n)
-    return solve_labels(a_aug, b_aug, cfg, epsilon_used=tv.epsilon, mode="ablation")
+    return _solve(cloud.matrix, tv.b, w.n, cloud.groups, cfg, epsilon_used=tv.epsilon,
+                  mode="ablation")
 
 
 def _run_method(method: str, w: WeakSignalMatrix, truth: LabelVector, cfg: SolverConfig):

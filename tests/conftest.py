@@ -7,6 +7,8 @@ pytest output so the verdicts survive output capture.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -64,3 +66,24 @@ def table_signals() -> WeakSignalMatrix:
 @pytest.fixture()
 def table_truth() -> LabelVector:
     return LabelVector(hard=np.array([1, 2, 3, 1, 3]), k=3)
+
+
+@pytest.fixture()
+def dedup_calls(monkeypatch) -> list:
+    """Records one entry per ``_unique_columns`` call made anywhere in the package.
+
+    The counter replaces the function in every loaded package module that
+    holds it, since a module that imports it by name keeps its own reference.
+    """
+    calls: list = []
+    for name, mod in list(sys.modules.items()):
+        if name != "onionlabel" and not name.startswith("onionlabel."):
+            continue
+        fn = getattr(mod, "_unique_columns", None)
+        if fn is not None:
+            def counted(matrix, _fn=fn):
+                calls.append(matrix.shape)
+                return _fn(matrix)
+            monkeypatch.setattr(mod, "_unique_columns", counted)
+    assert calls == []
+    return calls

@@ -192,6 +192,25 @@ def test_label_parse_errors_exit_2(tmp_path, capsys):
     assert "row 0, col 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--alpha", "inf")])
+def test_label_non_finite_alpha_exits_2(synth_files, capsys, flag, value):
+    # argparse's float reads "nan"; SolverConfig must refuse it
+    _, weak_path, _ = synth_files
+    assert run_cli("label", "--weak-labels", weak_path, "--n", "40", "--k", "2",
+                   flag, value) == 2
+    err = capsys.readouterr().err
+    assert f"alpha must be positive and finite, got {value}" in err
+
+
+def test_config_file_non_finite_conv_tol_exits_2(synth_files, tmp_path, capsys):
+    _, weak_path, _ = synth_files
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("conv_tol = nan\n")
+    assert run_cli("label", "--weak-labels", weak_path, "--n", "40", "--k", "2",
+                   "--config", str(cfg)) == 2
+    assert "conv_tol must be positive and finite" in capsys.readouterr().err
+
+
 def test_label_json_header_mismatch_exits_2(tmp_path):
     doc = {"n": 4, "k": 2, "format": "pws", "rows": [[1, 1, 1, 1]]}
     path = tmp_path / "w.json"
@@ -307,6 +326,12 @@ def test_inspect_hull_reports_layers(synth_files, capsys):
     # vertex once more in the self-check
     assert doc["vertex_lps"] >= doc["h1_size"]
     assert doc["vertex_rounds"] >= 1 and doc["vertex_pivots"] >= 1
+
+
+def test_inspect_hull_dedups_the_cloud_once(synth_files, dedup_calls, capsys):
+    _, weak_path, _ = synth_files
+    assert run_cli("inspect-hull", "--weak-labels", weak_path, "--n", "40", "--k", "2") == 0
+    assert len(dedup_calls) == 1
 
 
 # ---------------------------------------------------------------------------

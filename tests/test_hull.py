@@ -171,6 +171,18 @@ def test_unique_columns_matches_np_unique():
         np.testing.assert_array_equal(group, want_group.ravel())
 
 
+def test_cloud_dedups_once_for_all_hull_queries(dedup_calls):
+    cloud = cloud_of([0, 0], [2, 0], [0, 2], [1, 1], [2, 0], [1, 1])
+    decomp = hull_decompose(cloud)
+    assert extreme_points(cloud).tolist() == decomp.h1.tolist() == [0, 1, 2]
+    assert in_hull(np.array([0.5, 0.5]), cloud)
+    assert len(dedup_calls) == 1
+    distinct, first_idx, group = cloud.groups
+    assert first_idx.tolist() == [0, 2, 3, 1] and group.tolist() == [0, 3, 1, 2, 3, 2]
+    with pytest.raises(ValueError):
+        distinct[0, 0] = 1.0  # read-only, like the matrix
+
+
 def _highs_vertices(cloud: ColumnCloud) -> list[int]:
     """Vertex indices from one HiGHS feasibility LP per distinct column."""
     uniq, first_idx = np.unique(cloud.matrix.T, axis=0, return_index=True)

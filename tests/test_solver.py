@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from onionlabel.solver import (
     run_oua,
     solve_labels,
 )
-from onionlabel.synth import SynthSpec, generate_instance
+from onionlabel.synth import SynthSpec, generate_instance, run_ablation
 
 
 def signals_from_columns(cols, n, k) -> WeakSignalMatrix:
@@ -294,6 +295,13 @@ def test_solver_config_validation():
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
         SolverConfig(conv_tol=0.0)
+    # NaN passes a "<= 0" test: alpha=nan would shrink the anneal grid to
+    # [ub, 0.0], and conv_tol=nan would spend every solve's whole budget
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"alpha must be positive and finite, got (nan|inf)"):
+            SolverConfig(alpha=bad)
+        with pytest.raises(ValueError, match=r"conv_tol must be positive and finite"):
+            SolverConfig(conv_tol=bad)
     with pytest.raises(ValueError):
         SolverConfig(max_anneal_steps=0)
     with pytest.raises(ValueError):
@@ -376,12 +384,16 @@ def test_solve_reports_nonconvergence_honestly():
 
 
 def test_solve_rejects_inconsistent_shapes():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="shapes are inconsistent"):
         solve_labels(np.ones((2, 4)), np.ones(3))
     with pytest.raises(ValueError):
         solve_labels(np.ones((2, 4)), np.array([1.0, 0.0]))  # sum row n=0
     with pytest.raises(ValueError):
         solve_labels(np.ones((2, 4)), np.array([1.0, 3.0]))  # 3 does not divide 4
+    # the sum row must carry a positive integer n, not a value rounded to one
+    for n, shown in ((math.inf, "inf"), (math.nan, "nan"), (2.4, "2.4"), (-2.0, "-2.0")):
+        with pytest.raises(ValueError, match=rf"positive integer n with n \| nk, got {shown}$"):
+            solve_labels(np.ones((2, 4)), np.array([1.0, n]))
     a_aug = np.array([[2.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ValueError):
         solve_labels(a_aug, np.array([2.0, 1.0]), y0=np.ones(3))
@@ -403,6 +415,68 @@ def test_decode_layout_and_ties():
 
 # ---------------------------------------------------------------------------
 # run_oua end to end
+
+
+PIPELINE_SPECS = [
+    # duplicate-heavy: the m=5 cloud saturates at its 243 lattice points
+    SynthSpec(n=5000, k=2, m=5, signal_accuracy=0.8, abstain_rate=0.3, seed=0),
+    SynthSpec(n=2000, k=3, m=10, signal_accuracy=0.8, abstain_rate=0.3, seed=0),
+]
+LABEL_FIELDS = ("soft", "hard", "residual", "gap", "iterations", "epsilon_used")
+
+
+def _assert_same_label(got, want):
+    for name in LABEL_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+
+
+@pytest.mark.parametrize("spec", PIPELINE_SPECS, ids=lambda s: f"n{s.n}-k{s.k}-m{s.m}")
+def test_pipelines_equal_their_step_by_step_chains(spec):
+    # the public stages, chained by hand through an explicit augmented system,
+    # must give run_oua's and run_ablation's labels bit for bit
+    w, _ = generate_instance(spec)
+    cfg = SolverConfig(seed=3)
+    w_red = reduce_signals(w, cfg.chunks)
+    cloud = build_A(w_red)
+    decomp = hull_decompose(cloud)
+    tv = anneal_b(w_red, cloud, decomp, cfg)
+    chain = solve_labels(*augment_system(cloud, tv, w.n), cfg, epsilon_used=tv.epsilon)
+    _assert_same_label(run_oua(w, cfg), chain)
+
+    tv = init_b(w_red, epsilon_upper_bound(w.k))
+    chain = solve_labels(*augment_system(cloud, tv, w.n), cfg, epsilon_used=tv.epsilon)
+    ablation = run_ablation(w, cfg)
+    _assert_same_label(ablation, chain)
+    assert ablation.mode == "ablation" and chain.mode == "safe_region"
+
+
+def test_prepare_matches_the_stages():
+    w, _ = generate_instance(PIPELINE_SPECS[1])
+    cfg = SolverConfig(chunks=4)
+    w_red, cloud, decomp = solver.prepare(w, cfg)
+    assert w_red.m == 4
+    np.testing.assert_array_equal(cloud.matrix, build_A(reduce_signals(w, 4)).matrix)
+    ref = hull_decompose(cloud)
+    np.testing.assert_array_equal(decomp.h1, ref.h1)
+    np.testing.assert_array_equal(decomp.interior_columns, ref.interior_columns)
+
+
+def test_one_column_dedup_per_pipeline_run(dedup_calls):
+    w, _ = generate_instance(PIPELINE_SPECS[0])
+    run_oua(w, SolverConfig())
+    assert len(dedup_calls) == 1
+    dedup_calls.clear()
+    run_ablation(w, SolverConfig())
+    assert len(dedup_calls) == 1
+
+
+def test_run_oua_reports_plain_int_shape_for_numpy_ints():
+    w, _ = generate_instance(SynthSpec(n=50, k=2, m=5, signal_accuracy=0.8, seed=0))
+    w = WeakSignalMatrix(values=w.values, abstain=w.abstain, n=np.int64(w.n), k=np.int64(w.k))
+    lbl = run_oua(w, SolverConfig())
+    assert type(lbl.n) is int and type(lbl.k) is int
+    json.dumps(lbl.to_dict())
 
 
 def test_run_oua_is_deterministic_per_seed():
