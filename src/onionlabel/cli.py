@@ -67,7 +67,12 @@ def _read_config(path: str) -> dict:
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{ln}: unknown key {key!r}")
-            out[key] = _CONFIG_KEYS[key](val)
+            parse = _CONFIG_KEYS[key]
+            try:
+                out[key] = parse(val)
+            except ValueError:
+                kind = "an integer" if parse is int else "a number"
+                raise ValueError(f"{path}:{ln}: {key} must be {kind}, got {val!r}") from None
     return out
 
 

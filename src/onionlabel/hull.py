@@ -13,7 +13,7 @@ boundary therefore count as inside; in particular a point on the boundary of
 Conv(H2) is classified INSIDE_H2.
 
 Vertices are found by Clarkson's output-sensitive scheme (FOCS 1994) over the
-distinct column values, sorted lexicographically.  The vertex set V starts
+distinct column values in lexicographic order.  The vertex set V starts
 as the lexicographic maximum.  Each round solves every pending value against
 Conv(V), all LPs in one lockstep batch of the phase-1 simplex.  A feasible
 value is interior.  An infeasible value's duals (g, g0) separate it from V:
@@ -33,7 +33,9 @@ vertex value do not drag the vertex into Conv(H2).  Without this rule the
 inner hull of any vote matrix with repeated extreme columns would swallow the
 outer hull and the safe region would vanish.  A cloud finds its distinct
 values once (``ColumnCloud.groups``); the vertex pass, ``in_hull`` and the
-label solve all read them.
+label solve all read them.  The dedup sorts no columns: it ranks each row's
+values, folds the ranks into one integer key per column whose order is the
+lexicographic one, and groups the columns by key.
 """
 
 from __future__ import annotations
@@ -153,15 +155,25 @@ class SafeRegionStatus(enum.Enum):
 def _unique_columns(matrix: np.ndarray):
     """Distinct column values, the lowest original index of each, and each
     column's position among the distinct values."""
-    # stable lexicographic sort, row 0 the primary key: the same order and the
-    # same lowest index per group as np.unique(matrix.T, axis=0), much faster
-    order = np.lexsort(matrix[::-1])
-    ordered = matrix[:, order]
-    starts = np.ones(order.size, dtype=bool)
-    starts[1:] = np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)
-    group = np.empty(order.size, dtype=np.intp)
-    group[order] = np.cumsum(starts) - 1
-    return ordered[:, starts], order[starts], group
+    # the same triple as np.unique(matrix.T, axis=0), without sorting columns:
+    # each row's dense value ranks (equal values such as -0.0 and 0.0 share
+    # one) are folded, row 0 first, into a mixed-radix key whose order is the
+    # lexicographic order of the columns
+    p = matrix.shape[1]
+    key = np.zeros(p, dtype=np.int64)
+    radix = 1  # exclusive bound on key
+    for row in matrix:
+        values, rank = np.unique(row, return_inverse=True)
+        if radix * values.size > 1 << 62:
+            # re-rank the key densely, in order, so the next fold fits in int64
+            uniq, key = np.unique(key, return_inverse=True)
+            radix = uniq.size
+        key = key * values.size + rank
+        radix *= values.size
+    uniq, group = np.unique(key, return_inverse=True)
+    first = np.full(uniq.size, p, dtype=np.intp)
+    np.minimum.at(first, group, np.arange(p))
+    return matrix[:, first], first, group
 
 
 def convex_combination(columns: np.ndarray, q: np.ndarray):
@@ -274,7 +286,9 @@ def hull_decompose(cloud: ColumnCloud) -> HullDecomposition:
     distinct, first_idx, _ = cloud.groups
     is_vertex, lps, pivots, rounds = _vertex_pass(distinct)
     h1 = np.sort(first_idx[is_vertex])
-    h2 = np.setdiff1d(np.arange(cloud.n_points, dtype=np.int64), h1)
+    rest = np.ones(cloud.n_points, dtype=bool)
+    rest[h1] = False
+    h2 = np.flatnonzero(rest).astype(np.int64, copy=False)
     return HullDecomposition(
         h1=h1,
         h2=h2,

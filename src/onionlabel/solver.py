@@ -257,7 +257,8 @@ def solve_labels(a_aug: np.ndarray, b_aug: np.ndarray, cfg: SolverConfig | None 
 
     Minimizes ||A y - b|| over {y in [0,1]^(nk), sum(y) = n}, where the last
     row of the augmented system is the sum row and its right-hand side is n,
-    a positive integer that divides nk.  Columns of A with equal values are
+    a positive integer that divides nk; every entry of the system and of
+    ``y0`` must be finite.  Columns of A with equal values are
     grouped, ``backends.pgd`` finds optimal label sums per group, and each
     group's sum is then spread over the seeded Uniform(0,1) draw (or ``y0``
     when supplied) projected onto the feasible set, by one shift per group.
@@ -276,6 +277,10 @@ def solve_labels(a_aug: np.ndarray, b_aug: np.ndarray, cfg: SolverConfig | None 
     if not (1.0 <= n < math.inf and n.is_integer()) or a_aug.shape[1] % int(n):
         raise ValueError("sum row of the augmented system must be a positive "
                          f"integer n with n | nk, got {n!r}")
+    for name, arr in (("a_aug", a_aug), ("b_aug", b_aug), ("y0", y0)):
+        # a NaN would run the Newton loop to its iteration budget
+        if arr is not None and not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite")
     A = a_aug[:-1]
     return _solve(A, b_aug[:-1], int(n), _unique_columns(A), cfg or SolverConfig(),
                   y0, epsilon_used)

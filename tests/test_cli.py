@@ -211,6 +211,20 @@ def test_config_file_non_finite_conv_tol_exits_2(synth_files, tmp_path, capsys):
     assert "conv_tol must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("max_iters = 1e3", "max_iters must be an integer, got '1e3'"),
+    ("alpha = 1/2", "alpha must be a number, got '1/2'"),
+])
+def test_config_file_unparsable_value_names_file_line_and_key(synth_files, tmp_path,
+                                                              capsys, line, message):
+    _, weak_path, _ = synth_files
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# settings\nseed = 3\n{line}\n")
+    assert run_cli("label", "--weak-labels", weak_path, "--n", "40", "--k", "2",
+                   "--config", str(cfg)) == 2
+    assert f"{cfg}:3: {message}" in capsys.readouterr().err
+
+
 def test_label_json_header_mismatch_exits_2(tmp_path):
     doc = {"n": 4, "k": 2, "format": "pws", "rows": [[1, 1, 1, 1]]}
     path = tmp_path / "w.json"

@@ -155,6 +155,12 @@ def test_extreme_points_degenerate_clouds():
     assert extreme_points(cloud_of([1, 1], [1, 1], [1, 1])).tolist() == [0]
 
 
+def _planted_cloud(n, k, m, seed):
+    spec = SynthSpec(n=n, k=k, m=m, signal_accuracy=0.8, abstain_rate=0.3, seed=seed)
+    w, _ = generate_instance(spec)
+    return build_A(reduce_signals(w, 5)).matrix
+
+
 def test_unique_columns_matches_np_unique():
     # lattice clouds with many duplicates, including rows whose order alone
     # separates columns, plus a single-column cloud
@@ -162,6 +168,22 @@ def test_unique_columns_matches_np_unique():
     clouds = [rng.integers(0, 5, size=(m, p)) * 0.5
               for m, p in [(1, 40), (2, 300), (3, 7), (5, 2000), (5, 1)]]
     clouds.append(np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0]]))
+    # ~3,000 values per row: the product of the row radices passes 2**62
+    # after six rows, so the key is re-ranked before the sixth fold.  Columns
+    # 3000-3999 copy rows 0-4 of columns 0-999, so only the last row, folded
+    # after the re-rank, tells them apart; the second half repeats columns.
+    wide = rng.integers(0, 3000, size=(6, 6000)) / 1500.0
+    wide[:5, 3000:4000] = wide[:5, :1000]
+    wide = np.hstack([wide, wide[:, rng.integers(0, 6000, 6000)]])
+    assert np.prod([np.unique(row).size for row in wide], dtype=object) > 2**62
+    clouds.append(wide)
+    # -0.0 and 0.0 are one value, and subnormals are distinct values
+    tiny = np.array([-0.0, 0.0, 5e-324, 1e-320, 2.2e-308, 1.0])
+    clouds.append(tiny[rng.integers(0, tiny.size, size=(4, 3000))])
+    # the benchmark's solve-wide cloud (40,000 columns) and a planted
+    # n=50k, k=3, m=10 cloud (150,000 columns)
+    clouds.append(_planted_cloud(20000, 2, 5, seed=10))
+    clouds.append(_planted_cloud(50000, 3, 10, seed=0))
     for matrix in clouds:
         distinct, first_idx, group = hull._unique_columns(ColumnCloud(matrix).matrix)
         uniq, want_idx, want_group = np.unique(
@@ -169,6 +191,8 @@ def test_unique_columns_matches_np_unique():
         np.testing.assert_array_equal(distinct, uniq.T)
         np.testing.assert_array_equal(first_idx, want_idx)
         np.testing.assert_array_equal(group, want_group.ravel())
+        # each distinct value is its lowest column's, bit for bit (sign of zero)
+        assert distinct.tobytes() == matrix[:, want_idx].tobytes()
 
 
 def test_cloud_dedups_once_for_all_hull_queries(dedup_calls):
@@ -268,10 +292,21 @@ def _assert_matches_all_pairs(cloud: ColumnCloud):
     h2 = np.setdiff1d(np.arange(cloud.n_points, dtype=np.int64), h1)
     decomp = hull_decompose(cloud)
     assert decomp.h1.tobytes() == h1.tobytes()
+    assert decomp.h2.dtype == np.int64
     assert decomp.h2.tobytes() == h2.tobytes()
     assert decomp.interior_columns.tobytes() == distinct[:, ~is_vertex].tobytes()
     assert decomp.interior_columns.shape == (cloud.dim, int((~is_vertex).sum()))
     return decomp
+
+
+@pytest.mark.parametrize("cols, h2", [
+    ([[0, 0], [2, 0], [0, 2], [2, 2]], []),  # every column a vertex
+    ([[1, 1]], []),  # one column
+    ([[2, 2], [0, 0], [2, 2], [1, 1], [0, 2], [2, 0], [0, 0]], [2, 3, 6]),
+])
+def test_layers_match_all_pairs_on_edge_clouds(cols, h2):
+    decomp = _assert_matches_all_pairs(cloud_of(*cols))
+    assert decomp.h2.tolist() == h2
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -397,6 +397,15 @@ def test_solve_rejects_inconsistent_shapes():
     a_aug = np.array([[2.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ValueError):
         solve_labels(a_aug, np.array([2.0, 1.0]), y0=np.ones(3))
+    # a NaN in y0 or b ran the Newton loop to its budget with gap nan: 33-35 s
+    # for max_iters=50 on a planted n=2000, k=2, m=5 system
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^a_aug must be finite$"):
+            solve_labels(np.array([[2.0, bad], [1.0, 1.0]]), np.array([2.0, 1.0]))
+        with pytest.raises(ValueError, match="^b_aug must be finite$"):
+            solve_labels(a_aug, np.array([bad, 1.0]))
+        with pytest.raises(ValueError, match="^y0 must be finite$"):
+            solve_labels(a_aug, np.array([2.0, 1.0]), y0=np.array([0.5, bad]))
 
 
 # ---------------------------------------------------------------------------
