@@ -34,8 +34,10 @@ inner hull of any vote matrix with repeated extreme columns would swallow the
 outer hull and the safe region would vanish.  A cloud finds its distinct
 values once (``ColumnCloud.groups``); the vertex pass, ``in_hull`` and the
 label solve all read them.  The dedup sorts no columns: it ranks each row's
-values, folds the ranks into one integer key per column whose order is the
-lexicographic one, and groups the columns by key.
+values against the row's sorted distinct values, folds the ranks into one
+integer key per column whose order is the lexicographic one, and groups the
+columns by key, through a table of the keys present when their range is
+within a constant factor of the number of columns.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ __all__ = [
 
 HULL_TOL = 1e-8
 _BLOCK_FLOATS = 1 << 18  # bound on each work array of the vertex pass (2 MB)
+_COMPARE_RANKS = 16  # most values per row ranked by comparisons (measured crossover)
 
 
 class PivotBudgetError(RuntimeError):
@@ -158,20 +161,37 @@ def _unique_columns(matrix: np.ndarray):
     # the same triple as np.unique(matrix.T, axis=0), without sorting columns:
     # each row's dense value ranks (equal values such as -0.0 and 0.0 share
     # one) are folded, row 0 first, into a mixed-radix key whose order is the
-    # lexicographic order of the columns
+    # lexicographic order of the columns.  A row of at most _COMPARE_RANKS
+    # values counts, per entry, the values above the smallest that it reaches;
+    # a longer row finds its ranks by binary search.  When the key range is
+    # at most 4p + 1024, a table of the keys present, summed up to each key,
+    # gives the groups with no sort, in memory a constant factor of the keys'.
     p = matrix.shape[1]
     key = np.zeros(p, dtype=np.int64)
     radix = 1  # exclusive bound on key
     for row in matrix:
-        values, rank = np.unique(row, return_inverse=True)
+        values = np.unique(row)
         if radix * values.size > 1 << 62:
             # re-rank the key densely, in order, so the next fold fits in int64
             uniq, key = np.unique(key, return_inverse=True)
             radix = uniq.size
-        key = key * values.size + rank
+        key *= values.size
+        if values.size <= _COMPARE_RANKS:
+            for v in values[1:]:
+                key += row >= v
+        else:
+            key += np.searchsorted(values, row)
         radix *= values.size
-    uniq, group = np.unique(key, return_inverse=True)
-    first = np.full(uniq.size, p, dtype=np.intp)
+    if radix <= 4 * p + 1024:
+        present = np.zeros(radix, dtype=bool)
+        present[key] = True
+        index = np.cumsum(present, dtype=np.intp) - 1  # group of each present key
+        group = index[key]
+        n_groups = int(index[-1]) + 1
+    else:
+        uniq, group = np.unique(key, return_inverse=True)
+        n_groups = uniq.size
+    first = np.full(n_groups, p, dtype=np.intp)
     np.minimum.at(first, group, np.arange(p))
     return matrix[:, first], first, group
 

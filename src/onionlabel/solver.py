@@ -166,9 +166,12 @@ def init_b(w: WeakSignalMatrix, eps: float) -> TargetVector:
     ub = epsilon_upper_bound(w.k)
     if eps < -1e-12 or eps > ub + 1e-12:
         raise ValueError(f"eps must lie in [0, {ub}], got {eps}")
-    row_sums = w.values.sum(axis=1)
-    b = -w.n * w.k * eps + row_sums + w.n
-    return TargetVector(b=b, epsilon=float(eps))
+    return _target(w, w.values.sum(axis=1), eps)
+
+
+def _target(w: WeakSignalMatrix, row_sums: np.ndarray, eps: float) -> TargetVector:
+    """``init_b`` from the row sums w_i.1, without the range check."""
+    return TargetVector(b=-w.n * w.k * eps + row_sums + w.n, epsilon=float(eps))
 
 
 def anneal_b(w: WeakSignalMatrix, cloud: ColumnCloud, decomp: HullDecomposition,
@@ -195,11 +198,12 @@ def anneal_b(w: WeakSignalMatrix, cloud: ColumnCloud, decomp: HullDecomposition,
         grid.append(max(0.0, grid[-1] - cfg.alpha))
 
     probes = 0
+    row_sums = w.values.sum(axis=1)
 
     def probe(j: int):
         nonlocal probes
         probes += 1
-        tv = init_b(w, grid[j])
+        tv = _target(w, row_sums, grid[j])
         return tv, safe_region_status(tv, w.n, decomp, cloud)
 
     # invariant: index lo is INSIDE_H2 and index hi is not (len(grid): none is)

@@ -303,27 +303,51 @@ def test_projection_matches_brute_force_in_2d():
 @settings(max_examples=50, deadline=None)
 def test_shift_clip_groups_weights_and_caps_match_bisection(seed):
     # each group is its own weighted, capped problem; targets include the
-    # empty and the full group, which sit at the ends of the bracket
+    # empty and the full group, which sit at the ends of the bracket.  Unit
+    # weights and caps (None) are the lift's case.
     rng = np.random.default_rng(seed)
     p = int(rng.integers(2, 40))
     n_groups = int(rng.integers(1, min(p, 6) + 1))
     groups = np.concatenate([np.arange(n_groups), rng.integers(0, n_groups, p - n_groups)])
-    weights = rng.uniform(0.5, 3.0, size=p)
-    caps = rng.integers(1, 5, size=p).astype(float)
+    drawn = rng.uniform(0.5, 3.0, size=p), rng.integers(1, 5, size=p).astype(float)
     z = rng.uniform(-4.0, 6.0, size=p)
-    full = np.bincount(groups, caps, n_groups)
-    target = rng.uniform(0.0, 1.0, size=n_groups) * full
-    target[rng.random(n_groups) < 0.2] = 0.0
-    picks = rng.random(n_groups) < 0.2
-    target[picks] = full[picks]
-    y, t = shift_clip(z, target, weights, caps, groups)
-    assert t.shape == (n_groups,)
-    assert np.all(y >= 0.0) and np.all(y <= caps)
-    np.testing.assert_allclose(np.bincount(groups, y, n_groups), target, atol=1e-9, rtol=0)
-    for g in range(n_groups):
-        at = groups == g
-        want = _bisection_projection(z[at], target[g], 200, weights[at], caps[at])
-        np.testing.assert_allclose(y[at], want, atol=1e-9, rtol=0)
+    for weights, caps in (drawn, (None, None)):
+        full = np.bincount(groups, caps, n_groups)
+        target = rng.uniform(0.0, 1.0, size=n_groups) * full
+        target[rng.random(n_groups) < 0.2] = 0.0
+        picks = rng.random(n_groups) < 0.2
+        target[picks] = full[picks]
+        y, t = shift_clip(z, target, weights, caps, groups)
+        w = np.ones(p) if weights is None else weights
+        c = np.ones(p) if caps is None else caps
+        assert t.shape == (n_groups,)
+        assert np.all(y >= 0.0) and np.all(y <= c)
+        np.testing.assert_allclose(np.bincount(groups, y, n_groups), target, atol=1e-9, rtol=0)
+        for g in range(n_groups):
+            at = groups == g
+            want = _bisection_projection(z[at], target[g], 200, w[at], c[at])
+            np.testing.assert_allclose(y[at], want, atol=1e-9, rtol=0)
+
+
+@given(seed=st.integers(0, 500))
+@settings(max_examples=50, deadline=None)
+def test_shift_clip_one_group_is_the_grouped_path(seed):
+    # groups=None keeps the shift a scalar and sums in index order; an
+    # all-zero group array runs the bincount path, and both give the same bits
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, 40))
+    z = rng.uniform(-4.0, 6.0, size=p)
+    one = np.zeros(p, dtype=np.intp)
+    for weights in (None, rng.uniform(0.5, 3.0, size=p)):
+        for caps in (None, rng.integers(1, 5, size=p).astype(float)):
+            full = float(np.bincount(one, caps)[0])
+            for target in (0.0, full, *rng.uniform(0.0, full, size=3)):
+                y, t = shift_clip(z, target, weights, caps)
+                for t0 in (None, t, t[0] + rng.normal(), -100.0, float("nan")):
+                    got = shift_clip(z, target, weights, caps, t=t0)
+                    want = shift_clip(z, target, weights, caps, one, t=t0)
+                    assert got[0].tobytes() == want[0].tobytes()
+                    assert got[1].tobytes() == want[1].tobytes()
 
 
 # ---------------------------------------------------------------------------

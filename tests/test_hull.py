@@ -161,6 +161,11 @@ def _planted_cloud(n, k, m, seed):
     return build_A(reduce_signals(w, 5)).matrix
 
 
+def _row_of(rng, count, p):
+    """p entries in [0, 1) taking exactly ``count`` distinct values."""
+    return rng.permutation(np.arange(p) % count) / count
+
+
 def test_unique_columns_matches_np_unique():
     # lattice clouds with many duplicates, including rows whose order alone
     # separates columns, plus a single-column cloud
@@ -180,14 +185,30 @@ def test_unique_columns_matches_np_unique():
     # -0.0 and 0.0 are one value, and subnormals are distinct values
     tiny = np.array([-0.0, 0.0, 5e-324, 1e-320, 2.2e-308, 1.0])
     clouds.append(tiny[rng.integers(0, tiny.size, size=(4, 3000))])
-    # the benchmark's solve-wide cloud (40,000 columns) and a planted
+    # rows of exactly 16 and 17 distinct values, on both sides of the switch
+    # from comparison ranks to binary search, with -0.0 mixed into their 0.0
+    few = np.stack([_row_of(rng, count, 2000) for count in (16, 17, 5)])
+    zeros = few == 0.0
+    zeros[:, ::2] = False
+    few[zeros] = -0.0
+    clouds.append(few)
+    # key ranges (products of the row value counts) just inside and just
+    # outside the presence table's bound 4p + 1024 = 5024 for p = 1000
+    for counts in [(157, 32), (67, 75)]:
+        clouds.append(np.stack([_row_of(rng, count, 1000) for count in counts]))
+    assert [157 * 32, 67 * 75] == [4 * 1000 + 1024, 4 * 1000 + 1025]
+    # the benchmark's solve-wide cloud (40,000 columns), a planted n=500,
+    # k=2, m=10 cloud (key range 3,125 over 1,000 columns) and a planted
     # n=50k, k=3, m=10 cloud (150,000 columns)
     clouds.append(_planted_cloud(20000, 2, 5, seed=10))
+    clouds.append(_planted_cloud(500, 2, 10, seed=0))
     clouds.append(_planted_cloud(50000, 3, 10, seed=0))
     for matrix in clouds:
         distinct, first_idx, group = hull._unique_columns(ColumnCloud(matrix).matrix)
         uniq, want_idx, want_group = np.unique(
             matrix.T, axis=0, return_index=True, return_inverse=True)
+        assert (distinct.dtype, first_idx.dtype, group.dtype) == (
+            uniq.dtype, want_idx.dtype, want_group.dtype)
         np.testing.assert_array_equal(distinct, uniq.T)
         np.testing.assert_array_equal(first_idx, want_idx)
         np.testing.assert_array_equal(group, want_group.ravel())
