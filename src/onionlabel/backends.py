@@ -149,78 +149,80 @@ def phase1_simplex(E, f):
 # that leaves the bracket, or one taken with no free entry, is replaced by
 # bisection.  A group stops when its sum is exact or its next step is below the
 # resolution of t.  Targets of 0 and of a group's whole capacity are met at
-# the bracket ends, so those groups start there.  A single group (the seeded
-# start and every dual evaluation of the label solve) runs the same steps on a
-# scalar shift with no group array, summing in index order as bincount does,
-# so both paths give the same bits.  Unit weights and caps are never built.
+# the bracket ends, so those groups start there.  The callers need three
+# cases: one group with unit weights and caps (the seeded start), one group
+# with weights = caps = the group counts c (every dual evaluation of the label
+# solve), and many groups with unit weights and caps (the lift).  A single
+# group runs the same steps on a scalar shift with no group array, summing in
+# index order as bincount does, so both paths give the same bits.
 # ---------------------------------------------------------------------------
 
 _SHIFT_MAX_STEPS = 200  # Newton steps plus bisection fallbacks, a safeguard only
 _T_RESOLUTION = 4.0 * np.finfo(np.float64).eps
 
 
-def shift_clip(z, target, weights=None, caps=None, groups=None, t=None):
-    """Return ``(y, t)`` with ``y = clip(z + weights * t[groups], 0, caps)``.
+def shift_clip(z, target, counts=None, groups=None, t=None):
+    """Return ``(y, t)`` with ``y = clip(z + counts * t[groups], 0, counts)``.
 
     ``t`` holds one shift per group, chosen so that each group of ``y`` sums
-    to its entry of ``target`` (a scalar for a single group).  ``weights``
-    and ``caps`` are positive and default to ones; ``groups`` gives each
-    entry's group in 0..G-1 (None: one group, whose shift is kept as a
-    scalar and whose sums run in index order, as ``bincount``'s do).  Each
-    target must lie in [0, the group's total cap].  A starting ``t`` of None,
-    or one outside the bracket, starts from the bracket midpoint.
+    to its entry of ``target`` (a scalar for a single group).  ``counts`` are
+    positive weights and caps at once, ones when None; ``groups`` gives each
+    entry's group in 0..G-1 and needs unit counts (None: one group, whose
+    shift is kept as a scalar and whose sums run in index order, as
+    ``bincount``'s do).  Each target must lie in [0, the group's total cap].
+    A starting ``t`` of None, or one outside the bracket, starts from the
+    bracket midpoint.
     """
-    cap = 1.0 if caps is None else caps
-    # every group sums to 0 at lo and to its whole capacity at hi
-    if weights is None:
-        lo, hi = -float(np.max(z)), float(np.max(cap - z))
-    else:
-        lo, hi = float(np.min(-z / weights)), float(np.max((cap - z) / weights))
     if groups is None:
         def total(v):
             return float(np.cumsum(v)[-1])
 
+        # the group sums to 0 at lo and to its whole capacity at hi
+        if counts is None:
+            cap, lo, hi, full = 1.0, -float(np.max(z)), float(np.max(1.0 - z)), z.size
+        else:
+            cap, full = counts, total(counts)
+            lo, hi = float(np.min(-z / counts)), float(np.max((counts - z) / counts))
         target = np.asarray(target, dtype=np.float64).item()
         t = math.nan if t is None else np.asarray(t, dtype=np.float64).item()
         if not lo < t < hi:
             t = 0.5 * (lo + hi)
         if target <= 0.0:
             t = lo
-        elif target >= (z.size if caps is None else total(caps)):
+        elif target >= full:
             t = hi
         for _ in range(_SHIFT_MAX_STEPS):
-            y = np.clip(z + t if weights is None else z + weights * t, 0.0, cap)
+            y = np.clip(z + t if counts is None else z + counts * t, 0.0, cap)
             gap = target - total(y)
             if gap > 0.0:
                 lo = t
             elif gap < 0.0:
                 hi = t
             free = (y > 0.0) & (y < cap)
-            slope = float(np.count_nonzero(free)) if weights is None else total(weights * free)
+            slope = float(np.count_nonzero(free)) if counts is None else total(counts * free)
             step = t + gap / slope if slope > 0.0 else 0.5 * (lo + hi)
             if gap == 0.0 or abs(step - t) <= _T_RESOLUTION * max(1.0, abs(t)):
                 break
             t = step if lo < step < hi else 0.5 * (lo + hi)
         return y, np.array([t])
 
-    n_groups = int(groups.max()) + 1
+    full = np.bincount(groups)
+    n_groups = full.size
 
     def group_sum(v):
         return np.bincount(groups, v, n_groups)
 
     target = np.broadcast_to(np.asarray(target, dtype=np.float64), (n_groups,))
-    lo, hi = np.full(n_groups, lo), np.full(n_groups, hi)
+    lo, hi = np.full(n_groups, -float(np.max(z))), np.full(n_groups, float(np.max(1.0 - z)))
     t = np.full(n_groups, np.nan if t is None else t, dtype=np.float64)
     t = np.where((lo < t) & (t < hi), t, 0.5 * (lo + hi))
-    full = np.bincount(groups, minlength=n_groups) if caps is None else group_sum(caps)
     t = np.where(target <= 0.0, lo, np.where(target >= full, hi, t))
     for _ in range(_SHIFT_MAX_STEPS):
-        y = np.clip(z + (t[groups] if weights is None else weights * t[groups]), 0.0, cap)
+        y = np.clip(z + t[groups], 0.0, 1.0)
         gap = target - group_sum(y)
         lo = np.where(gap > 0.0, t, lo)
         hi = np.where(gap < 0.0, t, hi)
-        free = (y > 0.0) & (y < cap)
-        slope = group_sum(free if weights is None else weights * free)
+        slope = group_sum((y > 0.0) & (y < 1.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(slope > 0.0, t + gap / slope, 0.5 * (lo + hi))
         done = (gap == 0.0) | (np.abs(step - t) <= _T_RESOLUTION * np.maximum(1.0, np.abs(t)))
@@ -229,12 +231,6 @@ def shift_clip(z, target, weights=None, caps=None, groups=None, t=None):
         step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
         t = np.where(done, t, step)
     return y, t
-
-
-def project_capped_simplex(z, target):
-    """Euclidean projection of z onto {y in [0,1]^p : sum(y) = target}."""
-    z = np.ascontiguousarray(z, dtype=np.float64)
-    return shift_clip(z, float(target))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +304,7 @@ def pgd(A, b, counts, s0, target, tol, max_iters):
 
     def dual(mu, t):
         """s(mu), its shift, the gradient of psi at mu and psi(mu)."""
-        s, t = shift_clip(centre - sigma * c * (A.T @ mu), target, c, c, t=t)
+        s, t = shift_clip(centre - sigma * c * (A.T @ mu), target, c, t=t)
         grad = A @ s - b - mu
         value = 0.5 * (mu @ mu) + mu @ grad + float(((s - centre) ** 2 / c).sum()) / (2.0 * sigma)
         return s, t, grad, value

@@ -134,9 +134,6 @@ def _write_label(args, pipeline) -> int:
     else:
         doc["manifest"] = None
         _dump_json(doc, None)
-    if not label.converged:
-        log.warning("solve stopped at gap %.3g after its budget of %d Newton iterations "
-                    "(conv_tol %.3g); artifact flagged", label.gap, cfg.max_iters, cfg.conv_tol)
     return EXIT_OK
 
 

@@ -3,13 +3,13 @@
 Pipeline: ``prepare`` reduces the signals to at most five rows, doubles them
 into a column cloud and splits the cloud into hull layers.  The target vector
 ``b_i = -n k eps + w_i . 1 + n`` is then picked by annealing the assumed error
-rate ``eps`` downward from its upper bound ``2/k - 2/k**2`` until ``b/n``
-leaves the inner hull.  The annealing walks a grid of ``alpha`` steps; since ``b/n`` moves on a
-line and the inner hull is convex, the first grid point outside it is found
-by bisection rather than by testing every step.  The soft labels solve
-``min ||A y - b||_2`` over {y in [0, 1]^(nk) : sum(y) = n} exactly.  The
-objective depends on y only through the label sums of identical columns, so
-the solve runs over the distinct columns (``backends.pgd``: proximal point
+rate ``eps`` downward from its upper bound ``2/k - 2/k**2`` in steps of
+``alpha`` until ``b/n`` leaves the inner hull.  Since ``b/n`` moves on a line
+and the inner hull is convex, the first grid point outside it is found by
+bisection over the grid index, each probed rate computed from its index.  The
+soft labels solve ``min ||A y - b||_2`` over {y in [0, 1]^(nk) : sum(y) = n}
+exactly.  The objective depends on y only through the label sums of identical
+columns, so the solve runs over the distinct columns (``backends.pgd``: proximal point
 with semismooth Newton, stopped by a certified duality gap), and the optimal
 sums are then spread over a seeded uniform start projected onto that set.  The
 cloud's column groups (``ColumnCloud.groups``) serve both the hull and the solve.
@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +73,8 @@ class HullInconsistencyError(AnnealingError):
 class SolverConfig:
     """Every run setting: signal reduction, annealing and the label solve.
 
-    ``chunks`` is the number of signals left after ``reduce_signals``.
+    ``alpha`` is the annealing step of eps, at least the smallest normal
+    float.  ``chunks`` is the number of signals left after ``reduce_signals``.
     ``max_iters`` is the budget of Newton iterations of the label solve and
     ``conv_tol`` the certified relative duality gap at which it stops (see
     ``SyntheticLabel.gap``).  All randomness flows from ``seed``.
@@ -81,20 +84,21 @@ class SolverConfig:
     max_iters: int = 20_000
     conv_tol: float = 1e-6
     seed: int = 0
-    max_anneal_steps: int = 10_000
     chunks: int = DEFAULT_CHUNKS
 
     def __post_init__(self):
-        if not 0 < self.alpha < math.inf:  # also false for NaN
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        # also false for NaN; below the smallest normal float the grid
+        # length ub / alpha can overflow to inf
+        if not sys.float_info.min <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and at least {sys.float_info.min!r}, "
+                             f"got {self.alpha!r}")
         if not 0 < self.conv_tol < math.inf:
             raise ValueError(f"conv_tol must be positive and finite, got {self.conv_tol!r}")
-        if self.max_anneal_steps < 1:
-            raise ValueError("max_anneal_steps must be >= 1")
-        if self.chunks < 1:
-            raise ValueError("chunks must be >= 1")
+        for name, least in (("max_iters", 1), ("chunks", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                    or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -178,24 +182,26 @@ def anneal_b(w: WeakSignalMatrix, cloud: ColumnCloud, decomp: HullDecomposition,
              cfg: SolverConfig | None = None) -> TargetVector:
     """Lower eps from its upper bound until b/n escapes the inner hull.
 
-    The candidate rates form the step grid ``eps_0 = 2/k - 2/k**2``,
-    ``eps_{j+1} = max(0, eps_j - alpha)``, ending at the first 0 or at index
-    ``max_anneal_steps``; each step raises every b_i by ``n k alpha``, so the
-    targets b/n walk along one line.  The answer is the first grid point whose
-    status is not INSIDE_H2: SAFE returns its target, OUTSIDE_H1 raises
-    HullInconsistencyError.  When the whole grid stays inside, the last grid
-    value decides: 0 raises NotSafeAtZeroError, anything else the
-    ``max_anneal_steps`` AnnealingError.
+    The candidate rates form the grid ``eps_j = max(0, ub - j alpha)`` for
+    ``j < J = ceil(ub / alpha)`` and ``eps_J = 0``, where ``ub = 2/k - 2/k**2``;
+    each step raises every b_i by ``n k alpha``, so the targets b/n walk along
+    one line.  The answer is the first grid point whose status is not
+    INSIDE_H2: SAFE returns its target, OUTSIDE_H1 raises
+    HullInconsistencyError, and a grid that stays inside down to eps = 0
+    raises NotSafeAtZeroError.
 
     Index 0 is probed first and settles the run unless it is INSIDE_H2.  The
     line meets the convex inner hull Conv(I) in a segment, so once index 0 is
     inside, the inside grid indices form a prefix, and bisection finds its
-    end in about log2(grid length) membership tests instead of walking it.
+    end in about log2(J) membership tests.  Each probed rate is computed from
+    its index, so the grid is never built and J may reach ~2e307.
     """
     cfg = cfg or SolverConfig()
-    grid = [epsilon_upper_bound(w.k)]
-    while grid[-1] > 0.0 and len(grid) <= cfg.max_anneal_steps:
-        grid.append(max(0.0, grid[-1] - cfg.alpha))
+    ub = epsilon_upper_bound(w.k)
+    last = math.ceil(ub / cfg.alpha)  # J, a Python int
+
+    def eps_at(j: int) -> float:
+        return max(0.0, ub - j * cfg.alpha) if j < last else 0.0
 
     probes = 0
     row_sums = w.values.sum(axis=1)
@@ -203,12 +209,12 @@ def anneal_b(w: WeakSignalMatrix, cloud: ColumnCloud, decomp: HullDecomposition,
     def probe(j: int):
         nonlocal probes
         probes += 1
-        tv = _target(w, row_sums, grid[j])
+        tv = _target(w, row_sums, eps_at(j))
         return tv, safe_region_status(tv, w.n, decomp, cloud)
 
-    # invariant: index lo is INSIDE_H2 and index hi is not (len(grid): none is)
+    # invariant: index lo is INSIDE_H2 and index hi is not (J + 1: none is)
     tv, status = probe(0)
-    lo, hi = 0, len(grid)
+    lo, hi = 0, last + 1
     if status is not SafeRegionStatus.INSIDE_H2:
         hi = 0
     while hi - lo > 1:
@@ -218,22 +224,18 @@ def anneal_b(w: WeakSignalMatrix, cloud: ColumnCloud, decomp: HullDecomposition,
             lo = mid
         else:
             hi, tv, status = mid, mid_tv, mid_status
-    reached = min(hi, len(grid) - 1)
+    reached = min(hi, last)
     log.debug("anneal: %s at eps=%.6f, grid index %d of %d, %d probes",
-              status.value, grid[reached], reached, len(grid), probes)
+              status.value, eps_at(reached), reached, last + 1, probes)
     if status is SafeRegionStatus.SAFE:
         return tv
     if status is SafeRegionStatus.OUTSIDE_H1:
         raise HullInconsistencyError(
-            f"b/n fell outside Conv(H1) at eps={grid[hi]:.6f}; "
+            f"b/n fell outside Conv(H1) at eps={eps_at(hi):.6f}; "
             "the annealing step overshot the safe shell"
         )
-    if grid[-1] <= 0.0:
-        raise NotSafeAtZeroError(
-            "b/n is still inside the inner hull at eps=0; no safe target exists"
-        )
-    raise AnnealingError(
-        f"no safe target within {cfg.max_anneal_steps} annealing steps"
+    raise NotSafeAtZeroError(
+        "b/n is still inside the inner hull at eps=0; no safe target exists"
     )
 
 
@@ -301,7 +303,8 @@ def _solve(A: np.ndarray, b: np.ndarray, n: int, groups, cfg: SolverConfig,
     elif np.shape(y0) != (nk,):
         raise ValueError(f"y0 must have length {nk}")
 
-    y_start = backends.project_capped_simplex(y0, float(n))
+    # the start: y0 projected onto {y in [0, 1]^nk : sum(y) = n}
+    y_start, _ = backends.shift_clip(np.ascontiguousarray(y0, dtype=np.float64), float(n))
     initial_residual = float(np.linalg.norm(A @ y_start - b))
 
     distinct, _, group = groups

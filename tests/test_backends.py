@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onionlabel import backends
-from onionlabel.backends import phase1_simplex, project_capped_simplex, shift_clip
+from onionlabel.backends import phase1_simplex, shift_clip
 from onionlabel.hull import build_A, hull_decompose
 from onionlabel.signals import reduce_signals
 from onionlabel.solver import SolverConfig, anneal_b, augment_system, solve_labels
@@ -229,7 +229,7 @@ def test_projection_matches_bisection_reference(seed):
     p = int(rng.integers(2, 30))
     target = float(rng.integers(1, p))  # feasible: 0 < target < p
     z = rng.uniform(-2.0, 3.0, size=p)
-    y = project_capped_simplex(z, target)
+    y = shift_clip(z, target)[0]
     np.testing.assert_allclose(y, _bisection_projection(z, target), atol=1e-12, rtol=0)
     assert y.min() >= 0.0 and y.max() <= 1.0
     assert abs(y.sum() - target) <= 1e-9 * max(1.0, target)
@@ -271,7 +271,7 @@ def test_projection_exact_box_and_sum_on_wide_inputs(seed):
     p = int(rng.integers(2, 30))
     target = float(rng.integers(1, p))
     z = rng.uniform(-2.0, 3.0, size=p)
-    y = project_capped_simplex(z, target)
+    y = shift_clip(z, target)[0]
     assert y.min() >= 0.0 and y.max() <= 1.0
     assert abs(y.sum() - target) <= 1e-12 * max(1.0, target)
     # the shift is common to every free coordinate
@@ -283,7 +283,7 @@ def test_projection_exact_box_and_sum_on_wide_inputs(seed):
 
 def test_projection_is_idempotent_and_respects_feasible_points():
     y = np.array([0.25, 0.75, 0.5, 0.5])
-    got = project_capped_simplex(y, 2.0)
+    got = shift_clip(y, 2.0)[0]
     np.testing.assert_allclose(got, y, atol=1e-12)
 
 
@@ -291,7 +291,7 @@ def test_projection_matches_brute_force_in_2d():
     # exhaustive check of Euclidean optimality on a fine grid
     z = np.array([1.7, -0.4])
     target = 1.0
-    got = project_capped_simplex(z, target)
+    got = shift_clip(z, target)[0]
     grid = np.linspace(0.0, 1.0, 2001)
     cand = np.stack([grid, target - grid], axis=1)
     cand = cand[(cand[:, 1] >= 0.0) & (cand[:, 1] <= 1.0)]
@@ -302,31 +302,37 @@ def test_projection_matches_brute_force_in_2d():
 @given(seed=st.integers(0, 500))
 @settings(max_examples=50, deadline=None)
 def test_shift_clip_groups_weights_and_caps_match_bisection(seed):
-    # each group is its own weighted, capped problem; targets include the
-    # empty and the full group, which sit at the ends of the bracket.  Unit
-    # weights and caps (None) are the lift's case.
+    # the two cases beyond the plain projection: many groups with unit
+    # weights and caps (the lift), and one group whose weights and caps are
+    # the counts (the label solve's dual).  Targets include the empty and the
+    # full group, which sit at the ends of the bracket.
     rng = np.random.default_rng(seed)
     p = int(rng.integers(2, 40))
     n_groups = int(rng.integers(1, min(p, 6) + 1))
     groups = np.concatenate([np.arange(n_groups), rng.integers(0, n_groups, p - n_groups)])
-    drawn = rng.uniform(0.5, 3.0, size=p), rng.integers(1, 5, size=p).astype(float)
     z = rng.uniform(-4.0, 6.0, size=p)
-    for weights, caps in (drawn, (None, None)):
-        full = np.bincount(groups, caps, n_groups)
-        target = rng.uniform(0.0, 1.0, size=n_groups) * full
-        target[rng.random(n_groups) < 0.2] = 0.0
-        picks = rng.random(n_groups) < 0.2
-        target[picks] = full[picks]
-        y, t = shift_clip(z, target, weights, caps, groups)
-        w = np.ones(p) if weights is None else weights
-        c = np.ones(p) if caps is None else caps
-        assert t.shape == (n_groups,)
-        assert np.all(y >= 0.0) and np.all(y <= c)
-        np.testing.assert_allclose(np.bincount(groups, y, n_groups), target, atol=1e-9, rtol=0)
-        for g in range(n_groups):
-            at = groups == g
-            want = _bisection_projection(z[at], target[g], 200, w[at], c[at])
-            np.testing.assert_allclose(y[at], want, atol=1e-9, rtol=0)
+    full = np.bincount(groups, minlength=n_groups).astype(float)
+    target = rng.uniform(0.0, 1.0, size=n_groups) * full
+    target[rng.random(n_groups) < 0.2] = 0.0
+    picks = rng.random(n_groups) < 0.2
+    target[picks] = full[picks]
+    y, t = shift_clip(z, target, groups=groups)
+    assert t.shape == (n_groups,)
+    assert np.all(y >= 0.0) and np.all(y <= 1.0)
+    np.testing.assert_allclose(np.bincount(groups, y, n_groups), target, atol=1e-9, rtol=0)
+    for g in range(n_groups):
+        at = groups == g
+        want = _bisection_projection(z[at], target[g], 200)
+        np.testing.assert_allclose(y[at], want, atol=1e-9, rtol=0)
+
+    counts = rng.integers(1, 5, size=p).astype(float)
+    for target in (0.0, counts.sum(), rng.uniform(0.0, counts.sum())):
+        y, t = shift_clip(z, target, counts)
+        assert t.shape == (1,)
+        assert np.all(y >= 0.0) and np.all(y <= counts)
+        assert abs(y.sum() - target) <= 1e-9
+        want = _bisection_projection(z, target, 200, counts, counts)
+        np.testing.assert_allclose(y, want, atol=1e-9, rtol=0)
 
 
 @given(seed=st.integers(0, 500))
@@ -338,16 +344,13 @@ def test_shift_clip_one_group_is_the_grouped_path(seed):
     p = int(rng.integers(1, 40))
     z = rng.uniform(-4.0, 6.0, size=p)
     one = np.zeros(p, dtype=np.intp)
-    for weights in (None, rng.uniform(0.5, 3.0, size=p)):
-        for caps in (None, rng.integers(1, 5, size=p).astype(float)):
-            full = float(np.bincount(one, caps)[0])
-            for target in (0.0, full, *rng.uniform(0.0, full, size=3)):
-                y, t = shift_clip(z, target, weights, caps)
-                for t0 in (None, t, t[0] + rng.normal(), -100.0, float("nan")):
-                    got = shift_clip(z, target, weights, caps, t=t0)
-                    want = shift_clip(z, target, weights, caps, one, t=t0)
-                    assert got[0].tobytes() == want[0].tobytes()
-                    assert got[1].tobytes() == want[1].tobytes()
+    for target in (0.0, float(p), *rng.uniform(0.0, p, size=3)):
+        y, t = shift_clip(z, target)
+        for t0 in (None, t, t[0] + rng.normal(), -100.0, float("nan")):
+            got = shift_clip(z, target, t=t0)
+            want = shift_clip(z, target, groups=one, t=t0)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
 
 
 # ---------------------------------------------------------------------------

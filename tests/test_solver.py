@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -107,13 +109,23 @@ def test_anneal_multistep_toy_and_boundary_semantics():
     assert tv.epsilon == pytest.approx(0.09, abs=1e-12)
 
 
-def test_anneal_respects_step_budget():
+def test_anneal_fine_grids_reach_the_boundary():
+    # the multistep cloud's path exits beyond b/n = 1.8, i.e. below eps = 0.1.
+    # Repeated subtraction of alpha 1e-17 from 0.5 never moves (it is below
+    # half an ulp), and alpha 1e-5 takes 50,000 steps to get there.
     w = signals_from_columns(
         [[0, 0], [1, 0], [0, 1], [1, 1], [0.1, 0.1], [0.9, 0.9]], n=3, k=2
     )
     cloud = build_A(w)
-    with pytest.raises(AnnealingError):
-        anneal_b(w, cloud, hull_decompose(cloud), SolverConfig(max_anneal_steps=5))
+    decomp = hull_decompose(cloud)
+    tv = anneal_b(w, cloud, decomp, SolverConfig(alpha=1e-5))
+    assert tv.epsilon == pytest.approx(0.09999, abs=1e-12)
+    # inside the hull tolerance band just below the boundary
+    tv = anneal_b(w, cloud, decomp, SolverConfig(alpha=1e-17))
+    assert 0.1 - 1e-8 < tv.epsilon < 0.1
+    # the smallest alpha allowed: a grid of ~2.2e307 indices
+    tv = anneal_b(w, cloud, decomp, SolverConfig(alpha=sys.float_info.min))
+    assert 0.1 - 1e-8 < tv.epsilon < 0.1
 
 
 def test_anneal_not_safe_at_zero():
@@ -144,10 +156,11 @@ def test_anneal_hull_inconsistency():
 
 
 def _reference_anneal(w, cloud, decomp, cfg):
-    """The original annealing loop: one status check per eps step."""
-    eps = epsilon_upper_bound(w.k)
-    steps = 0
+    """A walk over eps_j = max(0, ub - j alpha): one status check per index."""
+    ub = epsilon_upper_bound(w.k)
+    j = 0
     while True:
+        eps = max(0.0, ub - j * cfg.alpha)
         tv = init_b(w, eps)
         status = safe_region_status(tv, w.n, decomp, cloud)
         if status is SafeRegionStatus.SAFE:
@@ -161,12 +174,7 @@ def _reference_anneal(w, cloud, decomp, cfg):
             raise NotSafeAtZeroError(
                 "b/n is still inside the inner hull at eps=0; no safe target exists"
             )
-        if steps >= cfg.max_anneal_steps:
-            raise AnnealingError(
-                f"no safe target within {cfg.max_anneal_steps} annealing steps"
-            )
-        eps = max(0.0, eps - cfg.alpha)
-        steps += 1
+        j += 1
 
 
 def _anneal_outcome(anneal, w, cloud, decomp, cfg):
@@ -193,11 +201,7 @@ _TOY_CLOUDS = [
     ([[0, 0], [1, 0], [0, 1], [0.5, 0.5], [0.25, 0.25], [0.25, 0.25]], 3),
 ]
 
-_ANNEAL_CONFIGS = [
-    SolverConfig(alpha=alpha, max_anneal_steps=budget)
-    for alpha in (0.25, 0.2, 0.05, 0.01, 0.003, 0.0005)
-    for budget in (10_000, 30, 2)
-]
+_ANNEAL_CONFIGS = [SolverConfig(alpha=alpha) for alpha in (0.25, 0.2, 0.05, 0.01, 0.003, 0.0005)]
 
 
 @pytest.fixture(scope="module")
@@ -220,8 +224,7 @@ def anneal_clouds():
     return clouds
 
 
-@pytest.mark.parametrize("cfg", _ANNEAL_CONFIGS,
-                         ids=lambda c: f"alpha{c.alpha}-steps{c.max_anneal_steps}")
+@pytest.mark.parametrize("cfg", _ANNEAL_CONFIGS, ids=lambda c: f"alpha{c.alpha}")
 def test_anneal_matches_reference_stepper(anneal_clouds, cfg):
     # bitwise-equal eps and b, or the same exception type and message
     for w, cloud, decomp in anneal_clouds:
@@ -237,8 +240,7 @@ def test_anneal_reference_cases_cover_every_outcome(anneal_clouds):
             got = _anneal_outcome(anneal_b, w, cloud, decomp, cfg)
             outcomes.add(got[0])
             safe_at_bound |= got[0] == "target" and got[1] == epsilon_upper_bound(w.k)
-    assert outcomes == {"target", AnnealingError, NotSafeAtZeroError,
-                        HullInconsistencyError}
+    assert outcomes == {"target", NotSafeAtZeroError, HullInconsistencyError}
     assert safe_at_bound
 
 
@@ -250,14 +252,9 @@ def test_anneal_probe_count_is_logarithmic(anneal_clouds, monkeypatch):
         return safe_region_status(*args)
 
     monkeypatch.setattr(solver, "safe_region_status", counting)
-    for cfg in (SolverConfig(alpha=0.0005), SolverConfig(alpha=0.003),
-                SolverConfig(alpha=0.0005, max_anneal_steps=30)):
+    for cfg in (SolverConfig(alpha=0.0005), SolverConfig(alpha=0.003), SolverConfig(alpha=1e-9)):
         for w, cloud, decomp in anneal_clouds:
-            grid_len = 1
-            eps = epsilon_upper_bound(w.k)
-            while eps > 0.0 and grid_len <= cfg.max_anneal_steps:
-                eps = max(0.0, eps - cfg.alpha)
-                grid_len += 1
+            grid_len = math.ceil(epsilon_upper_bound(w.k) / cfg.alpha) + 1
             calls.clear()
             _anneal_outcome(anneal_b, w, cloud, decomp, cfg)
             assert 1 <= len(calls) <= math.ceil(math.log2(grid_len)) + 2
@@ -295,17 +292,31 @@ def test_solver_config_validation():
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
         SolverConfig(conv_tol=0.0)
-    # NaN passes a "<= 0" test: alpha=nan would shrink the anneal grid to
-    # [ub, 0.0], and conv_tol=nan would spend every solve's whole budget
+    # NaN passes a "<= 0" test: alpha=nan would make the grid length
+    # ceil(nan), and conv_tol=nan would spend every solve's whole budget
     for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match=r"alpha must be positive and finite, got (nan|inf)"):
+        with pytest.raises(ValueError, match=r"alpha must be finite and at least \S+, got (nan|inf)"):
             SolverConfig(alpha=bad)
         with pytest.raises(ValueError, match=r"conv_tol must be positive and finite"):
             SolverConfig(conv_tol=bad)
-    with pytest.raises(ValueError):
-        SolverConfig(max_anneal_steps=0)
+    # below the smallest normal float ub / alpha overflows to inf
+    with pytest.raises(ValueError, match=r"alpha must be finite and at least 2\.2250738585072014e-308, "
+                                         r"got 1e-310"):
+        SolverConfig(alpha=1e-310)
+    SolverConfig(alpha=sys.float_info.min)
     with pytest.raises(ValueError):
         SolverConfig(chunks=0)
+    # counts and seeds are integers: a float would reach the solve's loop
+    # bound, the chunk split or the generator only after the hull and anneal
+    for name, bad in (("max_iters", math.nan), ("max_iters", math.inf), ("max_iters", 2.0),
+                      ("chunks", 2.5), ("chunks", True), ("seed", -1), ("seed", 1.5),
+                      ("seed", None)):
+        least = 0 if name == "seed" else 1
+        with pytest.raises(ValueError, match=rf"{name} must be an integer >= {least}, "
+                                             rf"got {re.escape(repr(bad))}"):
+            SolverConfig(**{name: bad})
+    cfg = SolverConfig(max_iters=np.int64(5), chunks=np.int32(3), seed=np.uint64(7))
+    assert (cfg.max_iters, cfg.chunks, cfg.seed) == (5, 3, 7)
 
 
 def test_synthetic_label_to_dict_maps_nan_epsilon_to_none():
