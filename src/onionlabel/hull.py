@@ -214,11 +214,19 @@ def convex_combination(columns: np.ndarray, q: np.ndarray):
     lam, pivots, status = phase1_simplex(E, np.append(q, 1.0))
     if status == 1:
         raise _budget_error(pivots, columns.shape)
-    err = max(
-        float(np.max(np.abs(columns @ lam - q))),
-        abs(float(lam.sum()) - 1.0),
-    )
-    return lam, err <= HULL_TOL
+    return lam, bool(_fits(columns, lam[None], q[None])[0])
+
+
+def _fits(V: np.ndarray, lam: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Whether each row of ``lam`` reproduces its row of ``Q`` from the
+    columns of V within ``HULL_TOL``, in the infinity norm, sum row included.
+
+    Each row's error is summed over that row alone, so a point's verdict does
+    not depend on the batch it is tested in.
+    """
+    err = np.maximum(np.abs((lam[:, None, :] * V).sum(axis=2) - Q).max(axis=1),
+                     np.abs(lam.sum(axis=1) - 1.0))
+    return err <= HULL_TOL
 
 
 def in_hull(q, cloud: ColumnCloud) -> bool:
@@ -230,7 +238,7 @@ def _membership(V: np.ndarray, Q: np.ndarray, drop=None):
     """One phase-1 LP per column of Q against the columns of V, in blocks.
 
     Returns ``(inside, duals, pivots)``: whether each column lies in Conv(V)
-    within ``HULL_TOL`` (the test of ``convex_combination``), each LP's duals
+    (``_fits``, as in ``convex_combination``), each LP's duals
     and the pivot total.  With ``drop``, LP b leaves out column ``drop[b]``
     of V: a zero column never enters the basis.  Raises PivotBudgetError
     when any LP exhausts its pivot budget.
@@ -253,9 +261,7 @@ def _membership(V: np.ndarray, Q: np.ndarray, drop=None):
         duals[part] = y
         if status.any():
             raise _budget_error(int(piv[status == 1][0]), V.shape)
-        err = np.maximum(np.abs(lam @ V.T - Q[:, part].T).max(axis=1),
-                         np.abs(lam.sum(axis=1) - 1.0))
-        inside[part] = err <= HULL_TOL
+        inside[part] = _fits(V, lam, Q[:, part].T)
         pivots += int(piv.sum())
     return inside, duals, pivots
 

@@ -5,8 +5,10 @@ into a column cloud and splits the cloud into hull layers.  The target vector
 ``b_i = -n k eps + w_i . 1 + n`` is then picked by annealing the assumed error
 rate ``eps`` downward from its upper bound ``2/k - 2/k**2`` in steps of
 ``alpha`` until ``b/n`` leaves the inner hull.  Since ``b/n`` moves on a line
-and the inner hull is convex, the first grid point outside it is found by
-bisection over the grid index, each probed rate computed from its index.  The
+and the inner hull is convex, the first grid point outside it is bracketed in
+a few batches of membership LPs, each batch's probes predicted from the
+separating hyperplane of the last outside probe; the answer is the one a walk
+over every grid index gives.  The
 soft labels solve ``min ||A y - b||_2`` over {y in [0, 1]^(nk) : sum(y) = n}
 exactly.  The objective depends on y only through the label sums of identical
 columns, so the solve runs over the distinct columns (``backends.pgd``: proximal point
@@ -30,10 +32,12 @@ from .hull import (
     ColumnCloud,
     HullDecomposition,
     SafeRegionStatus,
+    _membership,
     _unique_columns,
     build_A,
+    convex_combination,
     hull_decompose,
-    safe_region_status,
+    safe_region_status,  # noqa: F401  (perfbench/tracing.py patches solver.safe_region_status)
 )
 from .signals import DEFAULT_CHUNKS, WeakSignalMatrix, reduce_signals
 
@@ -190,11 +194,19 @@ def anneal_b(w: WeakSignalMatrix, cloud: ColumnCloud, decomp: HullDecomposition,
     HullInconsistencyError, and a grid that stays inside down to eps = 0
     raises NotSafeAtZeroError.
 
-    Index 0 is probed first and settles the run unless it is INSIDE_H2.  The
-    line meets the convex inner hull Conv(I) in a segment, so once index 0 is
-    inside, the inside grid indices form a prefix, and bisection finds its
-    end in about log2(J) membership tests.  Each probed rate is computed from
-    its index, so the grid is never built and J may reach ~2e307.
+    The line meets the convex inner hull Conv(I) in a segment, so once index
+    0 is inside, the inside grid indices form a prefix.  Its end is bracketed
+    by batches of membership LPs against Conv(I) (``hull._membership``): the
+    first batch tests indices 0 and J.  The duals (g, g0) of the outside
+    probe at the bracket's top separate it from Conv(I), and g.q_j + g0 is
+    affine in j, so its zero predicts the exit; each later batch tests the
+    two indices around that zero (Kelley's cutting planes) and, from the
+    third batch on or when the line does not rise through the plane, the
+    bracket's midpoint, so it takes at most two batches more than bisection.
+    The duals only choose the probes; every verdict comes from a probe's
+    explicit residual, so the answer is the index a walk over the whole grid
+    finds.  Only the final index is tested against Conv(H1).  Each probed
+    rate is computed from its index, so J may reach ~2e307.
     """
     cfg = cfg or SolverConfig()
     ub = epsilon_upper_bound(w.k)
@@ -203,30 +215,50 @@ def anneal_b(w: WeakSignalMatrix, cloud: ColumnCloud, decomp: HullDecomposition,
     def eps_at(j: int) -> float:
         return max(0.0, ub - j * cfg.alpha) if j < last else 0.0
 
-    probes = 0
     row_sums = w.values.sum(axis=1)
+    inner = decomp.interior_columns
+    batches = probes = 0  # a probe is one LP against Conv(I)
 
-    def probe(j: int):
-        nonlocal probes
-        probes += 1
-        tv = _target(w, row_sums, eps_at(j))
-        return tv, safe_region_status(tv, w.n, decomp, cloud)
+    def q_at(j: int) -> np.ndarray:
+        return _target(w, row_sums, eps_at(j)).b / float(w.n)
 
-    # invariant: index lo is INSIDE_H2 and index hi is not (J + 1: none is)
-    tv, status = probe(0)
-    lo, hi = 0, last + 1
-    if status is not SafeRegionStatus.INSIDE_H2:
-        hi = 0
+    def probe(indices: list[int]):
+        nonlocal batches, probes
+        batches, probes = batches + 1, probes + len(indices)
+        inside, duals, _ = _membership(inner, np.stack([q_at(j) for j in indices], axis=1))
+        return zip(indices, inside, duals)
+
+    # invariant: index lo is INSIDE_H2 and index hi is not (J + 1: none is);
+    # an empty inner hull contains no index
+    lo = hi = 0
+    if inner.shape[1]:
+        (_, inside0, _), (_, inside_last, y) = probe([0, last])
+        if inside_last:
+            lo, hi = last, last + 1
+        elif inside0:
+            hi = last
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        mid_tv, mid_status = probe(mid)
-        if mid_status is SafeRegionStatus.INSIDE_H2:
-            lo = mid
-        else:
-            hi, tv, status = mid, mid_tv, mid_status
+        picks = set()
+        slope = w.k * cfg.alpha * float(y[:-1].sum())
+        zero = hi - float(y[:-1] @ q_at(hi) + y[-1]) / slope if slope > 0 else math.nan
+        if math.isfinite(zero):
+            picks = {min(max(j, lo + 1), hi - 1) for j in (math.floor(zero), math.floor(zero) + 1)}
+        if batches > 1 or not picks:  # a prediction already failed, or there is none
+            picks.add((lo + hi) // 2)
+        for j, inside, y_j in probe(sorted(picks)):
+            if not inside:
+                hi, y = j, y_j
+                break
+            lo = j
+    tv = _target(w, row_sums, eps_at(hi))
+    status = SafeRegionStatus.INSIDE_H2
+    if hi <= last:
+        safe = convex_combination(decomp.vertex_columns, tv.b / float(w.n))[1]
+        status = SafeRegionStatus.SAFE if safe else SafeRegionStatus.OUTSIDE_H1
     reached = min(hi, last)
-    log.debug("anneal: %s at eps=%.6f, grid index %d of %d, %d probes",
-              status.value, eps_at(reached), reached, last + 1, probes)
+    log.debug("anneal: %s at eps=%.6f, grid index %d of %d, %d probes in %d membership "
+              "batches, %d LPs", status.value, eps_at(reached), reached, last + 1, probes,
+              batches, probes + (hi <= last))
     if status is SafeRegionStatus.SAFE:
         return tv
     if status is SafeRegionStatus.OUTSIDE_H1:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hull import HULL_TOL, ColumnCloud, SafeRegionStatus, safe_region_status
+from .hull import HULL_TOL, ColumnCloud, PivotBudgetError, SafeRegionStatus, safe_region_status
 from .hull import hull_decompose  # noqa: F401  (perfbench/tracing.py patches synth.hull_decompose)
 from .metrics import accuracy, majority_vote, weighted_majority_vote
 from .signals import LabelVector, WeakSignalMatrix, expand_pws
@@ -204,8 +204,9 @@ def sweep(specs: list[SynthSpec], methods: list[str],
           cfg: SolverConfig | None = None) -> list[dict]:
     """Accuracy of each method on each planted instance, one row per cell.
 
-    A failing cell (e.g. an annealing error) keeps its row with empty value
-    fields; the sweep carries on.
+    A failing cell (an annealing error or an LP out of pivots) keeps its row
+    with empty value fields and logs a WARNING naming the error; the sweep
+    carries on.
     """
     cfg = cfg or SolverConfig()
     rows = []
@@ -216,8 +217,9 @@ def sweep(specs: list[SynthSpec], methods: list[str],
             t0 = time.perf_counter()
             try:
                 value, eps, resid = _run_method(method, w, truth, cfg)
-            except AnnealingError as exc:
-                log.warning("sweep cell (%s, %s) failed: %s", iid, method, exc)
+            except (AnnealingError, PivotBudgetError) as exc:
+                log.warning("sweep cell (%s, %s) failed: %s: %s", iid, method,
+                            type(exc).__name__, exc)
                 value, eps, resid = None, None, None
             wall_ms = (time.perf_counter() - t0) * 1000.0
             rows.append(

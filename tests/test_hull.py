@@ -86,6 +86,54 @@ def test_convex_combination_shape_mismatch():
         convex_combination(np.zeros((2, 3)), np.zeros(3))
 
 
+def _membership_cases():
+    """(generators, queries): random clouds, and lattice clouds whose queries
+    include points on the boundary of the generators' hull and points about
+    HULL_TOL off it."""
+    rng = np.random.default_rng(7)
+    cases = []
+    for m, p in ((2, 9), (4, 30)):
+        V = rng.uniform(0.0, 2.0, size=(m, p))
+        inside = V @ rng.dirichlet(np.ones(p), size=12).T
+        cases.append((V, np.hstack([inside, V, rng.uniform(0.0, 2.0, size=(m, 12))])))
+    for m in (3, 5):
+        lattice = np.array(np.meshgrid(*[[0.0, 1.0, 2.0]] * m, indexing="ij")).reshape(m, -1)
+        inner = lattice[:, (lattice == 1.0).any(axis=0)]  # all but the 2^m corners
+        pts = lattice[:, ::4]
+        Q = np.hstack([pts, 0.5 * (pts[:, :-1] + pts[:, 1:]), pts + 0.99e-8, pts + 1.01e-8])
+        cases.append((inner, Q))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_membership_verdict_does_not_depend_on_the_batch(case, monkeypatch):
+    # lam, duals and verdict of each query are bitwise equal whether it is
+    # solved alone, in batches of 2 or 17, or by convex_combination
+    V, Q = _membership_cases()[case]
+    real, lams = hull.phase1_batch, []
+
+    def recording(E, F):
+        out = real(E, F)
+        lams.append(out[0])
+        return out
+
+    monkeypatch.setattr(hull, "phase1_batch", recording)
+
+    def batched(size):
+        lams.clear()
+        parts = [hull._membership(V, Q[:, lo : lo + size]) for lo in range(0, Q.shape[1], size)]
+        return [np.concatenate(a) for a in ([p[0] for p in parts], [p[1] for p in parts], lams)]
+
+    alone = batched(1)
+    assert alone[0].any() and not alone[0].all()
+    for size in (2, 17):
+        for want, got in zip(alone, batched(size)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for j in range(Q.shape[1]):
+        lam, inside = convex_combination(V, Q[:, j])
+        assert lam.tobytes() == alone[2][j].tobytes() and inside == alone[0][j]
+
+
 def test_convex_combination_raises_when_pivot_budget_runs_out(monkeypatch):
     # an exhausted LP must not be read as "infeasible", i.e. as a vertex
     def exhausted(E, f):

@@ -206,7 +206,9 @@ _ANNEAL_CONFIGS = [SolverConfig(alpha=alpha) for alpha in (0.25, 0.2, 0.05, 0.01
 
 @pytest.fixture(scope="module")
 def anneal_clouds():
-    """Toy clouds, the 50-instance safe-region suite and planted n=500 seeds 0-2."""
+    """Toy clouds, the 50-instance safe-region suite, planted n=500 seeds 0-2
+    and the benchmark workloads' saturated m=5 lattice (243 points, 211 inner
+    generators) at n=20000, seed 97."""
     clouds = []
     for cols, n in _TOY_CLOUDS:
         w = signals_from_columns(cols, n=n, k=2)
@@ -221,6 +223,8 @@ def anneal_clouds():
     for seed in range(3):
         clouds.append(_reduced_instance(SynthSpec(
             n=500, k=2, m=10, signal_accuracy=0.8, abstain_rate=0.3, seed=seed)))
+    clouds.append(_reduced_instance(SynthSpec(
+        n=20000, k=2, m=5, signal_accuracy=0.8, abstain_rate=0.3, seed=97)))
     return clouds
 
 
@@ -244,20 +248,43 @@ def test_anneal_reference_cases_cover_every_outcome(anneal_clouds):
     assert safe_at_bound
 
 
-def test_anneal_probe_count_is_logarithmic(anneal_clouds, monkeypatch):
-    calls = []
+@pytest.fixture()
+def membership_batches(monkeypatch) -> list:
+    """The number of LPs in each membership batch ``anneal_b`` runs."""
+    batches: list = []
+    real = solver._membership
 
-    def counting(*args):
-        calls.append(args)
-        return safe_region_status(*args)
+    def counting(V, Q, drop=None):
+        batches.append(Q.shape[1])
+        return real(V, Q, drop)
 
-    monkeypatch.setattr(solver, "safe_region_status", counting)
+    monkeypatch.setattr(solver, "_membership", counting)
+    return batches
+
+
+def test_anneal_probe_count_is_logarithmic(anneal_clouds, membership_batches):
+    # at most two batches more than bisection's, of at most three LPs each
     for cfg in (SolverConfig(alpha=0.0005), SolverConfig(alpha=0.003), SolverConfig(alpha=1e-9)):
         for w, cloud, decomp in anneal_clouds:
             grid_len = math.ceil(epsilon_upper_bound(w.k) / cfg.alpha) + 1
-            calls.clear()
+            membership_batches.clear()
             _anneal_outcome(anneal_b, w, cloud, decomp, cfg)
-            assert 1 <= len(calls) <= math.ceil(math.log2(grid_len)) + 2
+            assert len(membership_batches) <= math.ceil(math.log2(grid_len)) + 2
+            assert all(1 <= lps <= 3 for lps in membership_batches)
+
+
+def test_anneal_brackets_the_workload_exit_in_few_lps(membership_batches, caplog):
+    # bisection took 11 probes and 16 LPs here; eps is the walk's, bit for bit
+    w, cloud, decomp = _reduced_instance(SynthSpec(
+        n=5000, k=2, m=5, signal_accuracy=0.8, abstain_rate=0.3, seed=97))
+    with caplog.at_level("DEBUG", logger="onionlabel.solver"):
+        tv = anneal_b(w, cloud, decomp, SolverConfig(alpha=0.0005))
+    assert tv.epsilon == 0.09949999999999998
+    assert len(membership_batches) <= 3 and sum(membership_batches) <= 6
+    probes, batches = sum(membership_batches), len(membership_batches)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"anneal: SAFE at eps=0.099500, grid index 801 of 1001, {probes} probes in "
+        f"{batches} membership batches, {probes + 1} LPs"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import csv
+import logging
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from onionlabel.hull import ColumnCloud, extreme_points
+from onionlabel import synth
+from onionlabel.hull import ColumnCloud, PivotBudgetError, extreme_points
 from onionlabel.signals import LabelVector, WeakSignalMatrix, expected_error_rate
 from onionlabel.solver import SolverConfig, epsilon_upper_bound, run_oua
 from onionlabel.metrics import accuracy
@@ -209,6 +211,30 @@ def test_sweep_failure_keeps_the_row():
     assert abl["value"] is None and abl["epsilon_used"] is None
     assert abl["wall_ms"] > 0
     assert mv["value"] == 1.0
+
+
+def test_sweep_cell_out_of_pivots_keeps_its_row(monkeypatch, caplog):
+    # a cell whose LP runs out of pivots fails alone; the later cells still run
+    specs = [SynthSpec(n=30, k=2, m=4, signal_accuracy=0.9, abstain_rate=0.1, seed=s)
+             for s in (0, 1)]
+    real, calls = synth.run_oua, []
+
+    def first_cell_out_of_pivots(w, cfg):
+        calls.append(w.n)
+        if len(calls) == 1:
+            raise PivotBudgetError("phase-1 simplex exhausted its pivot budget")
+        return real(w, cfg)
+
+    monkeypatch.setattr(synth, "run_oua", first_cell_out_of_pivots)
+    with caplog.at_level(logging.WARNING, logger="onionlabel.synth"):
+        rows = sweep(specs, ["oua", "mv"], SolverConfig())
+    assert [r["method"] for r in rows] == ["oua", "mv", "oua", "mv"]
+    assert rows[0]["value"] is None and rows[0]["epsilon_used"] is None
+    assert rows[0]["residual"] is None and rows[0]["wall_ms"] > 0
+    assert all(r["value"] is not None for r in rows[1:])
+    assert rows[2]["epsilon_used"] is not None and len(calls) == 2
+    [record] = caplog.records
+    assert record.levelname == "WARNING" and "PivotBudgetError" in record.getMessage()
 
 
 def test_sweep_rejects_unknown_method():
