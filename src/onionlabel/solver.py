@@ -37,7 +37,9 @@ from .hull import (
     build_A,
     convex_combination,
     hull_decompose,
-    safe_region_status,  # noqa: F401  (perfbench/tracing.py patches solver.safe_region_status)
+    # TODO(ROADMAP item 1): unused here; kept only because perfbench/tracing.py
+    # patches solver.safe_region_status
+    safe_region_status,  # noqa: F401
 )
 from .signals import DEFAULT_CHUNKS, WeakSignalMatrix, reduce_signals
 
@@ -197,8 +199,9 @@ def anneal_b(w: WeakSignalMatrix, cloud: ColumnCloud, decomp: HullDecomposition,
     The line meets the convex inner hull Conv(I) in a segment, so once index
     0 is inside, the inside grid indices form a prefix.  Its end is bracketed
     by batches of membership LPs against Conv(I) (``hull._membership``): the
-    first batch tests indices 0 and J.  The duals (g, g0) of the outside
-    probe at the bracket's top separate it from Conv(I), and g.q_j + g0 is
+    first batch tests indices 0 and J, and index 0 outside Conv(I) settles
+    the run whatever J's verdict.  The duals (g, g0) of the outside probe at
+    the bracket's top separate it from Conv(I), and g.q_j + g0 is
     affine in j, so its zero predicts the exit; each later batch tests the
     two indices around that zero (Kelley's cutting planes) and, from the
     third batch on or when the line does not rise through the plane, the
@@ -233,10 +236,8 @@ def anneal_b(w: WeakSignalMatrix, cloud: ColumnCloud, decomp: HullDecomposition,
     lo = hi = 0
     if inner.shape[1]:
         (_, inside0, _), (_, inside_last, y) = probe([0, last])
-        if inside_last:
-            lo, hi = last, last + 1
-        elif inside0:
-            hi = last
+        if inside0:  # otherwise index 0 settles the run, whatever J's verdict
+            lo, hi = (last, last + 1) if inside_last else (0, last)
     while hi - lo > 1:
         picks = set()
         slope = w.k * cfg.alpha * float(y[:-1].sum())

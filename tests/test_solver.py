@@ -140,6 +140,22 @@ def test_anneal_not_safe_at_zero():
         anneal_b(w, cloud, hull_decompose(cloud), SolverConfig(alpha=0.25))
 
 
+def test_anneal_index_zero_settles_before_index_j():
+    # inner segment [1, 1.9] on the diagonal: b/n at eps = ub lies below it
+    # (SAFE) while b/n at eps = 0 lies on it, so the run ends at index 0
+    w = signals_from_columns(
+        [[0, 0]] * 11 + [[1, 0], [0, 1], [1, 1], [0.5, 0.5], [0.95, 0.95]], n=8, k=2
+    )
+    cloud = build_A(w)
+    decomp = hull_decompose(cloud)
+    ub = epsilon_upper_bound(w.k)
+    assert safe_region_status(init_b(w, ub), w.n, decomp, cloud) is SafeRegionStatus.SAFE
+    assert (safe_region_status(init_b(w, 0.0), w.n, decomp, cloud)
+            is SafeRegionStatus.INSIDE_H2)
+    for alpha in (0.25, 0.01):
+        assert anneal_b(w, cloud, decomp, SolverConfig(alpha=alpha)).epsilon == ub
+
+
 def test_anneal_hull_inconsistency():
     # the inner segment ends on the outer boundary: the path exits Conv(H1)
     # the moment it leaves the inner hull
@@ -192,13 +208,15 @@ def _reduced_instance(spec):
     return w5, cloud, hull_decompose(cloud)
 
 
-# the toy clouds above plus a perfect-signal cloud that is SAFE at index 0
+# the toy clouds above, a perfect-signal cloud that is SAFE at index 0, and a
+# cloud whose index 0 is SAFE although index J lies inside the inner hull
 _TOY_CLOUDS = [
     ([[0, 0], [1, 0], [0, 1], [1, 1], [0.5, 0.5], [0.5, 0.5]], 3),
     ([[0, 0], [1, 0], [0, 1], [1, 1], [0.1, 0.1], [0.9, 0.9]], 3),
     ([[0, 0], [1, 0], [0, 1], [1, 1],
       [0.05, 0.05], [0.05, 0.05], [0.05, 0.05], [0.95, 0.95]], 4),
     ([[0, 0], [1, 0], [0, 1], [0.5, 0.5], [0.25, 0.25], [0.25, 0.25]], 3),
+    ([[0, 0]] * 11 + [[1, 0], [0, 1], [1, 1], [0.5, 0.5], [0.95, 0.95]], 8),
 ]
 
 _ANNEAL_CONFIGS = [SolverConfig(alpha=alpha) for alpha in (0.25, 0.2, 0.05, 0.01, 0.003, 0.0005)]
