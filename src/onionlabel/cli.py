@@ -203,6 +203,7 @@ def cmd_inspect_hull(args) -> int:
         "vertex_lps": decomp.vertex_lps,
         "vertex_pivots": decomp.vertex_pivots,
         "vertex_rounds": decomp.vertex_rounds,
+        "vertex_certified": decomp.vertex_certified,
     }
     _dump_json(doc, args.out)
     return EXIT_OK

@@ -13,15 +13,24 @@ boundary therefore count as inside; in particular a point on the boundary of
 Conv(H2) is classified INSIDE_H2.
 
 Vertices are found by Clarkson's output-sensitive scheme (FOCS 1994) over the
-distinct column values in lexicographic order.  The vertex set V starts
-as the lexicographic maximum.  Each round solves every pending value against
-Conv(V), all LPs in one lockstep batch of the phase-1 simplex.  A feasible
-value is interior.  An infeasible value's duals (g, g0) separate it from V:
-g.v + g0 <= 0 < g.q + g0.  The maximum of g.x over the cloud then lies among
-the values still pending, and the last of them in lexicographic order that
-attains it is a vertex; it joins V, so every round adds at least one.  Rounds end when no value is pending.
+distinct column values in lexicographic order.  The vertex set V starts as
+the lexicographic maximum and the certified Akl-Toussaint seeds (IPL 1978).
+A seed is the last value in lexicographic order that maximizes u.x for a
+direction u among +-e_i and, while there are no more of them than distinct
+values or than m^3, the sign vectors {+-1}^m.  It is certified when it beats
+every other value by more than 5 HULL_TOL |u|_1 plus a rounding slack: then
+no fit within HULL_TOL reproduces it from the others.  Each round solves
+every pending value against Conv(V), all LPs in one lockstep batch of the
+phase-1 simplex.  A feasible value is interior.  An infeasible value's duals
+(g, g0) separate it from V: g.v + g0 <= 0 < g.q + g0.  The maximum of g.x
+over the cloud then lies among the values still pending, and the last of
+them in lexicographic order that attains it is a vertex; it joins V, so
+every round adds at least one.  Rounds end when no value is pending.
 Rounding can break a tie in g.x and admit a non-vertex, so a final batch
-checks each member c of V against Conv(V without c) and drops those inside.
+checks each uncertified member c of V against Conv(V without c) and drops
+those inside.  A certified seed would have been admitted by the rounds and
+kept by that check, and every other value meets the rounds and the check as
+before, so the seeds spare rounds and LPs without changing the layers.
 Every tableau and score matrix of this pass is processed in blocks of at
 most ``_BLOCK_FLOATS`` floats, so its memory does not grow with the square
 of the number of distinct values.
@@ -138,9 +147,10 @@ class HullDecomposition:
     h2: np.ndarray  # all remaining indices, sorted
     vertex_columns: np.ndarray = field(repr=False)  # (m, |V|)
     interior_columns: np.ndarray = field(repr=False)  # (m, |I|), may be empty
-    vertex_lps: int = 0  # phase-1 LPs of the vertex pass, self-check included
+    vertex_lps: int = 0  # phase-1 LPs of the rounds and the uncertified self-checks
     vertex_pivots: int = 0
-    vertex_rounds: int = 0  # Clarkson rounds before the self-check
+    vertex_rounds: int = 0  # Clarkson rounds after the certified seeds, before the self-check
+    vertex_certified: int = 0  # vertices kept by a margin, with no self-check LP
 
     def __post_init__(self):
         for name in ("h1", "h2", "vertex_columns", "interior_columns"):
@@ -200,7 +210,8 @@ def convex_combination(columns: np.ndarray, q: np.ndarray):
     """Coefficients expressing q as a convex combination of the columns.
 
     Returns ``(lam, feasible)``; feasibility means the reconstruction error
-    ``max(|columns @ lam - q|_inf, |sum(lam) - 1|)`` is within ``HULL_TOL``.
+    ``max(|columns @ lam - q|_inf, |sum(lam) - 1|, |min(lam, 0)|_1)`` is
+    within ``HULL_TOL``.
     Raises PivotBudgetError when the phase-1 LP exhausts its pivot budget.
     """
     columns = np.asarray(columns, dtype=np.float64)
@@ -219,14 +230,15 @@ def convex_combination(columns: np.ndarray, q: np.ndarray):
 
 def _fits(V: np.ndarray, lam: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Whether each row of ``lam`` reproduces its row of ``Q`` from the
-    columns of V within ``HULL_TOL``, in the infinity norm, sum row included.
+    columns of V within ``HULL_TOL``, in the infinity norm, sum row included,
+    with at most ``HULL_TOL`` of negative weight in all.
 
     Each row's error is summed over that row alone, so a point's verdict does
     not depend on the batch it is tested in.
     """
     err = np.maximum(np.abs((lam[:, None, :] * V).sum(axis=2) - Q).max(axis=1),
                      np.abs(lam.sum(axis=1) - 1.0))
-    return err <= HULL_TOL
+    return np.maximum(err, -np.minimum(lam, 0.0).sum(axis=1)) <= HULL_TOL
 
 
 def in_hull(q, cloud: ColumnCloud) -> bool:
@@ -266,16 +278,58 @@ def _membership(V: np.ndarray, Q: np.ndarray, drop=None):
     return inside, duals, pivots
 
 
-def _vertex_pass(distinct: np.ndarray):
-    """Clarkson rounds over the lexicographically sorted distinct columns.
+def _seed_directions(m: int, d: int):
+    """The seed directions in blocks of at most ``_BLOCK_FLOATS`` scores over
+    d columns: +e_i, -e_i, then the 2^m sign vectors while 2^m <= d and
+    2^m <= m^3.  The second bound keeps their 2^m d scores within a small
+    multiple of one round's cost, d LPs of about m pivots on (m + 2)^2
+    entries, so the scores never grow with d^2."""
+    rows = max(1, _BLOCK_FLOATS // max(m, d))
+    for lo in range(0, m, rows):
+        axes = np.eye(min(rows, m - lo), m, k=lo)
+        yield axes
+        yield -axes
+    if 2**m <= min(d, m**3):
+        for lo in range(0, 2**m, rows):
+            codes = np.arange(lo, min(lo + rows, 2**m))
+            yield 1.0 - 2.0 * ((codes[:, None] >> np.arange(m)) & 1)
 
-    Returns ``(is_vertex, lps, pivots, rounds)``: which distinct columns are
-    hull vertices, and the LPs, pivots and rounds it took.
+
+def _vertex_pass(distinct: np.ndarray):
+    """Directional seeds, then Clarkson rounds over the lexicographically
+    sorted distinct columns.
+
+    Returns ``(is_vertex, lps, pivots, rounds, certified)``: which distinct
+    columns are hull vertices, the LPs, pivots and rounds it took, and how
+    many vertices a margin certified without a self-check LP.
     """
     m, d = distinct.shape
-    is_vertex = np.zeros(d, dtype=bool)
+    # Margin certificate.  Let c be the only maximizer of u.x over the cloud
+    # for a direction u, by delta = u.c - max u.x over the other columns x.
+    # On [0, 2]^m the values u.x lie in an interval of width 2 |u|_1 that
+    # holds 0.  A fit in _fits of c by the others has |sum(lam) - 1| <= t,
+    # negative weight |min(lam, 0)|_1 <= t and r = sum(lam_j x_j) with
+    # |r - c|_inf <= t, t = HULL_TOL.  Then u.r <= sum(lam) max u.x + 2 t |u|_1
+    # <= u.c - delta + 4 t |u|_1, while u.r >= u.c - t |u|_1; so delta >
+    # 5 t |u|_1 leaves no fit, and neither a round nor the self-check can call
+    # c inside: the rounds would admit it as a vertex and the final check keep
+    # it.  Rounding in the scores and in _fits' sums over p <= d columns moves
+    # this by at most (2m + 6p + 14) eps |u|_1 to first order; the slack is
+    # four times a bound on that.  A maximizer with a smaller margin stays
+    # pending: a column within HULL_TOL of it may fit it.
+    bound = 5 * HULL_TOL + 64 * (m + d) * np.finfo(np.float64).eps
+    certified = np.zeros(d, dtype=bool)
+    for U in _seed_directions(m, d):
+        scores = U @ distinct
+        rows = np.arange(U.shape[0])
+        top = d - 1 - np.argmax(scores[:, ::-1], axis=1)  # last maximum, as below
+        best = scores[rows, top]
+        scores[rows, top] = -np.inf
+        margin = best - scores.max(axis=1)
+        certified[top[margin > bound * np.abs(U).sum(axis=1)]] = True
+    is_vertex = certified.copy()
     is_vertex[-1] = True  # the lexicographic maximum is a vertex
-    pending = np.arange(d - 1)
+    pending = np.flatnonzero(~is_vertex)
     lps = pivots = rounds = 0
     while pending.size:
         inside, duals, piv = _membership(distinct[:, is_vertex], distinct[:, pending])
@@ -289,12 +343,13 @@ def _vertex_pass(distinct: np.ndarray):
             is_vertex[pending[-1 - np.argmax(scores[:, ::-1], axis=1)]] = True
         pending = pending[~is_vertex[pending]]
     verts = np.flatnonzero(is_vertex)
-    if verts.size > 1:
+    check = np.flatnonzero(~certified[verts])  # positions in verts
+    if verts.size > 1 and check.size:
         V = distinct[:, verts]
-        inside, _, piv = _membership(V, V, drop=np.arange(verts.size))
-        lps, pivots = lps + verts.size, pivots + piv
-        is_vertex[verts[inside]] = False
-    return is_vertex, lps, pivots, rounds
+        inside, _, piv = _membership(V, V[:, check], drop=check)
+        lps, pivots = lps + check.size, pivots + piv
+        is_vertex[verts[check[inside]]] = False
+    return is_vertex, lps, pivots, rounds, int(certified.sum())
 
 
 def extreme_points(cloud: ColumnCloud) -> np.ndarray:
@@ -310,7 +365,7 @@ def extreme_points(cloud: ColumnCloud) -> np.ndarray:
 def hull_decompose(cloud: ColumnCloud) -> HullDecomposition:
     """Split columns into hull vertices (h1) and the interior rest (h2)."""
     distinct, first_idx, _ = cloud.groups
-    is_vertex, lps, pivots, rounds = _vertex_pass(distinct)
+    is_vertex, lps, pivots, rounds, certified = _vertex_pass(distinct)
     h1 = np.sort(first_idx[is_vertex])
     rest = np.ones(cloud.n_points, dtype=bool)
     rest[h1] = False
@@ -323,6 +378,7 @@ def hull_decompose(cloud: ColumnCloud) -> HullDecomposition:
         vertex_lps=lps,
         vertex_pivots=pivots,
         vertex_rounds=rounds,
+        vertex_certified=certified,
     )
 
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import backends
 from .hull import (
+    HULL_TOL,
     ColumnCloud,
     HullDecomposition,
     SafeRegionStatus,
@@ -206,6 +207,9 @@ def anneal_b(w: WeakSignalMatrix, cloud: ColumnCloud, decomp: HullDecomposition,
     two indices around that zero (Kelley's cutting planes) and, from the
     third batch on or when the line does not rise through the plane, the
     bracket's midpoint, so it takes at most two batches more than bisection.
+    A zero below the bracket is clipped to its first index only while the
+    HULL_TOL band past the plane spans fewer indices than bisection takes
+    batches; a wider band is left to the midpoint.
     The duals only choose the probes; every verdict comes from a probe's
     explicit residual, so the answer is the index a walk over the whole grid
     finds.  Only the final index is tested against Conv(H1).  Each probed
@@ -242,7 +246,13 @@ def anneal_b(w: WeakSignalMatrix, cloud: ColumnCloud, decomp: HullDecomposition,
         picks = set()
         slope = w.k * cfg.alpha * float(y[:-1].sum())
         zero = hi - float(y[:-1] @ q_at(hi) + y[-1]) / slope if slope > 0 else math.nan
-        if math.isfinite(zero):
+        # A zero below lo means that lo is inside only within HULL_TOL.  A
+        # point q inside within HULL_TOL has g.q + g0 <= HULL_TOL |y|_1, so
+        # such points lie at most that over slope indices past the zero.  A
+        # prediction clipped up to lo + 1 walks this band one index a batch,
+        # which pays only while the band is shorter than bisecting the bracket
+        if math.isfinite(zero) and (
+                zero >= lo or HULL_TOL * float(np.abs(y).sum()) / slope < math.log2(hi - lo)):
             picks = {min(max(j, lo + 1), hi - 1) for j in (math.floor(zero), math.floor(zero) + 1)}
         if batches > 1 or not picks:  # a prediction already failed, or there is none
             picks.add((lo + hi) // 2)

@@ -134,6 +134,15 @@ def test_membership_verdict_does_not_depend_on_the_batch(case, monkeypatch):
         assert lam.tobytes() == alone[2][j].tobytes() and inside == alone[0][j]
 
 
+def test_fits_allows_at_most_hull_tol_of_negative_weight():
+    # each row reproduces 1.5 from 0, 1 and 2 with weights summing to 1; the
+    # first and last lean on a negative weight beyond HULL_TOL
+    V = np.array([[0.0, 1.0, 2.0]])
+    lam = np.array([[0.5, -0.5, 1.0], [-5e-9, 0.5 + 1e-8, 0.5 - 5e-9],
+                    [-2e-8, 0.5 + 4e-8, 0.5 - 2e-8]])
+    assert hull._fits(V, lam, np.full((3, 1), 1.5)).tolist() == [False, True, False]
+
+
 def test_convex_combination_raises_when_pivot_budget_runs_out(monkeypatch):
     # an exhausted LP must not be read as "infeasible", i.e. as a vertex
     def exhausted(E, f):
@@ -390,41 +399,107 @@ def test_vertex_pass_matches_all_pairs_on_planted_n500(k, seed):
 
 @pytest.mark.parametrize("seed", [10, 97])
 def test_vertex_pass_matches_all_pairs_on_saturated_lattice(seed):
-    # the benchmark's m=5 cloud: all 243 lattice points, 32 of them vertices
+    # the benchmark's m=5 cloud: all 243 lattice points, 32 of them vertices.
+    # The 42 seed directions find every vertex, each by a clear margin, so
+    # one round tests the 211 others and no vertex needs a self-check LP
     spec = SynthSpec(n=5000, k=2, m=5, signal_accuracy=0.8, abstain_rate=0.3, seed=seed)
     w, _ = generate_instance(spec)
     decomp = _assert_matches_all_pairs(build_A(reduce_signals(w, 5)))
     assert decomp.h1.size + decomp.interior_columns.shape[1] == 243
+    assert (decomp.vertex_rounds, decomp.vertex_lps, decomp.vertex_certified) == (1, 211, 32)
+
+
+def test_vertex_pass_seeds_only_axes_above_the_distinct_count(monkeypatch):
+    # 12 rows: 2^12 sign vectors would outnumber the distinct columns, so the
+    # seeds are the 24 axis directions alone
+    blocks = []
+    real = hull._seed_directions
+
+    def recording(m, d):
+        for D in real(m, d):
+            blocks.append(D.shape)
+            yield D
+
+    monkeypatch.setattr(hull, "_seed_directions", recording)
+    spec = SynthSpec(n=150, k=2, m=12, signal_accuracy=0.8, abstain_rate=0.3, seed=3)
+    w, _ = generate_instance(spec)
+    cloud = build_A(reduce_signals(w, 12))
+    assert cloud.dim == 12 and cloud.groups[0].shape[1] < 2**12
+    _assert_matches_all_pairs(cloud)
+    assert sum(rows for rows, _ in blocks) == 24
+
+
+@pytest.mark.parametrize("m, d, rows", [(5, 31, 10), (5, 243, 42), (9, 5000, 530),
+                                         (10, 5000, 20), (17, 10**6, 34)])
+def test_seed_directions_bound_the_sign_vectors(m, d, rows):
+    # sign vectors only while 2^m <= d and 2^m <= m^3, so their scores cost
+    # at most m^3 d; each block holds at most _BLOCK_FLOATS scores
+    blocks = [D.shape for D in hull._seed_directions(m, d)]
+    assert sum(r for r, _ in blocks) == rows
+    assert all(c == m and r * d <= max(d, hull._BLOCK_FLOATS) for r, c in blocks)
 
 
 def test_final_check_drops_non_vertices_admitted_by_the_rounds(monkeypatch):
     # zero duals carry no direction: every round admits the last pending
     # column, vertex or not, so only the final check can restore the layers
     real = hull.phase1_batch
+    real_membership = hull._membership
+    dropped = []
 
     def no_direction(E, F):
         lam, pivots, status, duals = real(E, F)
         return lam, pivots, status, np.zeros_like(duals)
 
+    def final_check(V, Q, drop=None):
+        out = real_membership(V, Q, drop)
+        if drop is not None:
+            dropped.append(int(out[0].sum()))
+        return out
+
     monkeypatch.setattr(hull, "phase1_batch", no_direction)
+    monkeypatch.setattr(hull, "_membership", final_check)
     rng = np.random.default_rng(9)
-    decomp = _assert_matches_all_pairs(ColumnCloud(rng.integers(0, 5, size=(3, 40)) * 0.5))
-    # each round but the last admits one column: more rounds than vertices
-    # means that non-vertices were admitted and dropped again
-    assert decomp.vertex_rounds > decomp.h1.size
+    _assert_matches_all_pairs(ColumnCloud(rng.integers(0, 5, size=(3, 40)) * 0.5))
+    # the rounds admitted non-vertices, and the final check dropped them again
+    assert len(dropped) == 1 and dropped[0] >= 1
+
+
+def test_near_duplicate_corner_stays_a_vertex():
+    # (2, 1) and (2, 1 - 1e-10) each maximize a direction (+e_1 or a sign
+    # vector) by less than the certificate's bound, and each fits the other
+    # within HULL_TOL.  Seeding both would let the final check drop both and
+    # lose the corner; only the lexicographic maximum may start V uncertified
+    decomp = hull_decompose(cloud_of([0, 0], [0, 2], [2, 1], [2, 1 - 1e-10]))
+    assert decomp.h1.tolist() == [0, 1, 2]
+    assert decomp.interior_columns.T.tolist() == [[2.0, 1 - 1e-10]]
+    assert decomp.vertex_certified == 2
+    assert hull_decompose(cloud_of([2, 1], [2, 1 - 1e-10])).h1.tolist() == [0]
 
 
 @st.composite
 def degenerate_clouds(draw):
     """Small clouds with the degeneracies of vote lattices."""
-    kind = draw(st.sampled_from(["lattice", "collinear", "coplanar"]))
+    kind = draw(st.sampled_from(["lattice", "near-tie", "collinear", "coplanar"]))
     dim = draw(st.integers(1, 4))
     p = draw(st.integers(1, 12))
-    if kind == "lattice":
+    if kind in ("lattice", "near-tie"):
         # a subset of the half-step lattice in [0, 2]^dim
         cells = st.integers(0, 4).map(lambda v: v * 0.5)
         cols = [draw(st.lists(cells, min_size=dim, max_size=dim)) for _ in range(p)]
         matrix = np.array(cols, dtype=np.float64).T
+        if kind == "near-tie":
+            # distinct lattice points whose inner coordinates move by +-1e-12
+            # ... 1e-6, so that seed margins fall on both sides of the
+            # certificate's bound 3e-8 |u|_1.  Steps near HULL_TOL are left
+            # out: they put points within about HULL_TOL of the others' hull,
+            # where the verdict depends on the column set, all-pairs included;
+            # so are coordinates near 0, where the simplex pivots on tiny entries
+            matrix = np.unique(matrix, axis=1)
+            step = draw(st.sampled_from([1e-12, 1e-11, 1e-10, 1e-6]))
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            inner = (matrix > 0.0) & (matrix < 2.0)
+            matrix = matrix + inner * rng.choice([-step, step], size=matrix.shape)
+            p = matrix.shape[1]
     else:
         # points on a segment or in a plane through the cube
         rank = 1 if kind == "collinear" else 2

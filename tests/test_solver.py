@@ -291,6 +291,22 @@ def test_anneal_probe_count_is_logarithmic(anneal_clouds, membership_batches):
             assert all(1 <= lps <= 3 for lps in membership_batches)
 
 
+@pytest.mark.parametrize("alpha", [1e-17, sys.float_info.min])
+def test_anneal_bisects_a_tolerance_band_of_many_indices(membership_batches, alpha):
+    # the multistep cloud's exit lies in the HULL_TOL band past the inner
+    # segment's end, ~1e-8 / (2 alpha) indices wide: a prediction clipped up
+    # to lo + 1 only walks that band, so the batches bisect it with one LP.
+    # Walking it as well took 107 and 2,040 LPs
+    w = signals_from_columns(
+        [[0, 0], [1, 0], [0, 1], [1, 1], [0.1, 0.1], [0.9, 0.9]], n=3, k=2
+    )
+    cloud = build_A(w)
+    tv = anneal_b(w, cloud, hull_decompose(cloud), SolverConfig(alpha=alpha))
+    assert tv.epsilon == 0.0999999949999999
+    grid_len = math.ceil(epsilon_upper_bound(w.k) / alpha) + 1
+    assert sum(membership_batches) <= math.ceil(math.log2(grid_len)) + 4
+
+
 def test_anneal_brackets_the_workload_exit_in_few_lps(membership_batches, caplog):
     # bisection took 11 probes and 16 LPs here; eps is the walk's, bit for bit
     w, cloud, decomp = _reduced_instance(SynthSpec(
