@@ -5,12 +5,12 @@ and vertex tests).  It enters the column with the most negative reduced cost
 (Dantzig's rule) and falls back to the lowest-index column (Bland's rule)
 during long runs of degenerate pivots, so it cannot cycle.  The label solve
 minimizes 1/2 ||A s - b||^2 over the label sums s of the distinct columns of
-A, exactly: proximal point, each step's dual in m <= 5 variables solved by
-semismooth Newton, stopped by a certified Frank-Wolfe duality gap.  One
-shift-and-clip routine projects onto capped simplices everywhere: the seeded
-start, the sum multiplier of every dual evaluation, and the lift of the group
-sums back to one label per column.  All three are plain numpy; only the
-pivot, Newton and shift loops run in Python.
+A, exactly: Wolfe's minimum-norm point in the image A s - b, whose linear
+oracle is a sort-and-fill of the scores, stopped by a certified Frank-Wolfe
+duality gap.  One shift-and-clip routine projects onto capped simplices: the
+seeded start, and the lift of the group sums back to one label per column.
+All three are plain numpy; only the pivot, major-cycle and shift loops run in
+Python.
 """
 
 from __future__ import annotations
@@ -140,96 +140,103 @@ def phase1_simplex(E, f):
 
 
 # ---------------------------------------------------------------------------
-# Shift-and-clip: y = clip(z + w * t_g, 0, cap) with the sum over every group g
-# equal to its target.  A group sum s_g(t) is continuous, nondecreasing and
-# piecewise linear in t_g, with slope equal to the weight of the entries
-# strictly inside (0, cap).  A Newton step t += (target - s(t)) / slope
-# therefore lands on the feasible shift as soon as the free set is right.
-# Every group keeps a bracket [lo, hi] with s(lo) <= target <= s(hi); a step
-# that leaves the bracket, or one taken with no free entry, is replaced by
-# bisection.  A group stops when its sum is exact or its next step is below the
-# resolution of t.  Targets of 0 and of a group's whole capacity are met at
-# the bracket ends, so those groups start there.  The callers need three
-# cases: one group with unit weights and caps (the seeded start), one group
-# with weights = caps = the group counts c (every dual evaluation of the label
-# solve), and many groups with unit weights and caps (the lift).  A single
-# group runs the same steps on a scalar shift with no group array, summing in
-# index order as bincount does, so both paths give the same bits.
+# Shift-and-clip: y = clip(z + t_g, 0, 1) with the sum over every group g equal
+# to its target.  A group sum s_g(t) is continuous, nondecreasing and
+# piecewise linear in t_g, with slope equal to the number of entries strictly
+# inside (0, 1).  A Newton step t += (target - s(t)) / slope therefore lands
+# on the feasible shift as soon as the free set is right.  Every group keeps a
+# bracket [lo, hi] with s(lo) <= target <= s(hi); a step that leaves the
+# bracket, or one taken with no free entry, is replaced by bisection.  A group
+# stops when its sum is exact, or its next step or its bracket is below the
+# resolution of t: near a full group the rounding of the sum can exceed what
+# one step of t moves it, so the bracket closes on adjacent floats while the
+# step stays above the resolution.  Targets of 0 and of a group's whole size
+# are met at the bracket ends, so those groups start there.  The callers need
+# two cases: one group (the seeded start) and many groups (the lift of the
+# label sums).  A single group runs the same steps on a scalar shift with no
+# group array, summing in index order as bincount does, so both paths give
+# the same bits.  Many groups drop the entries of settled groups once those
+# of the unsettled ones are few; each sum still runs over the same entries in
+# the same order, so the bits do not change.
 # ---------------------------------------------------------------------------
 
 _SHIFT_MAX_STEPS = 200  # Newton steps plus bisection fallbacks, a safeguard only
 _T_RESOLUTION = 4.0 * np.finfo(np.float64).eps
 
 
-def shift_clip(z, target, counts=None, groups=None, t=None):
-    """Return ``(y, t)`` with ``y = clip(z + counts * t[groups], 0, counts)``.
+def shift_clip(z, target, groups=None, t=None):
+    """Return ``(y, t)`` with ``y = clip(z + t[groups], 0, 1)``.
 
     ``t`` holds one shift per group, chosen so that each group of ``y`` sums
-    to its entry of ``target`` (a scalar for a single group).  ``counts`` are
-    positive weights and caps at once, ones when None; ``groups`` gives each
-    entry's group in 0..G-1 and needs unit counts (None: one group, whose
-    shift is kept as a scalar and whose sums run in index order, as
-    ``bincount``'s do).  Each target must lie in [0, the group's total cap].
-    A starting ``t`` of None, or one outside the bracket, starts from the
-    bracket midpoint.
+    to its entry of ``target`` (a scalar for a single group).  ``groups``
+    gives each entry's group in 0..G-1 (None: one group, whose shift is kept
+    as a scalar and whose sums run in index order, as ``bincount``'s do).
+    Each target must lie in [0, the group's size].  A starting ``t`` of None,
+    or one outside the bracket, starts from the bracket midpoint.
     """
     if groups is None:
-        def total(v):
-            return float(np.cumsum(v)[-1])
-
-        # the group sums to 0 at lo and to its whole capacity at hi
-        if counts is None:
-            cap, lo, hi, full = 1.0, -float(np.max(z)), float(np.max(1.0 - z)), z.size
-        else:
-            cap, full = counts, total(counts)
-            lo, hi = float(np.min(-z / counts)), float(np.max((counts - z) / counts))
+        # the group sums to 0 at lo and to its whole size at hi
+        lo, hi = -float(np.max(z)), float(np.max(1.0 - z))
         target = np.asarray(target, dtype=np.float64).item()
         t = math.nan if t is None else np.asarray(t, dtype=np.float64).item()
         if not lo < t < hi:
             t = 0.5 * (lo + hi)
         if target <= 0.0:
             t = lo
-        elif target >= full:
+        elif target >= z.size:
             t = hi
         for _ in range(_SHIFT_MAX_STEPS):
-            y = np.clip(z + t if counts is None else z + counts * t, 0.0, cap)
-            gap = target - total(y)
+            y = np.clip(z + t, 0.0, 1.0)
+            gap = target - float(np.cumsum(y)[-1])
             if gap > 0.0:
                 lo = t
             elif gap < 0.0:
                 hi = t
-            free = (y > 0.0) & (y < cap)
-            slope = float(np.count_nonzero(free)) if counts is None else total(counts * free)
+            slope = float(np.count_nonzero((y > 0.0) & (y < 1.0)))
             step = t + gap / slope if slope > 0.0 else 0.5 * (lo + hi)
-            if gap == 0.0 or abs(step - t) <= _T_RESOLUTION * max(1.0, abs(t)):
+            res = _T_RESOLUTION * max(1.0, abs(t))
+            if gap == 0.0 or abs(step - t) <= res or hi - lo <= res:
                 break
             t = step if lo < step < hi else 0.5 * (lo + hi)
         return y, np.array([t])
 
     full = np.bincount(groups)
     n_groups = full.size
-
-    def group_sum(v):
-        return np.bincount(groups, v, n_groups)
-
     target = np.broadcast_to(np.asarray(target, dtype=np.float64), (n_groups,))
     lo, hi = np.full(n_groups, -float(np.max(z))), np.full(n_groups, float(np.max(1.0 - z)))
     t = np.full(n_groups, np.nan if t is None else t, dtype=np.float64)
     t = np.where((lo < t) & (t < hi), t, 0.5 * (lo + hi))
     t = np.where(target <= 0.0, lo, np.where(target >= full, hi, t))
+    done = np.zeros(n_groups, dtype=bool)
+    out = at = None  # the whole y, and the indices in it of the entries iterated
     for _ in range(_SHIFT_MAX_STEPS):
         y = np.clip(z + t[groups], 0.0, 1.0)
-        gap = target - group_sum(y)
+        gap = target - np.bincount(groups, y, n_groups)
         lo = np.where(gap > 0.0, t, lo)
         hi = np.where(gap < 0.0, t, hi)
-        slope = group_sum((y > 0.0) & (y < 1.0))
+        slope = np.bincount(groups, (y > 0.0) & (y < 1.0), n_groups)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(slope > 0.0, t + gap / slope, 0.5 * (lo + hi))
-        done = (gap == 0.0) | (np.abs(step - t) <= _T_RESOLUTION * np.maximum(1.0, np.abs(t)))
+        res = _T_RESOLUTION * np.maximum(1.0, np.abs(t))
+        done |= (gap == 0.0) | (np.abs(step - t) <= res) | (hi - lo <= res)
         if done.all():
             break
         step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
         t = np.where(done, t, step)
+        # targets near an end of a group's range take more steps than the
+        # rest; dropping the settled entries costs about one step, so it
+        # waits until the unsettled ones are under an eighth
+        if 8 * int(full[~done].sum()) < groups.size:
+            live = np.flatnonzero(~done[groups])
+            if out is None:
+                out, at = y, live
+            else:
+                out[at] = y
+                at = at[live]
+            z, groups = z[live], groups[live]
+    if out is not None:
+        out[at] = y
+        y = out
     return y, t
 
 
@@ -238,105 +245,92 @@ def shift_clip(z, target, counts=None, groups=None, t=None):
 # S = {0 <= s <= c, sum(s) = n}, where column j of A stands for c_j identical
 # columns of the full system and s_j for the sum of their labels.
 #
-# Proximal point: s+ = argmin_S 1/2 ||A s - b||^2 + sum_j (s_j - s0_j)^2 / (2 sigma c_j).
-# Dualizing r = A s - b with multiplier mu in R^m leaves the concave, C^1 dual
-#   psi(mu) = -1/2 |mu|^2 + mu.(A s(mu) - b) + sum_j (s_j(mu) - s0_j)^2 / (2 sigma c_j),
-#   s(mu) = clip(s0 - sigma c A^T mu + c t, 0, c),
-# with gradient A s(mu) - b - mu.  The sum multiplier t is eliminated exactly
-# at every evaluation by shift_clip, so only m <= 5 unknowns remain.
-# Semismooth Newton ascends psi with the generalized Hessian
-#   I + sigma (A_F diag(c_F) A_F^T - v v^T / sum(c_F)),  v = A_F c_F,
-# over the groups F strictly inside their box: the Schur complement of the
-# sum row.  Steps backtrack from 1 by halving until Armijo's condition holds
-# on psi, or, once the rise of psi is lost in its rounding error, until the
-# approximate Armijo condition of Hager and Zhang (SIAM J. Optim. 2005) holds
-# on the slope of psi along the step.  A subproblem counts as solved when its
-# dual gradient fell by _INNER_RTOL; the centre then moves to s(mu) and sigma
-# grows tenfold, up to _SIGMA_CAP / ||A diag(c) A^T||.  Past that cap s(mu)
-# amplifies the rounding error of mu so far that the iteration stalls.
-#
-# Every s(mu) is feasible, so the Frank-Wolfe gap G = g.s - min_S g.s' with
-# g = A^T (A s - b) bounds f(s) - f* at each iteration.  The linear minimum
-# fills the smallest scores g_j up to capacity c_j until the sum reaches n.
-# Since f(s) - f* >= 1/2 ||A s - A s*||^2, the reported gap
-# sqrt(2 G) / max(1, ||b||) bounds the distance of A s from the unique
-# optimal fit A s*, relative to b; the loop stops once it is at most tol.
+# Wolfe's minimum-norm-point algorithm (Math. Programming 1976) finds the
+# point of P = {A s - b : s in S} nearest the origin.  It keeps a corral of
+# atoms A v_i - b, v_i in S, with convex weights lam_i; the current point is
+# s = sum_i lam_i v_i and x = A s - b.  A major cycle asks the linear oracle
+# for the v in S that minimizes h.v, h = A^T x: a stable sort of h, then each
+# group filled up to its cap c_j in that order until the sum reaches n.  Its
+# Frank-Wolfe gap G = h.s - h.v bounds f(s) - f*, and f(s) - f* >=
+# 1/2 ||A s - A s*||^2, so the reported gap sqrt(2 G) / max(1, ||b||) bounds
+# the distance of A s from the unique optimal fit A s*, relative to b; the
+# loop stops once it is at most tol.  Otherwise A v - b joins the corral, and
+# minor cycles follow: the corral's affine hull has a point of least norm,
+# found by one least-squares solve in the differences of the atoms (at most
+# m + 1 of them in R^m).  If all its weights are positive it becomes the new
+# point; if not, the point moves toward it until a weight reaches zero, that
+# atom leaves, and the minor cycle repeats.  In exact arithmetic each major
+# cycle lowers ||x||, the corral stays affinely independent and the new atom
+# keeps a positive weight.  Rounding can break the last two near the optimum;
+# the least-squares solve then takes the minimum-norm weights of a dependent
+# corral, and an atom that is already in the corral or whose affine weight is
+# not above _WEIGHT_TOL ends the solve, with the gap of where it stopped.
+# The first atom is the start s0.  A group on which every atom agrees gets
+# that value exactly, not a weighted sum that rounding can leave an ulp
+# inside its bounds, where the lift would have to converge to it.
 # ---------------------------------------------------------------------------
 
-_SIGMA_GROWTH = 10.0
-_SIGMA_CAP = 1e4
-_INNER_RTOL = 1e-3
-_ARMIJO = 1e-4
-_PSI_ROUNDING = 1e-10  # relative change of psi taken as rounding noise
-_LINE_SEARCH_STEPS = 50
+_WEIGHT_TOL = 1e-12  # convex weights at or below this leave the corral
 
 
 def _relative_gap(A, b, counts, s, target, scale):
-    """sqrt(2 G) / scale for the Frank-Wolfe gap G of 1/2 ||A s - b||^2 at s."""
+    """The linear oracle at s: ``(sqrt(2 G) / scale, v)`` for the fill v
+    minimizing g.v over S, g = A^T (A s - b), and the Frank-Wolfe gap G."""
     g = A.T @ (A @ s - b)
     order = np.argsort(g, kind="stable")
     cap = counts[order]
-    fill = np.clip(target - (np.cumsum(cap) - cap), 0.0, cap)
-    gap = float(g @ s - g[order] @ fill)
-    return math.sqrt(2.0 * max(gap, 0.0)) / scale
+    v = np.empty_like(s)
+    v[order] = np.clip(target - (np.cumsum(cap) - cap), 0.0, cap)
+    gap = float(g @ s - g @ v)
+    return math.sqrt(2.0 * max(gap, 0.0)) / scale, v
+
+
+def _affine_weights(Q):
+    """Weights summing to 1 of the least-norm point in the hull of Q's columns."""
+    if Q.shape[1] == 1:
+        return np.ones(1)
+    beta = np.linalg.lstsq(Q[:, 1:] - Q[:, :1], -Q[:, 0], rcond=None)[0]
+    return np.concatenate(([1.0 - beta.sum()], beta))
 
 
 def pgd(A, b, counts, s0, target, tol, max_iters):
     """Exact capped least squares over grouped columns (see the block above).
 
-    Returns ``(s, iters, gap, converged)``: the group sums, the Newton
-    iterations run (each one checks the gap first, so an optimal start
-    reports 1), the certified relative gap at ``s`` and whether it is at most
-    ``tol``.  The kernel keeps the name of the projected-gradient loop it
-    replaced because the benchmark's tracer patches ``backends.pgd`` by name;
-    it moves once that tracer reads a run record instead (ROADMAP item 1).
+    Returns ``(s, iters, gap, converged)``: the group sums, the major cycles
+    run (each one checks the gap first, so an optimal start reports 1), the
+    certified relative gap at ``s`` and whether it is at most ``tol``.  The
+    kernel keeps the name of the projected-gradient loop it replaced because
+    the benchmark's tracer patches ``backends.pgd`` by name; it moves once
+    that tracer reads a run record instead (ROADMAP item 1).
     """
     A = np.ascontiguousarray(A, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
     c = np.ascontiguousarray(counts, dtype=np.float64)
     target, tol = float(target), float(tol)
     scale = max(1.0, float(np.linalg.norm(b)))
-    top = float(np.linalg.eigvalsh((A * c) @ A.T)[-1]) if A.shape[0] else 0.0
-    top = top if top > 0.0 else 1.0
-    sigma = 1.0 / top
-    centre = np.ascontiguousarray(s0, dtype=np.float64)
-    eye = np.eye(A.shape[0])
-
-    def dual(mu, t):
-        """s(mu), its shift, the gradient of psi at mu and psi(mu)."""
-        s, t = shift_clip(centre - sigma * c * (A.T @ mu), target, c, t=t)
-        grad = A @ s - b - mu
-        value = 0.5 * (mu @ mu) + mu @ grad + float(((s - centre) ** 2 / c).sum()) / (2.0 * sigma)
-        return s, t, grad, value
-
-    mu = A @ centre - b
-    s, t, grad, value = dual(mu, None)
-    start = np.linalg.norm(grad)
+    s = np.array(s0, dtype=np.float64)
+    V, Q, lam = s[None], (A @ s - b)[:, None], np.ones(1)  # atoms, images, weights
     for it in range(1, int(max_iters) + 1):
-        gap = _relative_gap(A, b, c, s, target, scale)
+        gap, v = _relative_gap(A, b, c, s, target, scale)
         if gap <= tol:
             return s, it, gap, True
-        if np.linalg.norm(grad) <= _INNER_RTOL * start:
-            centre, sigma = s, min(sigma * _SIGMA_GROWTH, _SIGMA_CAP / top)
-            s, t, grad, value = dual(mu, t)
-            start = np.linalg.norm(grad)
-        free = (s > 0.0) & (s < c)
-        A_free, c_free = A[:, free], c[free]
-        hess = eye.copy()
-        if c_free.size:
-            v = A_free @ c_free
-            hess += sigma * ((A_free * c_free) @ A_free.T - np.outer(v, v) / c_free.sum())
-        step = np.linalg.solve(hess, grad)
-        slope = float(grad @ step)
-        alpha = 1.0
-        for _ in range(_LINE_SEARCH_STEPS):
-            mu_next = mu + alpha * step
-            s_next, t_next, grad_next, value_next = dual(mu_next, t)
-            rise = value_next - value
-            if rise >= _ARMIJO * alpha * slope or (
-                    rise >= -_PSI_ROUNDING * abs(value)
-                    and grad_next @ step >= (2.0 * _ARMIJO - 1.0) * slope):
-                break
-            alpha *= 0.5
-        mu, s, t, grad, value = mu_next, s_next, t_next, grad_next, value_next
-    return s, int(max_iters), _relative_gap(A, b, c, s, target, scale), False
+        if (V == v).all(axis=1).any():
+            return s, it, gap, False
+        V, Q, lam = np.vstack([V, v]), np.column_stack([Q, A @ v - b]), np.append(lam, 0.0)
+        a = _affine_weights(Q)
+        if a[-1] <= _WEIGHT_TOL:
+            return s, it, gap, False
+        while a.min() <= _WEIGHT_TOL:
+            falls = a < lam  # step from lam toward a until a weight reaches 0
+            theta = min(1.0, float(np.min(lam[falls] / (lam[falls] - a[falls]), initial=1.0)))
+            lam = lam + theta * (a - lam)
+            keep = lam > _WEIGHT_TOL
+            V, Q, lam = V[keep], Q[:, keep], lam[keep] / lam[keep].sum()
+            a = _affine_weights(Q)
+        lam = a
+        s = lam @ V
+        agree = (V == V[0]).all(axis=0)
+        s[agree] = V[0, agree]
+        np.clip(s, 0.0, c, out=s)
+    gap = _relative_gap(A, b, c, s, target, scale)[0]
+    return s, int(max_iters), gap, gap <= tol

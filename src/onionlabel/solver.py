@@ -11,10 +11,11 @@ separating hyperplane of the last outside probe; the answer is the one a walk
 over every grid index gives.  The
 soft labels solve ``min ||A y - b||_2`` over {y in [0, 1]^(nk) : sum(y) = n}
 exactly.  The objective depends on y only through the label sums of identical
-columns, so the solve runs over the distinct columns (``backends.pgd``: proximal point
-with semismooth Newton, stopped by a certified duality gap), and the optimal
-sums are then spread over a seeded uniform start projected onto that set.  The
-cloud's column groups (``ColumnCloud.groups``) serve both the hull and the solve.
+columns, so the solve runs over the distinct columns (``backends.pgd``:
+Wolfe's minimum-norm point in the image of the label sums, stopped by a
+certified duality gap), and the optimal sums are then spread over a seeded
+uniform start projected onto that set.  The cloud's column groups
+(``ColumnCloud.groups``) serve both the hull and the solve.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class SolverConfig:
 
     ``alpha`` is the annealing step of eps, at least the smallest normal
     float.  ``chunks`` is the number of signals left after ``reduce_signals``.
-    ``max_iters`` is the budget of Newton iterations of the label solve and
+    ``max_iters`` is the budget of major cycles of the label solve and
     ``conv_tol`` the certified relative duality gap at which it stops (see
     ``SyntheticLabel.gap``).  All randomness flows from ``seed``.
     """
@@ -313,7 +314,8 @@ def solve_labels(a_aug: np.ndarray, b_aug: np.ndarray, cfg: SolverConfig | None 
     when supplied) projected onto the feasible set, by one shift per group.
     The answer is therefore exactly feasible, optimal up to the reported gap,
     and depends on the seed where the optimum is not unique.  ``converged`` is
-    False when ``max_iters`` Newton iterations end above ``conv_tol``.  The
+    False when the solve ends above ``conv_tol``: its ``max_iters`` major
+    cycles ran out, or rounding stopped its progress first.  The
     reported residuals exclude the sum row; ``initial_residual`` is taken at
     the projected start.  ``run_oua`` solves the same problem on its cloud
     without building the augmented system.
@@ -327,7 +329,7 @@ def solve_labels(a_aug: np.ndarray, b_aug: np.ndarray, cfg: SolverConfig | None 
         raise ValueError("sum row of the augmented system must be a positive "
                          f"integer n with n | nk, got {n!r}")
     for name, arr in (("a_aug", a_aug), ("b_aug", b_aug), ("y0", y0)):
-        # a NaN would run the Newton loop to its iteration budget
+        # a NaN would end the solve in a LinAlgError from its least-squares step
         if arr is not None and not np.isfinite(arr).all():
             raise ValueError(f"{name} must be finite")
     A = a_aug[:-1]
@@ -357,8 +359,8 @@ def _solve(A: np.ndarray, b: np.ndarray, n: int, groups, cfg: SolverConfig,
         cfg.conv_tol, cfg.max_iters,
     )
     if not converged:
-        log.warning("solver stopped after its budget of %d Newton iterations with "
-                    "gap %.3g above conv_tol %.3g", cfg.max_iters, gap, cfg.conv_tol)
+        log.warning("solver stopped after %d major cycles with gap %.3g above "
+                    "conv_tol %.3g", iters, gap, cfg.conv_tol)
     y, _ = backends.shift_clip(y_start, sums, groups=group)
     return SyntheticLabel(
         soft=y,

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,14 @@ from onionlabel import backends
 from onionlabel.backends import phase1_simplex, shift_clip
 from onionlabel.hull import build_A, hull_decompose
 from onionlabel.signals import reduce_signals
-from onionlabel.solver import SolverConfig, anneal_b, augment_system, solve_labels
+from onionlabel.solver import (
+    SolverConfig,
+    anneal_b,
+    augment_system,
+    init_b,
+    run_oua,
+    solve_labels,
+)
 from onionlabel.synth import SynthSpec, generate_instance
 
 
@@ -19,16 +29,16 @@ from onionlabel.synth import SynthSpec, generate_instance
 # independent references
 
 
-def _bisection_projection(z, target, steps=100, weights=1.0, caps=1.0):
-    """clip(z + weights * t, 0, caps) summing to target, by plain bisection on t."""
-    lo, hi = float(np.min(-z / weights)), float(np.max((caps - z) / weights))
+def _bisection_projection(z, target, steps=100):
+    """clip(z + t, 0, 1) summing to target, by plain bisection on t."""
+    lo, hi = float(np.min(-z)), float(np.max(1.0 - z))
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        if np.clip(z + weights * mid, 0.0, caps).sum() < target:
+        if np.clip(z + mid, 0.0, 1.0).sum() < target:
             lo = mid
         else:
             hi = mid
-    return np.clip(z + weights * 0.5 * (lo + hi), 0.0, caps)
+    return np.clip(z + 0.5 * (lo + hi), 0.0, 1.0)
 
 
 def _full_length_gap(A, b, y, n):
@@ -301,11 +311,9 @@ def test_projection_matches_brute_force_in_2d():
 
 @given(seed=st.integers(0, 500))
 @settings(max_examples=50, deadline=None)
-def test_shift_clip_groups_weights_and_caps_match_bisection(seed):
-    # the two cases beyond the plain projection: many groups with unit
-    # weights and caps (the lift), and one group whose weights and caps are
-    # the counts (the label solve's dual).  Targets include the empty and the
-    # full group, which sit at the ends of the bracket.
+def test_shift_clip_groups_match_bisection(seed):
+    # many groups, as in the lift of the label sums.  Targets include the
+    # empty and the full group, which sit at the ends of the bracket.
     rng = np.random.default_rng(seed)
     p = int(rng.integers(2, 40))
     n_groups = int(rng.integers(1, min(p, 6) + 1))
@@ -325,14 +333,36 @@ def test_shift_clip_groups_weights_and_caps_match_bisection(seed):
         want = _bisection_projection(z[at], target[g], 200)
         np.testing.assert_allclose(y[at], want, atol=1e-9, rtol=0)
 
-    counts = rng.integers(1, 5, size=p).astype(float)
-    for target in (0.0, counts.sum(), rng.uniform(0.0, counts.sum())):
-        y, t = shift_clip(z, target, counts)
-        assert t.shape == (1,)
-        assert np.all(y >= 0.0) and np.all(y <= counts)
-        assert abs(y.sum() - target) <= 1e-9
-        want = _bisection_projection(z, target, 200, counts, counts)
-        np.testing.assert_allclose(y, want, atol=1e-9, rtol=0)
+
+def test_shift_clip_finishes_groups_near_their_ends(monkeypatch):
+    # a target just below a full group's size can fall between the sums of
+    # adjacent shifts: the bracket closes while the Newton step stays above
+    # the resolution of t, which ran all 200 steps.  Targets near an empty
+    # group take more steps than the rest, and are iterated on alone
+    rng = np.random.default_rng(1)
+    sizes = rng.integers(20, 64, size=1000)
+    groups = np.repeat(np.arange(sizes.size), sizes)
+    z = rng.uniform(0.0, 1.0, size=groups.size)
+    target = sizes * rng.uniform(0.2, 0.8, size=sizes.size)
+    target[:500] = sizes[:500] - rng.uniform(0.001, 0.05, size=500)
+    target[500:550] = sizes[500:550] * 1e-4
+    clip, steps = np.clip, []
+
+    def counting(*args, **kwargs):
+        steps.append(None)
+        return clip(*args, **kwargs)
+
+    monkeypatch.setattr(np, "clip", counting)
+    y, t = shift_clip(z, target, groups=groups)
+    monkeypatch.undo()
+    assert len(steps) <= 20
+    assert np.all(y >= 0.0) and np.all(y <= 1.0)
+    np.testing.assert_allclose(np.bincount(groups, y), target, atol=1e-9, rtol=0)
+    for g in (0, 499, 500, 549, 999):
+        at = groups == g
+        np.testing.assert_allclose(y[at], _bisection_projection(z[at], target[g], 200),
+                                   atol=1e-9, rtol=0)
+        assert y[at].tobytes() == clip(z[at] + t[g], 0.0, 1.0).tobytes()
 
 
 @given(seed=st.integers(0, 500))
@@ -419,19 +449,105 @@ REGRESSIONS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(REGRESSIONS))
-def test_solve_certifies_regression_instances(name):
-    spec, seed = REGRESSIONS[name]
+def _annealed(spec, cfg):
+    """The planted instance, its cloud and its annealed target under cfg."""
     w, _ = generate_instance(spec)
-    cfg = SolverConfig(seed=seed)
     w5 = reduce_signals(w, cfg.chunks)
     cloud = build_A(w5)
-    tv = anneal_b(w5, cloud, hull_decompose(cloud), cfg)
-    a_aug, b_aug = augment_system(cloud, tv, w.n)
+    return w, cloud, anneal_b(w5, cloud, hull_decompose(cloud), cfg)
+
+
+def _assert_certified(cloud, tv, n, cfg):
+    """Solve on the augmented system; converged, feasible, certified in full."""
+    a_aug, b_aug = augment_system(cloud, tv, n)
     lbl = solve_labels(a_aug, b_aug, cfg, epsilon_used=tv.epsilon)
     assert lbl.converged and lbl.gap <= cfg.conv_tol
     assert lbl.iterations <= 200
     y = lbl.soft
     assert y.min() >= 0.0 and y.max() <= 1.0
-    assert abs(y.sum() - w.n) <= 1e-9 * w.n
-    assert _full_length_gap(cloud.matrix, tv.b, y, w.n) <= cfg.conv_tol
+    assert abs(y.sum() - n) <= 1e-9 * n
+    assert _full_length_gap(cloud.matrix, tv.b, y, n) <= cfg.conv_tol
+
+
+@pytest.mark.parametrize("name", sorted(REGRESSIONS))
+def test_solve_certifies_regression_instances(name):
+    spec, seed = REGRESSIONS[name]
+    cfg = SolverConfig(seed=seed)
+    w, cloud, tv = _annealed(spec, cfg)
+    _assert_certified(cloud, tv, w.n, cfg)
+
+
+def test_solve_finishes_near_the_reachable_boundary():
+    # this target lies about 1e-5 (relative) outside the set the labels can
+    # reach, so the optimal fit sits on a face with many groups at their
+    # bounds.  Proximal-point Newton ran all 20,000 iterations here in 29 s
+    # and stopped with gap 1.11e-6
+    spec = SynthSpec(n=5000, k=3, m=10, signal_accuracy=0.8, abstain_rate=0.3, seed=2)
+    w, _ = generate_instance(spec)
+    cfg = SolverConfig()
+    w5 = reduce_signals(w, cfg.chunks)
+    cloud, tv = build_A(w5), init_b(w5, 0.2253735252)
+    _assert_certified(cloud, tv, w.n, cfg)
+    # a tolerance below what rounding lets the corral reach: the new atom
+    # gets no positive weight, and the solve stops there with its gap
+    lbl = solve_labels(*augment_system(cloud, tv, w.n), SolverConfig(conv_tol=1e-12))
+    assert not lbl.converged and lbl.iterations <= 200
+    assert lbl.gap > 1e-12 and _full_length_gap(cloud.matrix, tv.b, lbl.soft, w.n) > 1e-12
+
+
+# A sample of the solver's robustness family: k in {2, 3, 4}, m in {3, 5, 8},
+# three accuracy/abstain settings and seeds 0-19, with n drawn from [20, 400]
+# by default_rng([k, m, seed]); one seed for each of the 27 combinations.
+ROBUSTNESS = [
+    (k, m, accuracy, abstain, i % 20)
+    for i, (k, m, (accuracy, abstain)) in enumerate(itertools.product(
+        (2, 3, 4), (3, 5, 8), ((0.8, 0.3), (0.65, 0.1), (0.9, 0.5))))
+]
+
+
+@pytest.mark.parametrize("k, m, accuracy, abstain, seed", ROBUSTNESS,
+                         ids=[f"k{k}-m{m}-a{a}-s{s}" for k, m, a, _, s in ROBUSTNESS])
+def test_solve_certifies_robustness_sample(k, m, accuracy, abstain, seed):
+    n = int(np.random.default_rng([k, m, seed]).integers(20, 401))
+    spec = SynthSpec(n=n, k=k, m=m, signal_accuracy=accuracy, abstain_rate=abstain, seed=seed)
+    cfg = SolverConfig()
+    w, cloud, tv = _annealed(spec, cfg)
+    _assert_certified(cloud, tv, w.n, cfg)
+
+
+def test_budget_ending_on_a_certified_point_reports_converged(caplog):
+    # the point the last budgeted cycle leaves is the one the next cycle
+    # would have certified: the stopped solve is the full one, converged and
+    # without a warning
+    cfg = SolverConfig()
+    w, cloud, tv = _annealed(REGRESSIONS["planted-n500-s0"][0], cfg)
+    a_aug, b_aug = augment_system(cloud, tv, w.n)
+    full = solve_labels(a_aug, b_aug, cfg)
+    assert full.converged and full.iterations >= 2
+    with caplog.at_level(logging.WARNING, logger="onionlabel.solver"):
+        cut = solve_labels(a_aug, b_aug, SolverConfig(max_iters=full.iterations - 1))
+    assert cut.iterations == full.iterations - 1
+    assert cut.converged and cut.gap <= cfg.conv_tol
+    assert cut.soft.tobytes() == full.soft.tobytes()
+    assert not [r for r in caplog.records if r.levelname == "WARNING"]
+
+
+def test_solve_returns_exact_group_sums_at_the_bounds(monkeypatch):
+    # a group sum left an ulp inside (0, c) makes the lift converge to it:
+    # on this instance the lift then takes 13 shift_clip steps, not 4
+    sums = []
+    pgd = backends.pgd
+
+    def recording(A, b, counts, *args):
+        out = pgd(A, b, counts, *args)
+        sums.append((out[0], counts))
+        return out
+
+    monkeypatch.setattr(backends, "pgd", recording)
+    spec = SynthSpec(n=20000, k=2, m=5, signal_accuracy=0.8, abstain_rate=0.3, seed=97)
+    w, _ = generate_instance(spec)
+    assert run_oua(w).converged
+    [(s, c)] = sums
+    inside = (s > 0.0) & (s < c)
+    near = (s <= 1e-9 * c) | (s >= c - 1e-9 * c)
+    assert not (inside & near).any()

@@ -154,7 +154,7 @@ def test_label_writes_artifact_and_manifest(synth_files):
     assert 0.0 <= doc["gap"] <= man["config"]["conv_tol"]
 
 
-def test_label_warns_with_gap_when_newton_budget_runs_out(synth_files, caplog):
+def test_label_warns_with_gap_when_solve_budget_runs_out(synth_files, caplog):
     tmp_path, weak_path, _ = synth_files
     cfg = tmp_path / "short.cfg"
     cfg.write_text("max_iters = 1\n")
@@ -168,8 +168,8 @@ def test_label_warns_with_gap_when_newton_budget_runs_out(synth_files, caplog):
     # one event, one line: the solver's warning, not a second copy from the CLI
     warnings = [r for r in caplog.records if r.levelname == "WARNING"]
     assert len(warnings) == 1
-    m = re.fullmatch(r"solver stopped after its budget of 1 Newton iterations with "
-                     r"gap (\S+) above conv_tol 1e-06", warnings[0].getMessage())
+    m = re.fullmatch(r"solver stopped after 1 major cycles with gap (\S+) above "
+                     r"conv_tol 1e-06", warnings[0].getMessage())
     assert m and float(m.group(1)) == pytest.approx(doc["gap"], rel=1e-2)
 
 
