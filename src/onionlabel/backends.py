@@ -15,9 +15,12 @@ Python.
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
+
+log = logging.getLogger("onionlabel.backends")
 
 # ---------------------------------------------------------------------------
 # Phase-1 simplex: feasibility of  E @ lam = f,  lam >= 0,  for a batch of f.
@@ -172,7 +175,9 @@ def shift_clip(z, target, groups=None, t=None):
     gives each entry's group in 0..G-1 (None: one group, whose shift is kept
     as a scalar and whose sums run in index order, as ``bincount``'s do).
     Each target must lie in [0, the group's size].  A starting ``t`` of None,
-    or one outside the bracket, starts from the bracket midpoint.
+    or one outside the bracket, starts from the bracket midpoint.  When
+    ``_SHIFT_MAX_STEPS`` run out first, it logs a WARNING and returns the
+    last iterate.
     """
     if groups is None:
         # the group sums to 0 at lo and to its whole size at hi
@@ -198,6 +203,8 @@ def shift_clip(z, target, groups=None, t=None):
             if gap == 0.0 or abs(step - t) <= res or hi - lo <= res:
                 break
             t = step if lo < step < hi else 0.5 * (lo + hi)
+        else:
+            _warn_unsettled(1, abs(gap))
         return y, np.array([t])
 
     full = np.bincount(groups)
@@ -234,10 +241,17 @@ def shift_clip(z, target, groups=None, t=None):
                 out[at] = y
                 at = at[live]
             z, groups = z[live], groups[live]
+    else:
+        _warn_unsettled(int(np.count_nonzero(~done)), float(np.abs(gap[~done]).max()))
     if out is not None:
         out[at] = y
         y = out
     return y, t
+
+
+def _warn_unsettled(groups: int, error: float):
+    log.warning("shift_clip ran out of its %d steps with %d unsettled group(s), largest "
+                "sum error %.3g", _SHIFT_MAX_STEPS, groups, error)
 
 
 # ---------------------------------------------------------------------------

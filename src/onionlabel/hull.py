@@ -31,6 +31,11 @@ checks each uncertified member c of V against Conv(V without c) and drops
 those inside.  A certified seed would have been admitted by the rounds and
 kept by that check, and every other value meets the rounds and the check as
 before, so the seeds spare rounds and LPs without changing the layers.
+When the certified seeds are all 2^r corners of the values' bounding box (r
+the rows that are not constant), the box is their hull and holds every value,
+so they are exactly the vertices and the pass ends with no LP.  With more
+than one varying row only sign vectors certify corners, so this holds only
+for m <= 9, on saturated clouds such as vote lattices.
 Every tableau and score matrix of this pass is processed in blocks of at
 most ``_BLOCK_FLOATS`` floats, so its memory does not grow with the square
 of the number of distinct values.
@@ -52,6 +57,7 @@ within a constant factor of the number of columns.
 from __future__ import annotations
 
 import enum
+import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -74,6 +80,8 @@ __all__ = [
 HULL_TOL = 1e-8
 _BLOCK_FLOATS = 1 << 18  # bound on each work array of the vertex pass (2 MB)
 _COMPARE_RANKS = 16  # most values per row ranked by comparisons (measured crossover)
+
+log = logging.getLogger("onionlabel.hull")
 
 
 class PivotBudgetError(RuntimeError):
@@ -299,9 +307,13 @@ def _vertex_pass(distinct: np.ndarray):
     """Directional seeds, then Clarkson rounds over the lexicographically
     sorted distinct columns.
 
-    Returns ``(is_vertex, lps, pivots, rounds, certified)``: which distinct
-    columns are hull vertices, the LPs, pivots and rounds it took, and how
-    many vertices a margin certified without a self-check LP.
+    When the certified seeds are every corner of the distinct columns'
+    bounding box, they are the vertex set and the pass runs no LP.
+
+    Returns ``(is_vertex, lps, pivots, rounds, certified, box)``: which
+    distinct columns are hull vertices, the LPs, pivots and rounds it took,
+    how many vertices a margin certified without a self-check LP, and whether
+    the box certificate settled the pass.
     """
     m, d = distinct.shape
     # Margin certificate.  Let c be the only maximizer of u.x over the cloud
@@ -327,6 +339,19 @@ def _vertex_pass(distinct: np.ndarray):
         scores[rows, top] = -np.inf
         margin = best - scores.max(axis=1)
         certified[top[margin > bound * np.abs(U).sum(axis=1)]] = True
+    # Box certificate.  With low, high the row minima and maxima, a corner
+    # has every coordinate at low_i or high_i.  When all 2^(rows with
+    # low_i < high_i) corners are certified, their hull is the box, which
+    # holds every column: each other column is an exact convex combination
+    # of the corners (multilinear weights), so the rounds would call it
+    # inside, and the certified corners would be admitted and kept.  No other
+    # column can be certified, since every direction's maximum over the box
+    # is attained at a corner, so the certified set is the vertex set, found
+    # with no LP.
+    low, high = distinct.min(axis=1), distinct.max(axis=1)
+    corner = ((distinct == low[:, None]) | (distinct == high[:, None])).all(axis=0)
+    if np.count_nonzero(certified & corner) == 2 ** np.count_nonzero(low < high):
+        return certified, 0, 0, 0, int(certified.sum()), True
     is_vertex = certified.copy()
     is_vertex[-1] = True  # the lexicographic maximum is a vertex
     pending = np.flatnonzero(~is_vertex)
@@ -349,7 +374,7 @@ def _vertex_pass(distinct: np.ndarray):
         inside, _, piv = _membership(V, V[:, check], drop=check)
         lps, pivots = lps + check.size, pivots + piv
         is_vertex[verts[check[inside]]] = False
-    return is_vertex, lps, pivots, rounds, int(certified.sum())
+    return is_vertex, lps, pivots, rounds, int(certified.sum()), False
 
 
 def extreme_points(cloud: ColumnCloud) -> np.ndarray:
@@ -365,8 +390,11 @@ def extreme_points(cloud: ColumnCloud) -> np.ndarray:
 def hull_decompose(cloud: ColumnCloud) -> HullDecomposition:
     """Split columns into hull vertices (h1) and the interior rest (h2)."""
     distinct, first_idx, _ = cloud.groups
-    is_vertex, lps, pivots, rounds, certified = _vertex_pass(distinct)
+    is_vertex, lps, pivots, rounds, certified, box = _vertex_pass(distinct)
     h1 = np.sort(first_idx[is_vertex])
+    log.debug("vertex pass: %d of %d distinct columns are vertices, %d certified, "
+              "%d LPs in %d rounds, box certificate %s", h1.size, distinct.shape[1],
+              certified, lps, rounds, "settled it" if box else "did not hold")
     rest = np.ones(cloud.n_points, dtype=bool)
     rest[h1] = False
     h2 = np.flatnonzero(rest).astype(np.int64, copy=False)

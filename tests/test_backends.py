@@ -383,6 +383,34 @@ def test_shift_clip_one_group_is_the_grouped_path(seed):
             assert got[1].tobytes() == want[1].tobytes()
 
 
+def test_shift_clip_warns_when_its_steps_run_out(monkeypatch, caplog):
+    # one step settles neither a single group nor any of three groups from
+    # the bracket midpoint; the last iterate comes back with a WARNING
+    rng = np.random.default_rng(3)
+    z = rng.uniform(-1.0, 2.0, size=30)
+    groups = np.arange(30) % 3
+    with caplog.at_level(logging.WARNING, logger="onionlabel.backends"):
+        shift_clip(z, 11.3)
+        shift_clip(z, [3.3, 4.4, 5.5], groups=groups)
+    assert not caplog.records
+    monkeypatch.setattr(backends, "_SHIFT_MAX_STEPS", 1)
+    with caplog.at_level(logging.WARNING, logger="onionlabel.backends"):
+        y, _ = shift_clip(z, 11.3)
+        shift_clip(z, [3.3, 4.4, 5.5], groups=groups)
+    messages = [r.getMessage() for r in caplog.records]
+    assert [r.levelname for r in caplog.records] == ["WARNING"] * 2
+    assert "1 unsettled group(s)" in messages[0] and "3 unsettled group(s)" in messages[1]
+    assert f"{abs(11.3 - y.sum()):.3g}" in messages[0]
+
+
+def test_run_oua_lifts_without_a_shift_clip_warning(caplog):
+    spec = SynthSpec(n=500, k=3, m=10, signal_accuracy=0.8, abstain_rate=0.3, seed=0)
+    w, _ = generate_instance(spec)
+    with caplog.at_level(logging.WARNING, logger="onionlabel.backends"):
+        assert run_oua(w).converged
+    assert not caplog.records
+
+
 # ---------------------------------------------------------------------------
 # exact label solve, against the projected-gradient loop it replaced
 

@@ -175,9 +175,11 @@ def test_vertex_pass_raises_when_one_lp_in_a_batch_runs_out(monkeypatch):
         return lam, pivots, status, duals
 
     monkeypatch.setattr(hull, "phase1_batch", one_exhausted)
-    square = cloud_of([0, 0], [2, 0], [0, 2], [2, 2], [1, 1], [0.5, 1.5])
+    # the square's corner (2, 2) is missing, so the box certificate does not
+    # hold and the first round tests (1, 1) and (0.5, 1.5) in one batch
+    cloud = cloud_of([0, 0], [2, 0], [0, 2], [1, 1], [0.5, 1.5])
     with pytest.raises(PivotBudgetError, match="pivot budget"):
-        hull_decompose(square)
+        hull_decompose(cloud)
     assert sizes[-1] > 1
 
 
@@ -400,13 +402,61 @@ def test_vertex_pass_matches_all_pairs_on_planted_n500(k, seed):
 @pytest.mark.parametrize("seed", [10, 97])
 def test_vertex_pass_matches_all_pairs_on_saturated_lattice(seed):
     # the benchmark's m=5 cloud: all 243 lattice points, 32 of them vertices.
-    # The 42 seed directions find every vertex, each by a clear margin, so
-    # one round tests the 211 others and no vertex needs a self-check LP
+    # The 42 seed directions find every vertex, each by a clear margin, and
+    # the 32 are every corner of the bounding box, so the box certificate
+    # settles the pass: no round, no LP
     spec = SynthSpec(n=5000, k=2, m=5, signal_accuracy=0.8, abstain_rate=0.3, seed=seed)
     w, _ = generate_instance(spec)
     decomp = _assert_matches_all_pairs(build_A(reduce_signals(w, 5)))
     assert decomp.h1.size + decomp.interior_columns.shape[1] == 243
-    assert (decomp.vertex_rounds, decomp.vertex_lps, decomp.vertex_certified) == (1, 211, 32)
+    assert (decomp.vertex_rounds, decomp.vertex_lps, decomp.vertex_certified) == (0, 0, 32)
+
+
+def _lattice(values, m):
+    """Every point of values^m, as an (m, len(values)^m) matrix."""
+    return np.array(np.meshgrid(*[values] * m, indexing="ij"), dtype=np.float64).reshape(m, -1)
+
+
+@pytest.mark.parametrize("matrix", [
+    *(_lattice([0.0, 1.0, 2.0], m) for m in (1, 2, 3, 4)),
+    _lattice([0.0, 0.5, 1.0, 1.5, 2.0], 3),  # the half-step lattice
+    # a constant row: the box is flat, with 2^(m - 1) = 8 corners
+    np.insert(_lattice([0.0, 1.0, 2.0], 3), 1, 1.0, axis=0),
+], ids=["m1", "m2", "m3", "m4", "half-step", "constant-row"])
+def test_box_certificate_settles_full_lattices(matrix):
+    decomp = _assert_matches_all_pairs(ColumnCloud(matrix))
+    corners = 2 ** int(np.count_nonzero(np.ptp(matrix, axis=1)))
+    assert decomp.h1.size == decomp.vertex_certified == corners
+    assert (decomp.vertex_rounds, decomp.vertex_lps, decomp.vertex_pivots) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_box_certificate_needs_every_corner_certified(m):
+    lattice = _lattice([0.0, 1.0, 2.0], m)
+    # the corner (2, ..., 2) removed: its neighbours become vertices
+    decomp = _assert_matches_all_pairs(ColumnCloud(lattice[:, :-1]))
+    assert decomp.vertex_lps > 0 and decomp.h1.size == 2**m + m - 1
+    # a copy of the origin moved 1e-10 along e_1 takes the origin's margin
+    # below the certificate's bound, so the rounds decide both
+    near = np.zeros((m, 1))
+    near[0] = 1e-10
+    decomp = _assert_matches_all_pairs(ColumnCloud(np.hstack([lattice, near])))
+    assert decomp.vertex_lps > 0 and decomp.vertex_certified == 2**m - 1
+    assert decomp.h1.size == 2**m
+
+
+def test_box_certificate_settles_planted_n300k():
+    # at n=300k, k=2 the reduced cloud holds every lattice point: its 32
+    # vertices are the columns whose coordinates are all row extremes
+    matrix = _planted_cloud(300000, 2, 10, seed=0)
+    cloud = ColumnCloud(matrix)
+    distinct, first_idx, _ = cloud.groups
+    corner = ((distinct == distinct.min(axis=1, keepdims=True))
+              | (distinct == distinct.max(axis=1, keepdims=True))).all(axis=0)
+    decomp = hull_decompose(cloud)
+    assert decomp.h1.tolist() == np.sort(first_idx[corner]).tolist()
+    assert decomp.h1.size == 32 and decomp.vertex_lps == 0
+    assert decomp.interior_columns.tobytes() == distinct[:, ~corner].tobytes()
 
 
 def test_vertex_pass_seeds_only_axes_above_the_distinct_count(monkeypatch):
@@ -479,14 +529,21 @@ def test_near_duplicate_corner_stays_a_vertex():
 @st.composite
 def degenerate_clouds(draw):
     """Small clouds with the degeneracies of vote lattices."""
-    kind = draw(st.sampled_from(["lattice", "near-tie", "collinear", "coplanar"]))
+    kind = draw(st.sampled_from(["lattice", "near-tie", "box", "collinear", "coplanar"]))
     dim = draw(st.integers(1, 4))
     p = draw(st.integers(1, 12))
-    if kind in ("lattice", "near-tie"):
+    if kind in ("lattice", "near-tie", "box"):
         # a subset of the half-step lattice in [0, 2]^dim
         cells = st.integers(0, 4).map(lambda v: v * 0.5)
         cols = [draw(st.lists(cells, min_size=dim, max_size=dim)) for _ in range(p)]
         matrix = np.array(cols, dtype=np.float64).T
+        if kind == "box":
+            # every corner of the points' bounding box joins them, so the box
+            # certificate can settle the pass
+            lo, hi = matrix.min(axis=1), matrix.max(axis=1)
+            bits = _lattice([0, 1], dim).astype(bool)
+            matrix = np.hstack([matrix, np.where(bits, hi[:, None], lo[:, None])])
+            p = matrix.shape[1]
         if kind == "near-tie":
             # distinct lattice points whose inner coordinates move by +-1e-12
             # ... 1e-6, so that seed margins fall on both sides of the
