@@ -1,4 +1,4 @@
-"""Numeric kernels: the phase-1 simplex, shift-and-clip and the label solve.
+"""Numeric kernels: the phase-1 simplex, the label solve and the label spread.
 
 The phase-1 simplex decides convex-combination feasibility (hull membership
 and vertex tests).  It enters the column with the most negative reduced cost
@@ -7,20 +7,17 @@ during long runs of degenerate pivots, so it cannot cycle.  The label solve
 minimizes 1/2 ||A s - b||^2 over the label sums s of the distinct columns of
 A, exactly: Wolfe's minimum-norm point in the image A s - b, whose linear
 oracle is a sort-and-fill of the scores, stopped by a certified Frank-Wolfe
-duality gap.  One shift-and-clip routine projects onto capped simplices: the
-seeded start, and the lift of the group sums back to one label per column.
-All three are plain numpy; only the pivot, major-cycle and shift loops run in
-Python.
+duality gap.  A closed-form spread scales a group's labels toward 0 or 1 to
+meet a new sum: it gives the seeded start and lifts the group sums back to
+one label per column.  All three are plain numpy; only the pivot and
+major-cycle loops run in Python.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
-
-log = logging.getLogger("onionlabel.backends")
 
 # ---------------------------------------------------------------------------
 # Phase-1 simplex: feasibility of  E @ lam = f,  lam >= 0,  for a batch of f.
@@ -143,115 +140,30 @@ def phase1_simplex(E, f):
 
 
 # ---------------------------------------------------------------------------
-# Shift-and-clip: y = clip(z + t_g, 0, 1) with the sum over every group g equal
-# to its target.  A group sum s_g(t) is continuous, nondecreasing and
-# piecewise linear in t_g, with slope equal to the number of entries strictly
-# inside (0, 1).  A Newton step t += (target - s(t)) / slope therefore lands
-# on the feasible shift as soon as the free set is right.  Every group keeps a
-# bracket [lo, hi] with s(lo) <= target <= s(hi); a step that leaves the
-# bracket, or one taken with no free entry, is replaced by bisection.  A group
-# stops when its sum is exact, or its next step or its bracket is below the
-# resolution of t: near a full group the rounding of the sum can exceed what
-# one step of t moves it, so the bracket closes on adjacent floats while the
-# step stays above the resolution.  Targets of 0 and of a group's whole size
-# are met at the bracket ends, so those groups start there.  The callers need
-# two cases: one group (the seeded start) and many groups (the lift of the
-# label sums).  A single group runs the same steps on a scalar shift with no
-# group array, summing in index order as bincount does, so both paths give
-# the same bits.  Many groups drop the entries of settled groups once those
-# of the unsettled ones are few; each sum still runs over the same entries in
-# the same order, so the bits do not change.
+# Spreading a sum over a group: the labels z in [0, 1] of a group of c columns
+# sum to s0, and the group must sum to s in [0, c] instead.  Scaling toward 0,
+#   y = z s / s0                      for s <= s0,
+# or toward 1,
+#   y = 1 - (1 - z) (c - s) / (c - s0)  for s > s0,
+# meets the target in one pass and keeps y in [0, 1].  Either map is affine in
+# z, y = a + r z with 0 <= r <= 1, so maps compose: the seeded start (one group
+# of all nk labels, target n) and the lift of the optimal sums (one map per
+# group) fold into one pass over the labels.  A target of 0 or of c gives
+# r = 0 and labels of exactly 0 or 1, also from a start sum of 0 or c.
 # ---------------------------------------------------------------------------
 
-_SHIFT_MAX_STEPS = 200  # Newton steps plus bisection fallbacks, a safeguard only
-_T_RESOLUTION = 4.0 * np.finfo(np.float64).eps
 
+def spread(s0, s, c):
+    """The maps ``y = a + r z`` that take groups of c labels from sum s0 to s.
 
-def shift_clip(z, target, groups=None, t=None):
-    """Return ``(y, t)`` with ``y = clip(z + t[groups], 0, 1)``.
-
-    ``t`` holds one shift per group, chosen so that each group of ``y`` sums
-    to its entry of ``target`` (a scalar for a single group).  ``groups``
-    gives each entry's group in 0..G-1 (None: one group, whose shift is kept
-    as a scalar and whose sums run in index order, as ``bincount``'s do).
-    Each target must lie in [0, the group's size].  A starting ``t`` of None,
-    or one outside the bracket, starts from the bracket midpoint.  When
-    ``_SHIFT_MAX_STEPS`` run out first, it logs a WARNING and returns the
-    last iterate.
+    Returns ``(a, r)``, broadcast over the arguments; see the block above.
     """
-    if groups is None:
-        # the group sums to 0 at lo and to its whole size at hi
-        lo, hi = -float(np.max(z)), float(np.max(1.0 - z))
-        target = np.asarray(target, dtype=np.float64).item()
-        t = math.nan if t is None else np.asarray(t, dtype=np.float64).item()
-        if not lo < t < hi:
-            t = 0.5 * (lo + hi)
-        if target <= 0.0:
-            t = lo
-        elif target >= z.size:
-            t = hi
-        for _ in range(_SHIFT_MAX_STEPS):
-            y = np.clip(z + t, 0.0, 1.0)
-            gap = target - float(np.cumsum(y)[-1])
-            if gap > 0.0:
-                lo = t
-            elif gap < 0.0:
-                hi = t
-            slope = float(np.count_nonzero((y > 0.0) & (y < 1.0)))
-            step = t + gap / slope if slope > 0.0 else 0.5 * (lo + hi)
-            res = _T_RESOLUTION * max(1.0, abs(t))
-            if gap == 0.0 or abs(step - t) <= res or hi - lo <= res:
-                break
-            t = step if lo < step < hi else 0.5 * (lo + hi)
-        else:
-            _warn_unsettled(1, abs(gap))
-        return y, np.array([t])
-
-    full = np.bincount(groups)
-    n_groups = full.size
-    target = np.broadcast_to(np.asarray(target, dtype=np.float64), (n_groups,))
-    lo, hi = np.full(n_groups, -float(np.max(z))), np.full(n_groups, float(np.max(1.0 - z)))
-    t = np.full(n_groups, np.nan if t is None else t, dtype=np.float64)
-    t = np.where((lo < t) & (t < hi), t, 0.5 * (lo + hi))
-    t = np.where(target <= 0.0, lo, np.where(target >= full, hi, t))
-    done = np.zeros(n_groups, dtype=bool)
-    out = at = None  # the whole y, and the indices in it of the entries iterated
-    for _ in range(_SHIFT_MAX_STEPS):
-        y = np.clip(z + t[groups], 0.0, 1.0)
-        gap = target - np.bincount(groups, y, n_groups)
-        lo = np.where(gap > 0.0, t, lo)
-        hi = np.where(gap < 0.0, t, hi)
-        slope = np.bincount(groups, (y > 0.0) & (y < 1.0), n_groups)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(slope > 0.0, t + gap / slope, 0.5 * (lo + hi))
-        res = _T_RESOLUTION * np.maximum(1.0, np.abs(t))
-        done |= (gap == 0.0) | (np.abs(step - t) <= res) | (hi - lo <= res)
-        if done.all():
-            break
-        step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
-        t = np.where(done, t, step)
-        # targets near an end of a group's range take more steps than the
-        # rest; dropping the settled entries costs about one step, so it
-        # waits until the unsettled ones are under an eighth
-        if 8 * int(full[~done].sum()) < groups.size:
-            live = np.flatnonzero(~done[groups])
-            if out is None:
-                out, at = y, live
-            else:
-                out[at] = y
-                at = at[live]
-            z, groups = z[live], groups[live]
-    else:
-        _warn_unsettled(int(np.count_nonzero(~done)), float(np.abs(gap[~done]).max()))
-    if out is not None:
-        out[at] = y
-        y = out
-    return y, t
-
-
-def _warn_unsettled(groups: int, error: float):
-    log.warning("shift_clip ran out of its %d steps with %d unsettled group(s), largest "
-                "sum error %.3g", _SHIFT_MAX_STEPS, groups, error)
+    s0, s, c = (np.asarray(v, dtype=np.float64) for v in (s0, s, c))
+    at_end = (s <= 0.0) | (s >= c)
+    up = (s > s0) | (s >= c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(at_end, 0.0, np.where(up, (c - s) / (c - s0), s / s0))
+    return np.where(up, 1.0 - r, 0.0), r
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +193,8 @@ def _warn_unsettled(groups: int, error: float):
 # not above _WEIGHT_TOL ends the solve, with the gap of where it stopped.
 # The first atom is the start s0.  A group on which every atom agrees gets
 # that value exactly, not a weighted sum that rounding can leave an ulp
-# inside its bounds, where the lift would have to converge to it.
+# inside its bounds, which the lift would spread into labels an ulp off 0 or
+# 1 that decode ties between classes the other way.
 # ---------------------------------------------------------------------------
 
 _WEIGHT_TOL = 1e-12  # convex weights at or below this leave the corral

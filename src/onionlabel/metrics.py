@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import LabelVector, WeakSignalMatrix
-from .solver import epsilon_upper_bound
+from .solver import _block_argmax, epsilon_upper_bound
 
 __all__ = [
     "EvalReport",
@@ -43,7 +43,7 @@ def _class_tallies(w: WeakSignalMatrix) -> np.ndarray:
 
 def _decode_votes(scores: np.ndarray, w: WeakSignalMatrix, seed: int) -> LabelVector:
     """Per-point argmax of (k, n) class scores; seeded random class where all abstain."""
-    hard = scores.argmax(axis=0) + 1
+    hard = _block_argmax(scores)
     all_abstain = w.abstain.reshape(w.m, w.k, w.n).all(axis=(0, 1))
     if all_abstain.any():
         rng = np.random.default_rng(seed)

@@ -13,9 +13,11 @@ soft labels solve ``min ||A y - b||_2`` over {y in [0, 1]^(nk) : sum(y) = n}
 exactly.  The objective depends on y only through the label sums of identical
 columns, so the solve runs over the distinct columns (``backends.pgd``:
 Wolfe's minimum-norm point in the image of the label sums, stopped by a
-certified duality gap), and the optimal sums are then spread over a seeded
-uniform start projected onto that set.  The cloud's column groups
-(``ColumnCloud.groups``) serve both the hull and the solve.
+certified duality gap).  The start and the lift are closed forms on the group
+sums: a seeded uniform draw is scaled toward 0 or 1 to sum to n, and each
+group is scaled again from its start sum to its optimal sum, in one pass over
+the labels.  The cloud's column groups (``ColumnCloud.groups``) serve both
+the hull and the solve.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ class SyntheticLabel:
 
     soft: np.ndarray  # (n*k,) in [0, 1]
     hard: np.ndarray  # (n,) classes 1..k
-    residual: float  # ||A y - b||_2 without the sum row
+    residual: float  # ||A y - b||_2 without the sum row, at the solve's label sums
     epsilon_used: float
     converged: bool
     iterations: int
@@ -292,12 +294,25 @@ def augment_system(cloud: ColumnCloud, b: TargetVector, n: int):
     return A_aug, b_aug
 
 
+def _block_argmax(scores: np.ndarray) -> np.ndarray:
+    """Classes 1..k of the column maxima of finite (k, n) scores, ties to the
+    lowest class: ``argmax(axis=0) + 1`` without its copy of the array."""
+    k, n = scores.shape
+    best, hard = scores[0], np.ones(n, dtype=np.int64)
+    for c in range(1, k):
+        np.copyto(hard, c + 1, where=scores[c] > best)
+        if c + 1 < k:
+            best = np.maximum(best, scores[c])
+    return hard
+
+
 def decode_labels(soft: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Per-point argmax over class blocks; ties go to the lowest class."""
+    """Per-point argmax over the class blocks of finite soft labels; ties go
+    to the lowest class."""
     soft = np.asarray(soft, dtype=np.float64)
     if soft.shape != (n * k,):
         raise ValueError(f"soft labels must have length n*k = {n * k}")
-    return soft.reshape(k, n).argmax(axis=0).astype(np.int64) + 1
+    return _block_argmax(soft.reshape(k, n))
 
 
 def solve_labels(a_aug: np.ndarray, b_aug: np.ndarray, cfg: SolverConfig | None = None,
@@ -308,17 +323,21 @@ def solve_labels(a_aug: np.ndarray, b_aug: np.ndarray, cfg: SolverConfig | None 
     Minimizes ||A y - b|| over {y in [0,1]^(nk), sum(y) = n}, where the last
     row of the augmented system is the sum row and its right-hand side is n,
     a positive integer that divides nk; every entry of the system and of
-    ``y0`` must be finite.  Columns of A with equal values are
-    grouped, ``backends.pgd`` finds optimal label sums per group, and each
-    group's sum is then spread over the seeded Uniform(0,1) draw (or ``y0``
-    when supplied) projected onto the feasible set, by one shift per group.
-    The answer is therefore exactly feasible, optimal up to the reported gap,
-    and depends on the seed where the optimum is not unique.  ``converged`` is
-    False when the solve ends above ``conv_tol``: its ``max_iters`` major
-    cycles ran out, or rounding stopped its progress first.  The
-    reported residuals exclude the sum row; ``initial_residual`` is taken at
-    the projected start.  ``run_oua`` solves the same problem on its cloud
-    without building the augmented system.
+    ``y0`` must be finite.  Columns of A with equal values are grouped.  The
+    start is the seeded Uniform(0,1) draw, or ``y0`` clipped to [0, 1] when
+    supplied, scaled toward 0 or toward 1 until it sums to n
+    (``backends.spread``).  ``backends.pgd`` finds optimal label sums per
+    group from the start's, and each group's start labels are scaled again,
+    toward 0 or 1, to its optimal sum; a sum of 0 or of the group's size
+    gives labels of exactly 0 or 1.  The answer is therefore exactly
+    feasible, optimal up to the reported gap, and depends on the seed where
+    the optimal sums admit many spreads.  ``converged`` is False when the
+    solve ends above ``conv_tol``: its ``max_iters`` major cycles ran out, or
+    rounding stopped its progress first.  The reported residuals exclude the
+    sum row and are taken at the group sums: ``initial_residual`` at the
+    start's, ``residual`` at the solve's, so a start the solve certifies as
+    optimal reports both equal.  ``run_oua`` solves the same problem on its
+    cloud without building the augmented system.
     """
     a_aug = np.ascontiguousarray(a_aug, dtype=np.float64)
     b_aug = np.ascontiguousarray(b_aug, dtype=np.float64)
@@ -332,40 +351,48 @@ def solve_labels(a_aug: np.ndarray, b_aug: np.ndarray, cfg: SolverConfig | None 
         # a NaN would end the solve in a LinAlgError from its least-squares step
         if arr is not None and not np.isfinite(arr).all():
             raise ValueError(f"{name} must be finite")
-    A = a_aug[:-1]
-    return _solve(A, b_aug[:-1], int(n), _unique_columns(A), cfg or SolverConfig(),
+    return _solve(b_aug[:-1], int(n), _unique_columns(a_aug[:-1]), cfg or SolverConfig(),
                   y0, epsilon_used)
 
 
-def _solve(A: np.ndarray, b: np.ndarray, n: int, groups, cfg: SolverConfig,
+def _solve(b: np.ndarray, n: int, groups, cfg: SolverConfig,
            y0: np.ndarray | None = None, epsilon_used: float = float("nan"),
            mode: str = "safe_region") -> SyntheticLabel:
-    """``solve_labels`` on A and b without the sum row, with n given and
+    """``solve_labels`` on b without the sum row, with n given and
     ``groups = _unique_columns(A)`` (``ColumnCloud.groups`` for a cloud)."""
-    nk, n = A.shape[1], int(n)  # a numpy n would reach the JSON artifact
+    distinct, _, group = groups
+    nk, n = group.size, int(n)  # a numpy n would reach the JSON artifact
     if y0 is None:
-        y0 = np.random.default_rng(cfg.seed).uniform(0.0, 1.0, size=nk)
+        z = np.random.default_rng(cfg.seed).uniform(0.0, 1.0, size=nk)
     elif np.shape(y0) != (nk,):
         raise ValueError(f"y0 must have length {nk}")
+    else:
+        z = np.clip(np.asarray(y0, dtype=np.float64), 0.0, 1.0)
 
-    # the start: y0 projected onto {y in [0, 1]^nk : sum(y) = n}
-    y_start, _ = backends.shift_clip(np.ascontiguousarray(y0, dtype=np.float64), float(n))
-    initial_residual = float(np.linalg.norm(A @ y_start - b))
-
-    distinct, _, group = groups
+    # the start spreads z to sum n as one group; only its group sums are
+    # formed, clipped because rounding can leave a full group an ulp above c
     counts = np.bincount(group).astype(np.float64)
+    z_sums = np.bincount(group, z, counts.size)
+    a0, r0 = backends.spread(z_sums.sum(), n, nk)
+    start = np.clip(a0 * counts + r0 * z_sums, 0.0, counts)
+    initial_residual = float(np.linalg.norm(distinct @ start - b))
     sums, iters, gap, converged = backends.pgd(
-        distinct, b, counts, np.bincount(group, y_start), float(n),
-        cfg.conv_tol, cfg.max_iters,
+        distinct, b, counts, start, float(n), cfg.conv_tol, cfg.max_iters,
     )
     if not converged:
         log.warning("solver stopped after %d major cycles with gap %.3g above "
                     "conv_tol %.3g", iters, gap, cfg.conv_tol)
-    y, _ = backends.shift_clip(y_start, sums, groups=group)
+    # the lift spreads each group from its start sum to its optimal sum; the
+    # start's map and the group's compose into one pass over z
+    a, r = backends.spread(start, sums, counts)
+    y = np.take(r * r0, group)
+    y *= z
+    y += np.take(a + r * a0, group)
+    np.clip(y, 0.0, 1.0, out=y)
     return SyntheticLabel(
         soft=y,
         hard=decode_labels(y, n, nk // n),
-        residual=float(np.linalg.norm(A @ y - b)),
+        residual=float(np.linalg.norm(distinct @ sums - b)),
         epsilon_used=epsilon_used,
         converged=converged,
         iterations=iters,
@@ -392,4 +419,4 @@ def run_oua(w: WeakSignalMatrix, cfg: SolverConfig | None = None) -> SyntheticLa
     cfg = cfg or SolverConfig()
     w_red, cloud, decomp = prepare(w, cfg)
     tv = anneal_b(w_red, cloud, decomp, cfg)
-    return _solve(cloud.matrix, tv.b, w.n, cloud.groups, cfg, epsilon_used=tv.epsilon)
+    return _solve(tv.b, w.n, cloud.groups, cfg, epsilon_used=tv.epsilon)

@@ -178,8 +178,7 @@ def run_ablation(w: WeakSignalMatrix, cfg: SolverConfig | None = None) -> Synthe
             "b/n cannot enter the inner hull: eps is already at its upper bound"
         )
     log.debug("ablation: INSIDE_H2 at eps=%.6f", tv.epsilon)
-    return _solve(cloud.matrix, tv.b, w.n, cloud.groups, cfg, epsilon_used=tv.epsilon,
-                  mode="ablation")
+    return _solve(tv.b, w.n, cloud.groups, cfg, epsilon_used=tv.epsilon, mode="ablation")
 
 
 def _run_method(method: str, w: WeakSignalMatrix, truth: LabelVector, cfg: SolverConfig):

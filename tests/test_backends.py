@@ -1,4 +1,4 @@
-"""Numeric kernels: phase-1 simplex, shift-and-clip and the exact label solve."""
+"""Numeric kernels: phase-1 simplex, the exact label solve and the label spread."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onionlabel import backends
-from onionlabel.backends import phase1_simplex, shift_clip
+from onionlabel.backends import phase1_simplex, spread
 from onionlabel.hull import build_A, hull_decompose
 from onionlabel.signals import reduce_signals
 from onionlabel.solver import (
@@ -229,189 +229,6 @@ def test_simplex_finds_known_combination():
 
 
 # ---------------------------------------------------------------------------
-# shift-and-clip: capped-simplex projection, weights, caps and groups
-
-
-@given(seed=st.integers(0, 500))
-@settings(max_examples=50, deadline=None)
-def test_projection_matches_bisection_reference(seed):
-    rng = np.random.default_rng(seed)
-    p = int(rng.integers(2, 30))
-    target = float(rng.integers(1, p))  # feasible: 0 < target < p
-    z = rng.uniform(-2.0, 3.0, size=p)
-    y = shift_clip(z, target)[0]
-    np.testing.assert_allclose(y, _bisection_projection(z, target), atol=1e-12, rtol=0)
-    assert y.min() >= 0.0 and y.max() <= 1.0
-    assert abs(y.sum() - target) <= 1e-9 * max(1.0, target)
-
-
-@given(seed=st.integers(0, 500))
-@settings(max_examples=50, deadline=None)
-def test_projection_warm_start_matches_cold_start(seed):
-    # a stale or out-of-bracket starting shift must not change the point
-    rng = np.random.default_rng(seed)
-    p = int(rng.integers(2, 30))
-    target = float(rng.uniform(0.5, p - 0.5))
-    z = rng.uniform(-2.0, 3.0, size=p)
-    cold, t_cold = shift_clip(z, target)
-    for t0 in (t_cold[0] + rng.normal(), t_cold[0], -10.0, 10.0, float("nan")):
-        warm, _ = shift_clip(z, target, t=t0)
-        np.testing.assert_allclose(warm, cold, atol=1e-12, rtol=0)
-
-
-def test_projection_at_breakpoint_without_free_coordinates():
-    # the feasible shift is t = 0.5, where every coordinate sits on a bound
-    z = np.array([0.5, 0.5, -0.5, -0.5])
-    expected = np.array([1.0, 1.0, 0.0, 0.0])
-    for t0 in (None, 0.3, 0.5, 0.9):
-        y, _ = shift_clip(z, 2.0, t=t0)
-        np.testing.assert_allclose(y, expected, atol=1e-15, rtol=0)
-    # from t = 0 no coordinate is free, so the step must fall back to
-    # bisection; the answer is clip(z + 3.5) = [1, 1, 0.5, 0.5]
-    z = np.array([3.0, 3.0, -3.0, -3.0])
-    y, t = shift_clip(z, 3.0, t=0.0)
-    np.testing.assert_allclose(y, [1.0, 1.0, 0.5, 0.5], atol=1e-12, rtol=0)
-    assert t[0] == pytest.approx(3.5, abs=1e-12)
-
-
-@given(seed=st.integers(0, 500))
-@settings(max_examples=50, deadline=None)
-def test_projection_exact_box_and_sum_on_wide_inputs(seed):
-    rng = np.random.default_rng(seed)
-    p = int(rng.integers(2, 30))
-    target = float(rng.integers(1, p))
-    z = rng.uniform(-2.0, 3.0, size=p)
-    y = shift_clip(z, target)[0]
-    assert y.min() >= 0.0 and y.max() <= 1.0
-    assert abs(y.sum() - target) <= 1e-12 * max(1.0, target)
-    # the shift is common to every free coordinate
-    free = (y > 0.0) & (y < 1.0)
-    if free.any():
-        shift = y[free] - z[free]
-        assert np.ptp(shift) <= 1e-12
-
-
-def test_projection_is_idempotent_and_respects_feasible_points():
-    y = np.array([0.25, 0.75, 0.5, 0.5])
-    got = shift_clip(y, 2.0)[0]
-    np.testing.assert_allclose(got, y, atol=1e-12)
-
-
-def test_projection_matches_brute_force_in_2d():
-    # exhaustive check of Euclidean optimality on a fine grid
-    z = np.array([1.7, -0.4])
-    target = 1.0
-    got = shift_clip(z, target)[0]
-    grid = np.linspace(0.0, 1.0, 2001)
-    cand = np.stack([grid, target - grid], axis=1)
-    cand = cand[(cand[:, 1] >= 0.0) & (cand[:, 1] <= 1.0)]
-    best = cand[np.argmin(((cand - z) ** 2).sum(axis=1))]
-    np.testing.assert_allclose(got, best, atol=1e-3)
-
-
-@given(seed=st.integers(0, 500))
-@settings(max_examples=50, deadline=None)
-def test_shift_clip_groups_match_bisection(seed):
-    # many groups, as in the lift of the label sums.  Targets include the
-    # empty and the full group, which sit at the ends of the bracket.
-    rng = np.random.default_rng(seed)
-    p = int(rng.integers(2, 40))
-    n_groups = int(rng.integers(1, min(p, 6) + 1))
-    groups = np.concatenate([np.arange(n_groups), rng.integers(0, n_groups, p - n_groups)])
-    z = rng.uniform(-4.0, 6.0, size=p)
-    full = np.bincount(groups, minlength=n_groups).astype(float)
-    target = rng.uniform(0.0, 1.0, size=n_groups) * full
-    target[rng.random(n_groups) < 0.2] = 0.0
-    picks = rng.random(n_groups) < 0.2
-    target[picks] = full[picks]
-    y, t = shift_clip(z, target, groups=groups)
-    assert t.shape == (n_groups,)
-    assert np.all(y >= 0.0) and np.all(y <= 1.0)
-    np.testing.assert_allclose(np.bincount(groups, y, n_groups), target, atol=1e-9, rtol=0)
-    for g in range(n_groups):
-        at = groups == g
-        want = _bisection_projection(z[at], target[g], 200)
-        np.testing.assert_allclose(y[at], want, atol=1e-9, rtol=0)
-
-
-def test_shift_clip_finishes_groups_near_their_ends(monkeypatch):
-    # a target just below a full group's size can fall between the sums of
-    # adjacent shifts: the bracket closes while the Newton step stays above
-    # the resolution of t, which ran all 200 steps.  Targets near an empty
-    # group take more steps than the rest, and are iterated on alone
-    rng = np.random.default_rng(1)
-    sizes = rng.integers(20, 64, size=1000)
-    groups = np.repeat(np.arange(sizes.size), sizes)
-    z = rng.uniform(0.0, 1.0, size=groups.size)
-    target = sizes * rng.uniform(0.2, 0.8, size=sizes.size)
-    target[:500] = sizes[:500] - rng.uniform(0.001, 0.05, size=500)
-    target[500:550] = sizes[500:550] * 1e-4
-    clip, steps = np.clip, []
-
-    def counting(*args, **kwargs):
-        steps.append(None)
-        return clip(*args, **kwargs)
-
-    monkeypatch.setattr(np, "clip", counting)
-    y, t = shift_clip(z, target, groups=groups)
-    monkeypatch.undo()
-    assert len(steps) <= 20
-    assert np.all(y >= 0.0) and np.all(y <= 1.0)
-    np.testing.assert_allclose(np.bincount(groups, y), target, atol=1e-9, rtol=0)
-    for g in (0, 499, 500, 549, 999):
-        at = groups == g
-        np.testing.assert_allclose(y[at], _bisection_projection(z[at], target[g], 200),
-                                   atol=1e-9, rtol=0)
-        assert y[at].tobytes() == clip(z[at] + t[g], 0.0, 1.0).tobytes()
-
-
-@given(seed=st.integers(0, 500))
-@settings(max_examples=50, deadline=None)
-def test_shift_clip_one_group_is_the_grouped_path(seed):
-    # groups=None keeps the shift a scalar and sums in index order; an
-    # all-zero group array runs the bincount path, and both give the same bits
-    rng = np.random.default_rng(seed)
-    p = int(rng.integers(1, 40))
-    z = rng.uniform(-4.0, 6.0, size=p)
-    one = np.zeros(p, dtype=np.intp)
-    for target in (0.0, float(p), *rng.uniform(0.0, p, size=3)):
-        y, t = shift_clip(z, target)
-        for t0 in (None, t, t[0] + rng.normal(), -100.0, float("nan")):
-            got = shift_clip(z, target, t=t0)
-            want = shift_clip(z, target, groups=one, t=t0)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].tobytes() == want[1].tobytes()
-
-
-def test_shift_clip_warns_when_its_steps_run_out(monkeypatch, caplog):
-    # one step settles neither a single group nor any of three groups from
-    # the bracket midpoint; the last iterate comes back with a WARNING
-    rng = np.random.default_rng(3)
-    z = rng.uniform(-1.0, 2.0, size=30)
-    groups = np.arange(30) % 3
-    with caplog.at_level(logging.WARNING, logger="onionlabel.backends"):
-        shift_clip(z, 11.3)
-        shift_clip(z, [3.3, 4.4, 5.5], groups=groups)
-    assert not caplog.records
-    monkeypatch.setattr(backends, "_SHIFT_MAX_STEPS", 1)
-    with caplog.at_level(logging.WARNING, logger="onionlabel.backends"):
-        y, _ = shift_clip(z, 11.3)
-        shift_clip(z, [3.3, 4.4, 5.5], groups=groups)
-    messages = [r.getMessage() for r in caplog.records]
-    assert [r.levelname for r in caplog.records] == ["WARNING"] * 2
-    assert "1 unsettled group(s)" in messages[0] and "3 unsettled group(s)" in messages[1]
-    assert f"{abs(11.3 - y.sum()):.3g}" in messages[0]
-
-
-def test_run_oua_lifts_without_a_shift_clip_warning(caplog):
-    spec = SynthSpec(n=500, k=3, m=10, signal_accuracy=0.8, abstain_rate=0.3, seed=0)
-    w, _ = generate_instance(spec)
-    with caplog.at_level(logging.WARNING, logger="onionlabel.backends"):
-        assert run_oua(w).converged
-    assert not caplog.records
-
-
-# ---------------------------------------------------------------------------
 # exact label solve, against the projected-gradient loop it replaced
 
 
@@ -561,8 +378,10 @@ def test_budget_ending_on_a_certified_point_reports_converged(caplog):
 
 
 def test_solve_returns_exact_group_sums_at_the_bounds(monkeypatch):
-    # a group sum left an ulp inside (0, c) makes the lift converge to it:
-    # on this instance the lift then takes 13 shift_clip steps, not 4
+    # a group sum left an ulp inside (0, c) is spread into labels an ulp off
+    # 0 or 1, and a tie between two classes then decodes the other way: at
+    # planted n=10^6, k=3 that left 1,922 fewer groups at their ends and
+    # moved 1,561 hard labels
     sums = []
     pgd = backends.pgd
 
@@ -579,3 +398,149 @@ def test_solve_returns_exact_group_sums_at_the_bounds(monkeypatch):
     inside = (s > 0.0) & (s < c)
     near = (s <= 1e-9 * c) | (s >= c - 1e-9 * c)
     assert not (inside & near).any()
+
+
+# ---------------------------------------------------------------------------
+# the label spread: the closed-form start and lift
+
+
+@given(seed=st.integers(0, 500))
+@settings(max_examples=50, deadline=None)
+def test_spread_meets_each_target_inside_the_box(seed):
+    # groups of start labels z, each taken to a target sum; targets include
+    # the empty and the full group and the group's own start sum
+    rng = np.random.default_rng(seed)
+    n_groups = int(rng.integers(1, 8))
+    c = rng.integers(1, 40, size=n_groups).astype(float)
+    group = np.repeat(np.arange(n_groups), c.astype(int))
+    z = rng.uniform(0.0, 1.0, size=group.size)
+    z[rng.random(group.size) < 0.1] = rng.choice([0.0, 1.0])
+    s0 = np.bincount(group, z, n_groups)
+    s = rng.uniform(0.0, 1.0, size=n_groups) * c
+    pick = rng.integers(0, 4, size=n_groups)
+    s = np.select([pick == 0, pick == 1, pick == 2], [0.0, c, s0], s)
+    a, r = spread(s0, s, c)
+    assert np.all((0.0 <= r) & (r <= 1.0))
+    y = np.clip(a[group] + r[group] * z, 0.0, 1.0)
+    np.testing.assert_allclose(np.bincount(group, y, n_groups), s, atol=1e-12 * c.max(), rtol=0)
+    at_zero, at_full = (s == 0.0)[group], (s == c)[group]
+    assert np.all(y[at_zero] == 0.0) and np.all(y[at_full] == 1.0)
+    kept = (pick == 2)[group] & ~at_zero & ~at_full
+    np.testing.assert_allclose(y[kept], z[kept], atol=1e-15, rtol=0)
+
+
+@given(seed=st.integers(0, 500))
+@settings(max_examples=50, deadline=None)
+def test_projection_exact_box_and_sum_on_wide_inputs(seed):
+    # one group, as in the start: z drawn wider than the box and clipped into
+    # it, as `_solve` does with a y0, then spread to the target sum
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(2, 30))
+    target = float(rng.uniform(0.0, p))
+    z = np.clip(rng.uniform(-2.0, 3.0, size=p), 0.0, 1.0)
+    a, r = spread(z.sum(), target, p)
+    y = np.clip(a + r * z, 0.0, 1.0)
+    assert y.min() >= 0.0 and y.max() <= 1.0
+    assert abs(y.sum() - target) <= 1e-12 * max(1.0, target)
+    # the map is a common scaling toward 0 or toward 1 of every free label
+    free = (z > 0.0) & (z < 1.0)
+    if free.any():
+        ratio = y[free] / z[free] if target <= z.sum() else (1.0 - y[free]) / (1.0 - z[free])
+        assert np.ptp(ratio) <= 1e-12
+
+
+def test_projection_is_idempotent_and_respects_feasible_points():
+    # labels that already meet their group's target are returned unchanged
+    y = np.array([0.25, 0.75, 0.5, 0.5])
+    a, r = spread(y.sum(), 2.0, y.size)
+    assert (float(a), float(r)) == (0.0, 1.0)
+    assert np.clip(a + r * y, 0.0, 1.0).tobytes() == y.tobytes()
+
+
+def test_spread_of_an_empty_start_to_zero_is_zero():
+    # s0 = s = 0 is 0/0 in the downward map; the labels stay 0, not NaN
+    a, r = spread([0.0, 0.0, 3.0], [0.0, 2.0, 3.0], [3.0, 3.0, 3.0])
+    assert a.tolist() == [0.0, 1.0 - 1.0 / 3.0, 1.0] and r.tolist() == [0.0, 1.0 / 3.0, 0.0]
+
+
+@pytest.fixture(scope="module")
+def solve_wide():
+    """The solve-wide instance (n=20000, k=2, m=5, seed 97): its augmented
+    system, its solution and the label sums the solve returned."""
+    spec = SynthSpec(n=20000, k=2, m=5, signal_accuracy=0.8, abstain_rate=0.3, seed=97)
+    cfg = SolverConfig()
+    w, cloud, tv = _annealed(spec, cfg)
+    a_aug, b_aug = augment_system(cloud, tv, w.n)
+    sums = []
+    pgd = backends.pgd
+
+    def recording(*args):
+        out = pgd(*args)
+        sums.append(out[0])
+        return out
+
+    backends.pgd = recording
+    try:
+        lbl = solve_labels(a_aug, b_aug, cfg)
+    finally:
+        backends.pgd = pgd
+    return w.n, cloud, a_aug, b_aug, lbl, sums[0]
+
+
+def test_spread_invariants_at_solve_wide_size(solve_wide):
+    n, cloud, a_aug, b_aug, lbl, sums = solve_wide
+    y = lbl.soft
+    _, _, group = cloud.groups
+    c = np.bincount(group)
+    assert lbl.converged
+    assert y.min() >= 0.0 and y.max() <= 1.0
+    assert abs(float(y.sum()) - n) <= 1e-9 * n
+    assert np.all(np.abs(np.bincount(group, y) - sums) <= 1e-12 * c)
+    empty, full = (sums == 0.0)[group], (sums == c)[group]
+    assert empty.any() and full.any()
+    assert np.all(y[empty] == 0.0) and np.all(y[full] == 1.0)
+    other = solve_labels(a_aug, b_aug, SolverConfig(seed=1)).soft
+    assert np.max(np.abs(other - y)) > 0.1
+
+
+def test_optimal_start_reports_its_own_residual(solve_wide):
+    # a feasible optimal start is certified in the first cycle; the residual
+    # is then the start's, exactly
+    n, _, a_aug, b_aug, lbl, _ = solve_wide
+    again = solve_labels(a_aug, b_aug, SolverConfig(), y0=lbl.soft)
+    assert again.iterations == 1 and again.converged
+    assert again.residual == again.initial_residual
+    assert again.residual == pytest.approx(lbl.residual, rel=1e-12)
+
+
+def test_run_oua_lifts_without_a_shift_clip_warning(caplog):
+    # the closed-form lift that replaced shift_clip's iterative one has no
+    # step budget to run out: run_oua logs no WARNING anywhere in the package
+    spec = SynthSpec(n=500, k=3, m=10, signal_accuracy=0.8, abstain_rate=0.3, seed=0)
+    w, _ = generate_instance(spec)
+    with caplog.at_level(logging.WARNING, logger="onionlabel"):
+        res = run_oua(w)
+    assert res.converged
+    assert not caplog.records
+
+
+@pytest.mark.parametrize("start", ["outside", "zeros", "ones", "empty-groups"])
+def test_degenerate_starts_give_feasible_labels(start):
+    rng = np.random.default_rng(5)
+    a_aug, b_aug = _small_system(rng, m=3, p=24, n=8)
+    p, n = a_aug.shape[1], 8
+    y0 = {"outside": rng.uniform(-3.0, 4.0, size=p), "zeros": np.zeros(p),
+          "ones": np.ones(p)}.get(start)
+    if start == "empty-groups":
+        # zero on every group whose optimal sum is 0: each spreads 0/0
+        opt = solve_labels(a_aug, b_aug, SolverConfig()).soft
+        y0 = opt.copy()
+        assert (opt == 0.0).any() and opt.sum() >= n  # the start keeps the zeros
+    lbl = solve_labels(a_aug, b_aug, SolverConfig(), y0=y0)
+    y = lbl.soft
+    assert np.isfinite(y).all() and np.isfinite(lbl.initial_residual)
+    assert y.min() >= 0.0 and y.max() <= 1.0
+    assert abs(float(y.sum()) - n) <= 1e-9 * n
+    assert lbl.converged and lbl.residual <= lbl.initial_residual
+    if start == "empty-groups":
+        assert np.all(y[opt == 0.0] == 0.0)

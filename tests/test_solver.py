@@ -494,6 +494,18 @@ def test_decode_layout_and_ties():
         decode_labels(np.zeros(5), 2, 2)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_block_argmax_is_argmax_with_ties_to_the_lowest_class(k):
+    rng = np.random.default_rng(k)
+    for scores in (rng.uniform(size=(k, 500)),
+                   rng.integers(0, 3, size=(k, 500)).astype(float),  # many ties
+                   np.zeros((k, 7))):
+        want = scores.argmax(axis=0) + 1
+        got = solver._block_argmax(scores)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+        assert decode_labels(scores.ravel(), scores.shape[1], k).tolist() == want.tolist()
+
+
 # ---------------------------------------------------------------------------
 # run_oua end to end
 
