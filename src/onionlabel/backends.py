@@ -3,7 +3,10 @@
 The phase-1 simplex decides convex-combination feasibility (hull membership
 and vertex tests).  It enters the column with the most negative reduced cost
 (Dantzig's rule) and falls back to the lowest-index column (Bland's rule)
-during long runs of degenerate pivots, so it cannot cycle.  The label solve
+during long runs of degenerate pivots, so it cannot cycle.  It runs as a
+lockstep batch for the vertex pass, which has hundreds to thousands of LPs a
+round, and as one loop on a 2-D tableau for the callers that solve one LP at
+a time; both give bitwise the same answer for an LP.  The label solve
 minimizes 1/2 ||A s - b||^2 over the label sums s of the distinct columns of
 A, exactly: Wolfe's minimum-norm point in the image A s - b, whose linear
 oracle is a sort-and-fill of the scores, stopped by a certified Frank-Wolfe
@@ -44,6 +47,12 @@ import numpy as np
 # of the artificial columns; undoing the row signs gives duals y of E lam = f
 # with y.E_j <= _PIVOT_TOL for every column j and y.f equal to the phase-1
 # objective, so an infeasible LP's y separates f from the columns of E.
+#
+# phase1_simplex solves one LP on its own 2-D tableau with the same rules and
+# the same arithmetic; its ratio test runs on Python floats, which round as
+# numpy's do.  Its lam, pivots, status and duals are therefore bitwise those
+# of the LP in a batch, at a fraction of the batch's per-pivot overhead.  The
+# anneal's probes and convex_combination, one LP at a time, call it.
 # ---------------------------------------------------------------------------
 
 _DEGENERATE_RUN = 50
@@ -52,18 +61,13 @@ _PIVOT_BUDGET_BASE = 200
 _PIVOT_BUDGET_PER_DIM = 25
 
 
-def phase1_batch(E, F):
-    """Phase-1 simplex on ``E_b lam = F[b], lam >= 0`` for every row of ``F``.
-
-    ``E`` is ``(rows, p)``, shared by every LP, or ``(B, rows, p)``; ``F`` is
-    ``(B, rows)``.  Returns ``(lam, pivots, status, duals)`` of shapes
-    ``(B, p)``, ``(B,)``, ``(B,)`` and ``(B, rows)``.
-    """
+def _tableaus(E, F):
+    """The starting tableaus of the LPs ``E_b lam = F[b]``, with their row
+    signs and pivot budget: ``(T, sign, max_pivots)``."""
     F = np.ascontiguousarray(F, dtype=np.float64)
     n_lp, m1 = F.shape
     E = np.asarray(E, dtype=np.float64)
     p = E.shape[-1]
-    max_pivots = _PIVOT_BUDGET_BASE + _PIVOT_BUDGET_PER_DIM * (m1 + p)
     ncols = p + m1
     sign = np.where(F < 0, -1.0, 1.0)
     T = np.zeros((n_lp, m1 + 1, ncols + 1))
@@ -73,7 +77,20 @@ def phase1_batch(E, F):
     # reduced costs for minimizing the sum of artificials
     T[:, m1, :p] = -T[:, :m1, :p].sum(axis=1)
     T[:, m1, ncols] = -T[:, :m1, ncols].sum(axis=1)
+    return T, sign, _PIVOT_BUDGET_BASE + _PIVOT_BUDGET_PER_DIM * (m1 + p)
 
+
+def phase1_batch(E, F):
+    """Phase-1 simplex on ``E_b lam = F[b], lam >= 0`` for every row of ``F``.
+
+    ``E`` is ``(rows, p)``, shared by every LP, or ``(B, rows, p)``; ``F`` is
+    ``(B, rows)``.  Returns ``(lam, pivots, status, duals)`` of shapes
+    ``(B, p)``, ``(B,)``, ``(B,)`` and ``(B, rows)``.
+    """
+    T, sign, max_pivots = _tableaus(E, F)
+    n_lp, m1 = sign.shape
+    ncols = T.shape[2] - 1
+    p = ncols - m1
     lam = np.zeros((n_lp, p))
     pivots = np.zeros(n_lp, dtype=np.int64)
     status = np.zeros(n_lp, dtype=np.int64)
@@ -131,12 +148,42 @@ def phase1_batch(E, F):
 
 
 def phase1_simplex(E, f):
-    """Run phase-1 simplex on ``E lam = f, lam >= 0``: one LP of ``phase1_batch``.
+    """Phase-1 simplex on one LP ``E lam = f, lam >= 0``, on a 2-D tableau.
 
-    Returns ``(lam, n_pivots, status)``.
+    The rules and arithmetic of ``phase1_batch``, so the outputs are bitwise
+    those of this LP in a batch: ``(lam, pivots, status, duals)``.
     """
-    lam, pivots, status, _ = phase1_batch(E, np.asarray(f, dtype=np.float64)[None])
-    return lam[0], int(pivots[0]), int(status[0])
+    T, sign, max_pivots = _tableaus(E, np.asarray(f, dtype=np.float64)[None])
+    T, sign = T[0], sign[0]
+    m1 = sign.size
+    ncols = T.shape[1] - 1
+    p = ncols - m1
+    cost, rhs = T[m1, :ncols], T[:m1, ncols]
+    basis = list(range(p, ncols))
+    step = degenerate = 0
+    while step < max_pivots:
+        if degenerate < _DEGENERATE_RUN:
+            enter = int(cost.argmin())
+        else:
+            enter = int((cost < -_PIVOT_TOL).argmax())
+        c, r = T[:, enter].tolist(), rhs.tolist()
+        # the least ratio, ties to the lowest basis index, as in the batch
+        ratios = [(r[i] / c[i], basis[i], i) for i in range(m1) if c[i] > _PIVOT_TOL]
+        if c[m1] >= -_PIVOT_TOL or not ratios:
+            break
+        best, _, leave = min(ratios)
+        if best == math.inf:
+            break
+        degenerate = degenerate + 1 if best <= _PIVOT_TOL else 0
+        piv_row = T[leave] / c[leave]
+        T -= T[:, enter, None] * piv_row
+        T[leave] = piv_row
+        basis[leave] = enter
+        step += 1
+    lam = np.zeros(p)
+    basis = np.array(basis)
+    lam[basis[basis < p]] = rhs[basis < p]
+    return lam, step, int(step == max_pivots), (1.0 - T[m1, p:ncols]) * sign
 
 
 # ---------------------------------------------------------------------------

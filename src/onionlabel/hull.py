@@ -229,11 +229,20 @@ def convex_combination(columns: np.ndarray, q: np.ndarray):
     p = columns.shape[1]
     if p == 0:
         return np.zeros(0), False
-    E = np.vstack([columns, np.ones((1, p))])
-    lam, pivots, status = phase1_simplex(E, np.append(q, 1.0))
+    lam, inside, _ = _combination(np.vstack([columns, np.ones((1, p))]), q)
+    return lam, inside
+
+
+def _combination(E: np.ndarray, q: np.ndarray):
+    """One phase-1 LP of q against the columns V of ``E = [V; 1^T]``.
+
+    Returns ``(lam, inside, duals)``, inside as ``_fits`` decides it.  Raises
+    PivotBudgetError when the LP exhausts its pivot budget.
+    """
+    lam, pivots, status, duals = phase1_simplex(E, np.append(q, 1.0))
     if status == 1:
-        raise _budget_error(pivots, columns.shape)
-    return lam, bool(_fits(columns, lam[None], q[None])[0])
+        raise _budget_error(pivots, E[:-1].shape)
+    return lam, bool(_fits(E[:-1], lam[None], q[None])[0]), duals
 
 
 def _fits(V: np.ndarray, lam: np.ndarray, Q: np.ndarray) -> np.ndarray:

@@ -6,11 +6,11 @@ into a column cloud and splits the cloud into hull layers.  The target vector
 rate ``eps`` downward from its upper bound ``2/k - 2/k**2`` in steps of
 ``alpha`` until ``b/n`` leaves the inner hull.  Since ``b/n`` moves on a line
 and the inner hull is convex, the first grid point outside it is bracketed in
-a few batches of membership LPs, each batch's probes predicted from the
-separating hyperplane of the last outside probe; the answer is the one a walk
-over every grid index gives.  The
-soft labels solve ``min ||A y - b||_2`` over {y in [0, 1]^(nk) : sum(y) = n}
-exactly.  The objective depends on y only through the label sums of identical
+a few rounds of membership LPs, solved one at a time, each round's probes
+predicted from the separating hyperplane of the last outside probe; the
+answer is the one a walk over every grid index gives.  The soft labels
+solve ``min ||A y - b||_2`` over {y in [0, 1]^(nk) : sum(y) = n} exactly.
+The objective depends on y only through the label sums of identical
 columns, so the solve runs over the distinct columns (``backends.pgd``:
 Wolfe's minimum-norm point in the image of the label sums, stopped by a
 certified duality gap).  The start and the lift are closed forms on the group
@@ -36,7 +36,7 @@ from .hull import (
     ColumnCloud,
     HullDecomposition,
     SafeRegionStatus,
-    _membership,
+    _combination,
     _unique_columns,
     build_A,
     convex_combination,
@@ -202,17 +202,20 @@ def anneal_b(w: WeakSignalMatrix, cloud: ColumnCloud, decomp: HullDecomposition,
 
     The line meets the convex inner hull Conv(I) in a segment, so once index
     0 is inside, the inside grid indices form a prefix.  Its end is bracketed
-    by batches of membership LPs against Conv(I) (``hull._membership``): the
-    first batch tests indices 0 and J, and index 0 outside Conv(I) settles
-    the run whatever J's verdict.  The duals (g, g0) of the outside probe at
-    the bracket's top separate it from Conv(I), and g.q_j + g0 is
-    affine in j, so its zero predicts the exit; each later batch tests the
-    two indices around that zero (Kelley's cutting planes) and, from the
-    third batch on or when the line does not rise through the plane, the
-    bracket's midpoint, so it takes at most two batches more than bisection.
-    A zero below the bracket is clipped to its first index only while the
-    HULL_TOL band past the plane spans fewer indices than bisection takes
-    batches; a wider band is left to the midpoint.
+    in rounds of membership LPs against Conv(I), one LP per probe
+    (``hull._combination``).  A round probes its indices in increasing order
+    and stops at the first one outside, which becomes the bracket's top, so
+    the round's later indices are never solved.  The first round tests
+    indices 0 and J; index 0 outside Conv(I) settles the run before J is
+    solved.  The duals (g, g0) of the outside probe at the bracket's top
+    separate it from Conv(I), and g.q_j + g0 is affine in j, so its zero
+    predicts the exit; each later round tests the two indices around that
+    zero (Kelley's cutting planes) and, from the third round on or when the
+    line does not rise through the plane, the bracket's midpoint, so it takes
+    at most two rounds more than bisection.  A zero below the bracket is
+    clipped to its first index only while the HULL_TOL band past the plane
+    spans fewer indices than bisection takes rounds; a wider band is left to
+    the midpoint.
     The duals only choose the probes; every verdict comes from a probe's
     explicit residual, so the answer is the index a walk over the whole grid
     finds.  Only the final index is tested against Conv(H1).  Each probed
@@ -227,39 +230,39 @@ def anneal_b(w: WeakSignalMatrix, cloud: ColumnCloud, decomp: HullDecomposition,
 
     row_sums = w.values.sum(axis=1)
     inner = decomp.interior_columns
-    batches = probes = 0  # a probe is one LP against Conv(I)
+    E = np.vstack([inner, np.ones((1, inner.shape[1]))])
 
     def q_at(j: int) -> np.ndarray:
         return _target(w, row_sums, eps_at(j)).b / float(w.n)
 
-    def probe(indices: list[int]):
-        nonlocal batches, probes
-        batches, probes = batches + 1, probes + len(indices)
-        inside, duals, _ = _membership(inner, np.stack([q_at(j) for j in indices], axis=1))
-        return zip(indices, inside, duals)
-
-    # invariant: index lo is INSIDE_H2 and index hi is not (J + 1: none is);
-    # an empty inner hull contains no index
-    lo = hi = 0
-    if inner.shape[1]:
-        (_, inside0, _), (_, inside_last, y) = probe([0, last])
-        if inside0:  # otherwise index 0 settles the run, whatever J's verdict
-            lo, hi = (last, last + 1) if inside_last else (0, last)
+    # invariant: index lo is INSIDE_H2 (-1: none is known to be) and index hi
+    # is not (J + 1: none is known not to be); an empty inner hull contains
+    # no index
+    lo, hi = -1, last + 1 if inner.shape[1] else 0
+    picks = [0, last]
+    rounds = probes = 0  # a probe is one LP against Conv(I)
     while hi - lo > 1:
-        picks = set()
-        slope = w.k * cfg.alpha * float(y[:-1].sum())
-        zero = hi - float(y[:-1] @ q_at(hi) + y[-1]) / slope if slope > 0 else math.nan
-        # A zero below lo means that lo is inside only within HULL_TOL.  A
-        # point q inside within HULL_TOL has g.q + g0 <= HULL_TOL |y|_1, so
-        # such points lie at most that over slope indices past the zero.  A
-        # prediction clipped up to lo + 1 walks this band one index a batch,
-        # which pays only while the band is shorter than bisecting the bracket
-        if math.isfinite(zero) and (
-                zero >= lo or HULL_TOL * float(np.abs(y).sum()) / slope < math.log2(hi - lo)):
-            picks = {min(max(j, lo + 1), hi - 1) for j in (math.floor(zero), math.floor(zero) + 1)}
-        if batches > 1 or not picks:  # a prediction already failed, or there is none
-            picks.add((lo + hi) // 2)
-        for j, inside, y_j in probe(sorted(picks)):
+        if rounds:
+            picks = set()
+            slope = w.k * cfg.alpha * float(y[:-1].sum())
+            zero = hi - float(y[:-1] @ q_at(hi) + y[-1]) / slope if slope > 0 else math.nan
+            # A zero below lo means that lo is inside only within HULL_TOL.  A
+            # point q inside within HULL_TOL has g.q + g0 <= HULL_TOL |y|_1, so
+            # such points lie at most that over slope indices past the zero.  A
+            # prediction clipped up to lo + 1 walks this band one index a
+            # round, which pays only while the band is shorter than bisecting
+            # the bracket
+            if math.isfinite(zero) and (
+                    zero >= lo or HULL_TOL * float(np.abs(y).sum()) / slope < math.log2(hi - lo)):
+                picks = {min(max(j, lo + 1), hi - 1)
+                         for j in (math.floor(zero), math.floor(zero) + 1)}
+            if rounds > 1 or not picks:  # a prediction already failed, or there is none
+                picks.add((lo + hi) // 2)
+            picks = sorted(picks)
+        rounds += 1
+        for j in picks:  # in index order, up to the first one outside
+            probes += 1
+            _, inside, y_j = _combination(E, q_at(j))
             if not inside:
                 hi, y = j, y_j
                 break
@@ -270,9 +273,9 @@ def anneal_b(w: WeakSignalMatrix, cloud: ColumnCloud, decomp: HullDecomposition,
         safe = convex_combination(decomp.vertex_columns, tv.b / float(w.n))[1]
         status = SafeRegionStatus.SAFE if safe else SafeRegionStatus.OUTSIDE_H1
     reached = min(hi, last)
-    log.debug("anneal: %s at eps=%.6f, grid index %d of %d, %d probes in %d membership "
-              "batches, %d LPs", status.value, eps_at(reached), reached, last + 1, probes,
-              batches, probes + (hi <= last))
+    log.debug("anneal: %s at eps=%.6f, grid index %d of %d, %d probes in %d rounds, %d LPs",
+              status.value, eps_at(reached), reached, last + 1, probes, rounds,
+              probes + (hi <= last))
     if status is SafeRegionStatus.SAFE:
         return tv
     if status is SafeRegionStatus.OUTSIDE_H1:

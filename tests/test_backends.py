@@ -149,7 +149,7 @@ def test_simplex_twins_agree(monkeypatch, feasible):
         verdicts = []
         for run in (backends._DEGENERATE_RUN, 0):
             monkeypatch.setattr(backends, "_DEGENERATE_RUN", run)
-            lam, _, status = phase1_simplex(E, f)
+            lam, _, status, _ = phase1_simplex(E, f)
             assert status == 0
             assert lam.min() >= 0.0
             verdicts.append(bool(np.max(np.abs(E @ lam - f)) <= 1e-9))
@@ -163,44 +163,70 @@ def test_simplex_bland_fallback_still_solves(monkeypatch, feasible):
     monkeypatch.setattr(backends, "_DEGENERATE_RUN", 0)
     for _ in range(25):
         E, f = _combination_system(rng, feasible)
-        lam, _, status = phase1_simplex(E, f)
+        lam, _, status, _ = phase1_simplex(E, f)
         assert status == 0
         assert lam.min() >= 0.0
         assert (np.max(np.abs(E @ lam - f)) <= 1e-9) == feasible
 
 
+def _batch_and_single_solves(rng, lattice: bool):
+    """The lockstep batch's outputs on a shared column set, with each LP's
+    ``phase1_simplex`` solve and the reference loop's, which has no duals.
+    Queries with negative coordinates exercise the row sign flips."""
+    d, p = 4, 24
+    if lattice:
+        cols = rng.integers(0, 5, size=(d, p)) * 0.5
+    else:
+        cols = rng.uniform(0.0, 2.0, size=(d, p))
+    inside = cols @ rng.dirichlet(np.ones(p), size=20).T
+    corners = cols[:, rng.integers(0, p, size=5)]
+    outside = rng.uniform(-1.0, 3.0, size=(d, 20))
+    Q = np.hstack([inside, corners, outside])
+    E = np.vstack([cols, np.ones((1, p))])
+    F = np.vstack([Q, np.ones((1, Q.shape[1]))]).T
+    batch = backends.phase1_batch(E, F)
+    for b in range(F.shape[0]):
+        one, ref = phase1_simplex(E, F[b]), _reference_phase1(E, F[b])
+        got = tuple(out[b] for out in batch)
+        for want in (one, ref):
+            assert got[0].tobytes() == want[0].tobytes()
+            assert (int(got[1]), int(got[2])) == want[1:3]
+        assert got[3].tobytes() == one[3].tobytes()
+        yield E, F[b], got
+
+
 @pytest.mark.parametrize("run", [backends._DEGENERATE_RUN, 0])
 def test_simplex_batch_matches_single_solves_and_certifies(monkeypatch, run):
-    # every LP of a lockstep batch is bitwise its own solve and the one-LP
-    # loop's, and each infeasible LP's duals separate its point from the
-    # shared columns.
-    # Queries with negative coordinates exercise the row sign flips.
+    # every LP of a lockstep batch is bitwise its one-LP solve, duals
+    # included, and the reference loop's; each infeasible LP's duals separate
+    # its point from the shared columns
     monkeypatch.setattr(backends, "_DEGENERATE_RUN", run)
     rng = np.random.default_rng(46)
     for lattice in (False, True):
-        d, p = 4, 24
-        if lattice:
-            cols = rng.integers(0, 5, size=(d, p)) * 0.5
-        else:
-            cols = rng.uniform(0.0, 2.0, size=(d, p))
-        inside = cols @ rng.dirichlet(np.ones(p), size=20).T
-        corners = cols[:, rng.integers(0, p, size=5)]
-        outside = rng.uniform(-1.0, 3.0, size=(d, 20))
-        Q = np.hstack([inside, corners, outside])
-        E = np.vstack([cols, np.ones((1, p))])
-        F = np.vstack([Q, np.ones((1, Q.shape[1]))]).T
-        lam, pivots, status, duals = backends.phase1_batch(E, F)
-        n_infeasible = 0
-        for b in range(F.shape[0]):
-            for one in (phase1_simplex(E, F[b]), _reference_phase1(E, F[b])):
-                assert lam[b].tobytes() == one[0].tobytes()
-                assert (int(pivots[b]), int(status[b])) == one[1:]
-            assert status[b] == 0
-            if np.max(np.abs(E @ lam[b] - F[b])) > 1e-9:
+        n_infeasible = n_lps = 0
+        for E, f, (lam, pivots, status, duals) in _batch_and_single_solves(rng, lattice):
+            n_lps += 1
+            assert status == 0
+            if np.max(np.abs(E @ lam - f)) > 1e-9:
                 n_infeasible += 1
-                assert np.max(duals[b] @ E) <= 1e-9
-                assert duals[b] @ F[b] > 1e-9
-        assert 0 < n_infeasible < F.shape[0]
+                assert np.max(duals @ E) <= 1e-9
+                assert duals @ f > 1e-9
+        assert 0 < n_infeasible < n_lps
+
+
+@pytest.mark.parametrize("run", [backends._DEGENERATE_RUN, 0])
+def test_simplex_kernels_stop_alike_when_the_budget_runs_out(monkeypatch, run):
+    # a budget of 3 pivots: the LPs that need more stop with status 1 after
+    # exactly 3 pivots in both kernels, with bitwise equal iterates and duals
+    monkeypatch.setattr(backends, "_DEGENERATE_RUN", run)
+    monkeypatch.setattr(backends, "_PIVOT_BUDGET_BASE", 3)
+    monkeypatch.setattr(backends, "_PIVOT_BUDGET_PER_DIM", 0)
+    rng = np.random.default_rng(48)
+    for lattice in (False, True):
+        stops = {(int(pivots), int(status))
+                 for _, _, (_, pivots, status, _) in _batch_and_single_solves(rng, lattice)}
+        assert (3, 1) in stops and any(status == 0 for _, status in stops)
+        assert all(pivots <= 3 and status == (pivots == 3) for pivots, status in stops)
 
 
 def test_simplex_batch_takes_one_matrix_per_lp():
@@ -215,15 +241,14 @@ def test_simplex_batch_takes_one_matrix_per_lp():
     assert (status == 0).all()
     assert (np.diag(lam) == 0.0).all()
     for b in range(6):
-        one = phase1_simplex(Es[b], F[b])
-        assert lam[b].tobytes() == one[0].tobytes()
+        assert lam[b].tobytes() == phase1_simplex(Es[b], F[b])[0].tobytes()
 
 
 def test_simplex_finds_known_combination():
     # q is the midpoint of two columns
     E = np.array([[0.0, 2.0], [1.0, 1.0]])
     f = np.array([1.0, 1.0])
-    lam, _, status = phase1_simplex(E, f)
+    lam, _, status, _ = phase1_simplex(E, f)
     np.testing.assert_allclose(E @ lam, f, atol=1e-9)
     assert status == 0
 

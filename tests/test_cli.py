@@ -259,7 +259,7 @@ def test_label_pivot_budget_failure_exits_3(synth_files, capsys, monkeypatch):
     _, weak_path, _ = synth_files
 
     def exhausted(E, f):
-        return np.zeros(E.shape[1]), 7, 1
+        return np.zeros(E.shape[1]), 7, 1, np.zeros(E.shape[0])
 
     monkeypatch.setattr(onionlabel.hull, "phase1_simplex", exhausted)
     rc = run_cli("label", "--weak-labels", weak_path, "--n", "40", "--k", "2")

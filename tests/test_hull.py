@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from onionlabel import hull
+from onionlabel import backends, hull
 from onionlabel.hull import (
     ColumnCloud,
     PivotBudgetError,
@@ -108,8 +108,11 @@ def _membership_cases():
 @pytest.mark.parametrize("case", range(4))
 def test_membership_verdict_does_not_depend_on_the_batch(case, monkeypatch):
     # lam, duals and verdict of each query are bitwise equal whether it is
-    # solved alone, in batches of 2 or 17, or by convex_combination
+    # solved alone, in batches of 2 or 17, or by the one-LP kernel behind
+    # convex_combination and the anneal's probes, under Dantzig's entering
+    # rule and under Bland's
     V, Q = _membership_cases()[case]
+    E = np.vstack([V, np.ones((1, V.shape[1]))])
     real, lams = hull.phase1_batch, []
 
     def recording(E, F):
@@ -124,14 +127,19 @@ def test_membership_verdict_does_not_depend_on_the_batch(case, monkeypatch):
         parts = [hull._membership(V, Q[:, lo : lo + size]) for lo in range(0, Q.shape[1], size)]
         return [np.concatenate(a) for a in ([p[0] for p in parts], [p[1] for p in parts], lams)]
 
-    alone = batched(1)
-    assert alone[0].any() and not alone[0].all()
-    for size in (2, 17):
-        for want, got in zip(alone, batched(size)):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    for j in range(Q.shape[1]):
-        lam, inside = convex_combination(V, Q[:, j])
-        assert lam.tobytes() == alone[2][j].tobytes() and inside == alone[0][j]
+    for run in (backends._DEGENERATE_RUN, 0):
+        monkeypatch.setattr(backends, "_DEGENERATE_RUN", run)
+        alone = batched(1)
+        assert alone[0].any() and not alone[0].all()
+        for size in (2, 17):
+            for want, got in zip(alone, batched(size)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for j in range(Q.shape[1]):
+            lam, inside, duals = hull._combination(E, Q[:, j])
+            assert lam.tobytes() == alone[2][j].tobytes() and inside == alone[0][j]
+            assert duals.tobytes() == alone[1][j].tobytes()
+            lam, inside = convex_combination(V, Q[:, j])
+            assert lam.tobytes() == alone[2][j].tobytes() and inside == alone[0][j]
 
 
 def test_fits_allows_at_most_hull_tol_of_negative_weight():
@@ -146,7 +154,7 @@ def test_fits_allows_at_most_hull_tol_of_negative_weight():
 def test_convex_combination_raises_when_pivot_budget_runs_out(monkeypatch):
     # an exhausted LP must not be read as "infeasible", i.e. as a vertex
     def exhausted(E, f):
-        return np.zeros(E.shape[1]), 7, 1
+        return np.zeros(E.shape[1]), 7, 1, np.zeros(E.shape[0])
 
     def exhausted_batch(E, F):
         n = F.shape[0]

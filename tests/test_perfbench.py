@@ -31,6 +31,9 @@ def test_traced_benchmark_runs_and_replays_bitwise():
     assert result["failed"] == 0
     assert result["metrics"]["trace.replay_equal"]["value"] == 1
     assert result["metrics"]["solve.converged"]["value"] == 1
+    # the anneal's membership probes go through the wrapped phase1_simplex,
+    # so the tracer counts them along with the final outer-hull LP
+    assert result["metrics"]["anneal.lp_calls"]["value"] >= 2
     # the harness's HiGHS oracle agrees with hull_decompose's vertices
     assert result["metrics"]["hull.vertex_mismatch"]["value"] == 0
 

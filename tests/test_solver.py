@@ -140,7 +140,7 @@ def test_anneal_not_safe_at_zero():
         anneal_b(w, cloud, hull_decompose(cloud), SolverConfig(alpha=0.25))
 
 
-def test_anneal_index_zero_settles_before_index_j():
+def test_anneal_index_zero_settles_before_index_j(anneal_probes):
     # inner segment [1, 1.9] on the diagonal: b/n at eps = ub lies below it
     # (SAFE) while b/n at eps = 0 lies on it, so the run ends at index 0
     w = signals_from_columns(
@@ -152,8 +152,11 @@ def test_anneal_index_zero_settles_before_index_j():
     assert safe_region_status(init_b(w, ub), w.n, decomp, cloud) is SafeRegionStatus.SAFE
     assert (safe_region_status(init_b(w, 0.0), w.n, decomp, cloud)
             is SafeRegionStatus.INSIDE_H2)
+    q0 = float((init_b(w, ub).b / w.n).sum())
     for alpha in (0.25, 0.01):
+        anneal_probes.clear()
         assert anneal_b(w, cloud, decomp, SolverConfig(alpha=alpha)).epsilon == ub
+        assert anneal_probes == [(q0, False)]  # index J is never solved
 
 
 def test_anneal_hull_inconsistency():
@@ -267,35 +270,43 @@ def test_anneal_reference_cases_cover_every_outcome(anneal_clouds):
 
 
 @pytest.fixture()
-def membership_batches(monkeypatch) -> list:
-    """The number of LPs in each membership batch ``anneal_b`` runs."""
-    batches: list = []
-    real = solver._membership
+def anneal_probes(monkeypatch) -> list:
+    """``(sum(q), inside)`` of each membership LP ``anneal_b`` solves, in
+    order; sum(q) grows with the grid index."""
+    probes: list = []
+    real = solver._combination
 
-    def counting(V, Q, drop=None):
-        batches.append(Q.shape[1])
-        return real(V, Q, drop)
+    def counting(E, q):
+        out = real(E, q)
+        probes.append((float(q.sum()), out[1]))
+        return out
 
-    monkeypatch.setattr(solver, "_membership", counting)
-    return batches
+    monkeypatch.setattr(solver, "_combination", counting)
+    return probes
 
 
-def test_anneal_probe_count_is_logarithmic(anneal_clouds, membership_batches):
-    # at most two batches more than bisection's, of at most three LPs each
+def test_anneal_probe_count_is_logarithmic(anneal_clouds, anneal_probes, caplog):
+    # at most two rounds more than bisection's, of one to three LPs each
+    # (summed over the rounds: the fixture sees LPs, the DEBUG line rounds)
+    caplog.set_level("DEBUG", logger="onionlabel.solver")
     for cfg in (SolverConfig(alpha=0.0005), SolverConfig(alpha=0.003), SolverConfig(alpha=1e-9)):
         for w, cloud, decomp in anneal_clouds:
             grid_len = math.ceil(epsilon_upper_bound(w.k) / cfg.alpha) + 1
-            membership_batches.clear()
+            anneal_probes.clear()
             _anneal_outcome(anneal_b, w, cloud, decomp, cfg)
-            assert len(membership_batches) <= math.ceil(math.log2(grid_len)) + 2
-            assert all(1 <= lps <= 3 for lps in membership_batches)
+            logged = re.search(r"(\d+) probes in (\d+) rounds", caplog.records[-1].getMessage())
+            probes, rounds = int(logged[1]), int(logged[2])
+            assert probes == len(anneal_probes)
+            assert probes >= 1 or not decomp.interior_columns.shape[1]
+            assert rounds <= math.ceil(math.log2(grid_len)) + 2
+            assert rounds <= probes <= 3 * rounds
 
 
 @pytest.mark.parametrize("alpha", [1e-17, sys.float_info.min])
-def test_anneal_bisects_a_tolerance_band_of_many_indices(membership_batches, alpha):
+def test_anneal_bisects_a_tolerance_band_of_many_indices(anneal_probes, alpha):
     # the multistep cloud's exit lies in the HULL_TOL band past the inner
     # segment's end, ~1e-8 / (2 alpha) indices wide: a prediction clipped up
-    # to lo + 1 only walks that band, so the batches bisect it with one LP.
+    # to lo + 1 only walks that band, so the rounds bisect it with one LP.
     # Walking it as well took 107 and 2,040 LPs
     w = signals_from_columns(
         [[0, 0], [1, 0], [0, 1], [1, 1], [0.1, 0.1], [0.9, 0.9]], n=3, k=2
@@ -304,21 +315,36 @@ def test_anneal_bisects_a_tolerance_band_of_many_indices(membership_batches, alp
     tv = anneal_b(w, cloud, hull_decompose(cloud), SolverConfig(alpha=alpha))
     assert tv.epsilon == 0.0999999949999999
     grid_len = math.ceil(epsilon_upper_bound(w.k) / alpha) + 1
-    assert sum(membership_batches) <= math.ceil(math.log2(grid_len)) + 4
+    assert 1 <= len(anneal_probes) <= math.ceil(math.log2(grid_len)) + 4
 
 
-def test_anneal_brackets_the_workload_exit_in_few_lps(membership_batches, caplog):
+def test_anneal_brackets_the_workload_exit_in_few_lps(anneal_probes, caplog):
     # bisection took 11 probes and 16 LPs here; eps is the walk's, bit for bit
     w, cloud, decomp = _reduced_instance(SynthSpec(
         n=5000, k=2, m=5, signal_accuracy=0.8, abstain_rate=0.3, seed=97))
     with caplog.at_level("DEBUG", logger="onionlabel.solver"):
         tv = anneal_b(w, cloud, decomp, SolverConfig(alpha=0.0005))
     assert tv.epsilon == 0.09949999999999998
-    assert len(membership_batches) <= 3 and sum(membership_batches) <= 6
-    probes, batches = sum(membership_batches), len(membership_batches)
+    assert len(anneal_probes) == 4
     assert [r.getMessage() for r in caplog.records] == [
-        f"anneal: SAFE at eps=0.099500, grid index 801 of 1001, {probes} probes in "
-        f"{batches} membership batches, {probes + 1} LPs"]
+        "anneal: SAFE at eps=0.099500, grid index 801 of 1001, 4 probes in 2 rounds, 5 LPs"]
+
+
+def test_anneal_solves_no_probe_past_the_first_outside(anneal_clouds, anneal_probes):
+    # a round probes its picks in index order and stops at the first one
+    # outside, so each probe lies strictly inside the bracket the earlier ones
+    # left: above every inside probe and below every outside one.  Solving a
+    # round's picks past an outside one, or index J after index 0, breaks
+    # this on many of these clouds.  eps is the stepper's, bit for bit
+    # (test_anneal_matches_reference_stepper)
+    for cfg in _ANNEAL_CONFIGS + [SolverConfig(alpha=1e-9)]:
+        for w, cloud, decomp in anneal_clouds:
+            anneal_probes.clear()
+            _anneal_outcome(anneal_b, w, cloud, decomp, cfg)
+            lo, hi = -math.inf, math.inf
+            for at, inside in anneal_probes:
+                assert lo < at < hi
+                lo, hi = (at, hi) if inside else (lo, at)
 
 
 # ---------------------------------------------------------------------------
