@@ -47,7 +47,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_ANNEAL = 3
 
-# --config keys are the SolverConfig fields, each parsed as an int or a float
+# --config keys and flags are the SolverConfig fields, each an int or a float
 _CONFIG_KEYS = {
     f.name: int if f.type in (int, "int") else float
     for f in dataclasses.fields(SolverConfig)
@@ -79,7 +79,7 @@ def _read_config(path: str) -> dict:
 def _build_config(args) -> SolverConfig:
     """Defaults, overridden by --config file, overridden by flags."""
     merged = _read_config(args.config) if args.config else {}
-    for key in ("alpha", "chunks", "seed"):
+    for key in _CONFIG_KEYS:
         v = getattr(args, key)
         if v is not None:
             merged[key] = v

@@ -193,20 +193,23 @@ def _parse_votes(rows: list, row_numbers, k: int, text) -> np.ndarray:
 
 
 def _load_csv(path: str, n: int, k: int) -> WeakSignalMatrix:
-    rows, row_numbers, short = [], [], None
+    rows, row_numbers, bad_row, r = [], [], None, -1
     with open(path, newline="") as fh:
-        for r, line in enumerate(csv.reader(fh)):
-            if not line or (len(line) == 1 and not line[0].strip()):
-                continue  # permit trailing blank line
-            if len(line) != n:
-                short = f"row {r}: expected {n} entries, found {len(line)}"
-                break
-            rows.append(line)
-            row_numbers.append(r)
-    if rows:  # a bad entry in an earlier row wins over a short row
+        try:
+            for r, line in enumerate(csv.reader(fh)):
+                if not line or (len(line) == 1 and not line[0].strip()):
+                    continue  # permit trailing blank line
+                if len(line) != n:
+                    bad_row = f"row {r}: expected {n} entries, found {len(line)}"
+                    break
+                rows.append(line)
+                row_numbers.append(r)
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            bad_row = f"row {r + 1}: {exc}"
+    if rows:  # a bad entry in an earlier row wins over a bad row
         votes = _parse_votes(rows, row_numbers, k, str.strip)
-    if short is not None:
-        raise ValueError(short)
+    if bad_row is not None:
+        raise ValueError(bad_row)
     if not rows:
         raise ValueError(f"{path}: no signal rows")
     return expand_pws(votes, k)
@@ -249,8 +252,8 @@ def _load_json(path: str, n: int, k: int) -> WeakSignalMatrix:
                 values[r, c] = 1.0 / k
                 abstain[r, c] = True
                 continue
-            try:
-                v = float(v)
+            try:  # str() makes true and false unparsable, as in "pws" rows
+                v = float(str(v) if isinstance(v, bool) else v)
             except (TypeError, ValueError):
                 raise ValueError(f"row {r}, col {c}: unparsable entry {v!r}")
             if math.isnan(v):
@@ -321,17 +324,20 @@ def reduce_signals(w: WeakSignalMatrix, chunks: int = DEFAULT_CHUNKS) -> WeakSig
     """Merge m signals into at most ``chunks`` by entrywise mean.
 
     Signals are grouped into contiguous chunks in their given order with sizes
-    differing by at most one (earlier chunks take the remainder).  Abstain
-    fills take part in the means; a merged entry counts as abstained only when
-    every member of its chunk abstained there.  With m <= chunks the input is
-    returned unchanged.
+    differing by at most one (earlier chunks take the remainder), and their
+    means, summed in ascending order, do not depend on the order inside a
+    chunk.  Abstain fills take part in the means; a merged entry counts as
+    abstained only when every member of its chunk abstained there.  With
+    m <= chunks the input is returned unchanged.
     """
     if chunks < 1:
         raise ValueError(f"chunks must be >= 1, got {chunks}")
     if w.m <= chunks:
         return w
     groups = np.array_split(np.arange(w.m), chunks)
-    values = np.stack([w.values[g].mean(axis=0) for g in groups])
+    # each column is summed in ascending order; two rows commute unsorted
+    rows = [w.values[g[0]:g[-1] + 1] for g in groups]
+    values = np.stack([(np.sort(r, axis=0) if len(r) > 2 else r).mean(axis=0) for r in rows])
     abstain = np.stack([w.abstain[g].all(axis=0) for g in groups])
     return WeakSignalMatrix(values=values, abstain=abstain, n=w.n, k=w.k)
 

@@ -85,14 +85,11 @@ class SolverConfig:
 
     ``alpha`` is the annealing step of eps, at least the smallest normal
     float.  ``chunks`` is the number of signals left after ``reduce_signals``.
-    ``max_iters`` is the budget of major cycles of the label solve and
-    ``conv_tol`` the certified relative duality gap at which it stops (see
-    ``SyntheticLabel.gap``).  All randomness flows from ``seed``.
+    All randomness flows from ``seed``.  The label solve's gap threshold and
+    cycle budget are ``backends.GAP_TOL`` and ``backends.MAX_CYCLES``.
     """
 
     alpha: float = 0.01
-    max_iters: int = 20_000
-    conv_tol: float = 1e-6
     seed: int = 0
     chunks: int = DEFAULT_CHUNKS
 
@@ -102,9 +99,7 @@ class SolverConfig:
         if not sys.float_info.min <= self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and at least {sys.float_info.min!r}, "
                              f"got {self.alpha!r}")
-        if not 0 < self.conv_tol < math.inf:
-            raise ValueError(f"conv_tol must be positive and finite, got {self.conv_tol!r}")
-        for name, least in (("max_iters", 1), ("chunks", 1), ("seed", 0)):
+        for name, least in (("chunks", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
                     or value < least:
@@ -132,7 +127,7 @@ class SyntheticLabel:
     Frank-Wolfe duality gap G of 1/2 ||A y - b||^2 at ``soft``.  It bounds
     ||A y - A y*|| / max(1, ||b||) for the optimal fit A y*, and so also how far
     the relative residual lies above its minimum.  ``converged`` means
-    ``gap <= conv_tol``.
+    ``gap <= backends.GAP_TOL``.
     """
 
     soft: np.ndarray  # (n*k,) in [0, 1]
@@ -319,28 +314,27 @@ def decode_labels(soft: np.ndarray, n: int, k: int) -> np.ndarray:
 
 
 def solve_labels(a_aug: np.ndarray, b_aug: np.ndarray, cfg: SolverConfig | None = None,
-                 y0: np.ndarray | None = None,
                  epsilon_used: float = float("nan")) -> SyntheticLabel:
     """Exact capped least squares on an explicit augmented system.
 
     Minimizes ||A y - b|| over {y in [0,1]^(nk), sum(y) = n}, where the last
     row of the augmented system is the sum row and its right-hand side is n,
-    a positive integer that divides nk; every entry of the system and of
-    ``y0`` must be finite.  Columns of A with equal values are grouped.  The
-    start is the seeded Uniform(0,1) draw, or ``y0`` clipped to [0, 1] when
-    supplied, scaled toward 0 or toward 1 until it sums to n
+    a positive integer that divides nk; every entry of the system must be
+    finite.  Columns of A with equal values are grouped.  The start is the
+    seeded Uniform(0,1) draw, scaled toward 0 or toward 1 until it sums to n
     (``backends.spread``).  ``backends.pgd`` finds optimal label sums per
     group from the start's, and each group's start labels are scaled again,
     toward 0 or 1, to its optimal sum; a sum of 0 or of the group's size
     gives labels of exactly 0 or 1.  The answer is therefore exactly
     feasible, optimal up to the reported gap, and depends on the seed where
     the optimal sums admit many spreads.  ``converged`` is False when the
-    solve ends above ``conv_tol``: its ``max_iters`` major cycles ran out, or
-    rounding stopped its progress first.  The reported residuals exclude the
-    sum row and are taken at the group sums: ``initial_residual`` at the
-    start's, ``residual`` at the solve's, so a start the solve certifies as
-    optimal reports both equal.  ``run_oua`` solves the same problem on its
-    cloud without building the augmented system.
+    solve ends above ``backends.GAP_TOL``: its ``backends.MAX_CYCLES`` major
+    cycles ran out, or rounding stopped its progress first.  The reported
+    residuals exclude the sum row and are taken at the group sums:
+    ``initial_residual`` at the start's, ``residual`` at the solve's, so a
+    start the solve certifies as optimal reports both equal.  ``run_oua``
+    solves the same problem on its cloud without building the augmented
+    system.
     """
     a_aug = np.ascontiguousarray(a_aug, dtype=np.float64)
     b_aug = np.ascontiguousarray(b_aug, dtype=np.float64)
@@ -350,27 +344,21 @@ def solve_labels(a_aug: np.ndarray, b_aug: np.ndarray, cfg: SolverConfig | None 
     if not (1.0 <= n < math.inf and n.is_integer()) or a_aug.shape[1] % int(n):
         raise ValueError("sum row of the augmented system must be a positive "
                          f"integer n with n | nk, got {n!r}")
-    for name, arr in (("a_aug", a_aug), ("b_aug", b_aug), ("y0", y0)):
+    for name, arr in (("a_aug", a_aug), ("b_aug", b_aug)):
         # a NaN would end the solve in a LinAlgError from its least-squares step
-        if arr is not None and not np.isfinite(arr).all():
+        if not np.isfinite(arr).all():
             raise ValueError(f"{name} must be finite")
     return _solve(b_aug[:-1], int(n), _unique_columns(a_aug[:-1]), cfg or SolverConfig(),
-                  y0, epsilon_used)
+                  epsilon_used)
 
 
 def _solve(b: np.ndarray, n: int, groups, cfg: SolverConfig,
-           y0: np.ndarray | None = None, epsilon_used: float = float("nan"),
-           mode: str = "safe_region") -> SyntheticLabel:
+           epsilon_used: float = float("nan"), mode: str = "safe_region") -> SyntheticLabel:
     """``solve_labels`` on b without the sum row, with n given and
     ``groups = _unique_columns(A)`` (``ColumnCloud.groups`` for a cloud)."""
     distinct, _, group = groups
     nk, n = group.size, int(n)  # a numpy n would reach the JSON artifact
-    if y0 is None:
-        z = np.random.default_rng(cfg.seed).uniform(0.0, 1.0, size=nk)
-    elif np.shape(y0) != (nk,):
-        raise ValueError(f"y0 must have length {nk}")
-    else:
-        z = np.clip(np.asarray(y0, dtype=np.float64), 0.0, 1.0)
+    z = np.random.default_rng(cfg.seed).uniform(0.0, 1.0, size=nk)
 
     # the start spreads z to sum n as one group; only its group sums are
     # formed, clipped because rounding can leave a full group an ulp above c
@@ -379,12 +367,10 @@ def _solve(b: np.ndarray, n: int, groups, cfg: SolverConfig,
     a0, r0 = backends.spread(z_sums.sum(), n, nk)
     start = np.clip(a0 * counts + r0 * z_sums, 0.0, counts)
     initial_residual = float(np.linalg.norm(distinct @ start - b))
-    sums, iters, gap, converged = backends.pgd(
-        distinct, b, counts, start, float(n), cfg.conv_tol, cfg.max_iters,
-    )
+    sums, iters, gap, converged = backends.pgd(distinct, b, counts, start, float(n))
     if not converged:
         log.warning("solver stopped after %d major cycles with gap %.3g above "
-                    "conv_tol %.3g", iters, gap, cfg.conv_tol)
+                    "GAP_TOL %.3g", iters, gap, backends.GAP_TOL)
     # the lift spreads each group from its start sum to its optimal sum; the
     # start's map and the group's compose into one pass over z
     a, r = backends.spread(start, sums, counts)

@@ -79,7 +79,7 @@ class SynthSpec:
             bal = tuple(float(p) for p in self.class_balance)
             if len(bal) != self.k:
                 raise ValueError(f"class_balance must have length k = {self.k}")
-            if min(bal) < 0 or abs(sum(bal) - 1.0) > 1e-9:
+            if not (min(bal) >= 0 and abs(sum(bal) - 1.0) <= 1e-9):  # also NaN
                 raise ValueError("class_balance must be nonnegative and sum to 1")
             object.__setattr__(self, "class_balance", bal)
 

@@ -7,12 +7,20 @@ pytest output so the verdicts survive output capture.
 
 from __future__ import annotations
 
+import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from onionlabel.signals import LabelVector, WeakSignalMatrix
+
+# pytest finds the package through pyproject's ``pythonpath``; the tests that
+# start a fresh interpreter pass it on through PYTHONPATH
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
 
 _ACCEPTANCE_LINES: list[str] = []
 

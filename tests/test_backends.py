@@ -277,22 +277,23 @@ def test_solve_residual_not_above_converged_reference_pgd():
         A, b = a_aug[:-1], b_aug[:-1]
         ref_res = float(np.linalg.norm(A @ ref - b))
         lbl = solve_labels(a_aug, b_aug, cfg)
-        assert lbl.converged and lbl.gap <= cfg.conv_tol
+        assert lbl.converged and lbl.gap <= backends.GAP_TOL
         assert lbl.residual <= ref_res * (1.0 + 1e-6) + 1e-12
         assert lbl.soft.min() >= 0.0 and lbl.soft.max() <= 1.0
         assert abs(lbl.soft.sum() - n) <= 1e-9 * n
         # the certificate, recomputed over every label, agrees
-        assert _full_length_gap(A, b, lbl.soft, n) <= cfg.conv_tol
+        assert _full_length_gap(A, b, lbl.soft, n) <= backends.GAP_TOL
         assert _full_length_gap(A, b, lbl.soft, n) == pytest.approx(lbl.gap, abs=1e-8)
 
 
-def test_gap_certifies_a_stopped_solve():
+def test_gap_certifies_a_stopped_solve(monkeypatch):
     # cut short by its budget, the solve reports the gap of where it stopped
     rng = np.random.default_rng(9)
     a_aug, b_aug = _small_system(rng, m=4, p=36, n=12)
     A, b = a_aug[:-1], b_aug[:-1]
     for budget in (1, 2, 3):
-        lbl = solve_labels(a_aug, b_aug, SolverConfig(max_iters=budget))
+        monkeypatch.setattr(backends, "MAX_CYCLES", budget)
+        lbl = solve_labels(a_aug, b_aug, SolverConfig())
         assert lbl.iterations == budget
         assert lbl.gap == pytest.approx(_full_length_gap(A, b, lbl.soft, 12), abs=1e-8)
         assert lbl.converged == (lbl.gap <= 1e-6)
@@ -331,12 +332,12 @@ def _assert_certified(cloud, tv, n, cfg):
     """Solve on the augmented system; converged, feasible, certified in full."""
     a_aug, b_aug = augment_system(cloud, tv, n)
     lbl = solve_labels(a_aug, b_aug, cfg, epsilon_used=tv.epsilon)
-    assert lbl.converged and lbl.gap <= cfg.conv_tol
+    assert lbl.converged and lbl.gap <= backends.GAP_TOL
     assert lbl.iterations <= 200
     y = lbl.soft
     assert y.min() >= 0.0 and y.max() <= 1.0
     assert abs(y.sum() - n) <= 1e-9 * n
-    assert _full_length_gap(cloud.matrix, tv.b, y, n) <= cfg.conv_tol
+    assert _full_length_gap(cloud.matrix, tv.b, y, n) <= backends.GAP_TOL
 
 
 @pytest.mark.parametrize("name", sorted(REGRESSIONS))
@@ -347,7 +348,7 @@ def test_solve_certifies_regression_instances(name):
     _assert_certified(cloud, tv, w.n, cfg)
 
 
-def test_solve_finishes_near_the_reachable_boundary():
+def test_solve_finishes_near_the_reachable_boundary(monkeypatch):
     # this target lies about 1e-5 (relative) outside the set the labels can
     # reach, so the optimal fit sits on a face with many groups at their
     # bounds.  Proximal-point Newton ran all 20,000 iterations here in 29 s
@@ -360,7 +361,8 @@ def test_solve_finishes_near_the_reachable_boundary():
     _assert_certified(cloud, tv, w.n, cfg)
     # a tolerance below what rounding lets the corral reach: the new atom
     # gets no positive weight, and the solve stops there with its gap
-    lbl = solve_labels(*augment_system(cloud, tv, w.n), SolverConfig(conv_tol=1e-12))
+    monkeypatch.setattr(backends, "GAP_TOL", 1e-12)
+    lbl = solve_labels(*augment_system(cloud, tv, w.n), cfg)
     assert not lbl.converged and lbl.iterations <= 200
     assert lbl.gap > 1e-12 and _full_length_gap(cloud.matrix, tv.b, lbl.soft, w.n) > 1e-12
 
@@ -385,7 +387,7 @@ def test_solve_certifies_robustness_sample(k, m, accuracy, abstain, seed):
     _assert_certified(cloud, tv, w.n, cfg)
 
 
-def test_budget_ending_on_a_certified_point_reports_converged(caplog):
+def test_budget_ending_on_a_certified_point_reports_converged(caplog, monkeypatch):
     # the point the last budgeted cycle leaves is the one the next cycle
     # would have certified: the stopped solve is the full one, converged and
     # without a warning
@@ -394,10 +396,11 @@ def test_budget_ending_on_a_certified_point_reports_converged(caplog):
     a_aug, b_aug = augment_system(cloud, tv, w.n)
     full = solve_labels(a_aug, b_aug, cfg)
     assert full.converged and full.iterations >= 2
+    monkeypatch.setattr(backends, "MAX_CYCLES", full.iterations - 1)
     with caplog.at_level(logging.WARNING, logger="onionlabel.solver"):
-        cut = solve_labels(a_aug, b_aug, SolverConfig(max_iters=full.iterations - 1))
+        cut = solve_labels(a_aug, b_aug, cfg)
     assert cut.iterations == full.iterations - 1
-    assert cut.converged and cut.gap <= cfg.conv_tol
+    assert cut.converged and cut.gap <= backends.GAP_TOL
     assert cut.soft.tobytes() == full.soft.tobytes()
     assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
@@ -458,7 +461,7 @@ def test_spread_meets_each_target_inside_the_box(seed):
 @settings(max_examples=50, deadline=None)
 def test_projection_exact_box_and_sum_on_wide_inputs(seed):
     # one group, as in the start: z drawn wider than the box and clipped into
-    # it, as `_solve` does with a y0, then spread to the target sum
+    # it, then spread to the target sum
     rng = np.random.default_rng(seed)
     p = int(rng.integers(2, 30))
     target = float(rng.uniform(0.0, p))
@@ -529,13 +532,16 @@ def test_spread_invariants_at_solve_wide_size(solve_wide):
 
 
 def test_optimal_start_reports_its_own_residual(solve_wide):
-    # a feasible optimal start is certified in the first cycle; the residual
-    # is then the start's, exactly
-    n, _, a_aug, b_aug, lbl, _ = solve_wide
-    again = solve_labels(a_aug, b_aug, SolverConfig(), y0=lbl.soft)
-    assert again.iterations == 1 and again.converged
-    assert again.residual == again.initial_residual
-    assert again.residual == pytest.approx(lbl.residual, rel=1e-12)
+    # optimal start sums are certified in the first cycle and returned as
+    # they are, so the residual is the start's, exactly
+    _, cloud, _, b_aug, lbl, sums = solve_wide
+    distinct, _, group = cloud.groups
+    counts = np.bincount(group).astype(np.float64)
+    b = b_aug[:-1]
+    s, iters, gap, converged = backends.pgd(distinct, b, counts, sums, b_aug[-1])
+    assert iters == 1 and converged and gap == lbl.gap
+    assert s.tobytes() == sums.tobytes()
+    assert float(np.linalg.norm(distinct @ s - b)) == lbl.residual
 
 
 def test_run_oua_lifts_without_a_shift_clip_warning(caplog):
@@ -547,25 +553,3 @@ def test_run_oua_lifts_without_a_shift_clip_warning(caplog):
         res = run_oua(w)
     assert res.converged
     assert not caplog.records
-
-
-@pytest.mark.parametrize("start", ["outside", "zeros", "ones", "empty-groups"])
-def test_degenerate_starts_give_feasible_labels(start):
-    rng = np.random.default_rng(5)
-    a_aug, b_aug = _small_system(rng, m=3, p=24, n=8)
-    p, n = a_aug.shape[1], 8
-    y0 = {"outside": rng.uniform(-3.0, 4.0, size=p), "zeros": np.zeros(p),
-          "ones": np.ones(p)}.get(start)
-    if start == "empty-groups":
-        # zero on every group whose optimal sum is 0: each spreads 0/0
-        opt = solve_labels(a_aug, b_aug, SolverConfig()).soft
-        y0 = opt.copy()
-        assert (opt == 0.0).any() and opt.sum() >= n  # the start keeps the zeros
-    lbl = solve_labels(a_aug, b_aug, SolverConfig(), y0=y0)
-    y = lbl.soft
-    assert np.isfinite(y).all() and np.isfinite(lbl.initial_residual)
-    assert y.min() >= 0.0 and y.max() <= 1.0
-    assert abs(float(y.sum()) - n) <= 1e-9 * n
-    assert lbl.converged and lbl.residual <= lbl.initial_residual
-    if start == "empty-groups":
-        assert np.all(y[opt == 0.0] == 0.0)

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 import onionlabel.hull
-from onionlabel import SolverConfig, __version__
+from onionlabel import SolverConfig, __version__, backends
 from onionlabel.cli import main
-from onionlabel.synth import SynthSpec, generate_votes
+from onionlabel.synth import SynthSpec, generate_votes, sweep
 
 # prob-format signals whose target path never leaves the inner hull at alpha 0.25
 STUCK_DOC = {
@@ -100,6 +100,21 @@ def test_synth_csv_bytes_match_per_entry_writer(tmp_path, k):
     assert (tmp_path / "w.csv").read_bytes() == expected.encode()
 
 
+def test_synth_class_balance(tmp_path, capsys):
+    prefix = tmp_path / "bal"
+    assert run_cli("synth", "--n", "200", "--k", "2", "--m", "3", "--accuracy", "0.8",
+                   "--class-balance", "0.9,0.1", "--seed", "4",
+                   "--out-prefix", str(prefix)) == 0
+    _, truth = generate_votes(SynthSpec(n=200, k=2, m=3, signal_accuracy=0.8,
+                                        class_balance=(0.9, 0.1), seed=4))
+    labels = [int(line) for line in (tmp_path / "bal.truth.txt").read_text().split()]
+    assert labels == truth.hard.tolist() and labels.count(1) > 150
+    # NaN passes a "< 0" test and failed later inside numpy's sampler
+    assert run_cli("synth", "--n", "20", "--k", "2", "--m", "3", "--accuracy", "0.8",
+                   "--class-balance", "nan,1", "--out-prefix", str(prefix)) == 2
+    assert "class_balance must be nonnegative and sum to 1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # label
 
@@ -151,16 +166,15 @@ def test_label_writes_artifact_and_manifest(synth_files):
     assert "timestamp" in man and "command" in man
     # the artifact carries the solve's certificate
     assert doc["converged"] is True
-    assert 0.0 <= doc["gap"] <= man["config"]["conv_tol"]
+    assert 0.0 <= doc["gap"] <= backends.GAP_TOL
 
 
-def test_label_warns_with_gap_when_solve_budget_runs_out(synth_files, caplog):
+def test_label_warns_with_gap_when_solve_budget_runs_out(synth_files, caplog, monkeypatch):
     tmp_path, weak_path, _ = synth_files
-    cfg = tmp_path / "short.cfg"
-    cfg.write_text("max_iters = 1\n")
+    monkeypatch.setattr(backends, "MAX_CYCLES", 1)
     out = tmp_path / "short.json"
     rc = run_cli("label", "--weak-labels", weak_path, "--n", "40", "--k", "2",
-                 "--config", str(cfg), "--out", str(out))
+                 "--out", str(out))
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["converged"] is False and doc["iterations"] == 1
@@ -169,7 +183,7 @@ def test_label_warns_with_gap_when_solve_budget_runs_out(synth_files, caplog):
     warnings = [r for r in caplog.records if r.levelname == "WARNING"]
     assert len(warnings) == 1
     m = re.fullmatch(r"solver stopped after 1 major cycles with gap (\S+) above "
-                     r"conv_tol 1e-06", warnings[0].getMessage())
+                     r"GAP_TOL 1e-06", warnings[0].getMessage())
     assert m and float(m.group(1)) == pytest.approx(doc["gap"], rel=1e-2)
 
 
@@ -194,6 +208,11 @@ def test_label_parse_errors_exit_2(tmp_path, capsys):
     bad.write_text("+1,0,1e400,-1\n")  # a vote that overflows to infinity
     assert run_cli("label", "--weak-labels", str(bad), "--n", "4", "--k", "2") == 2
     assert "row 0, col 2" in capsys.readouterr().err
+    # csv.reader's "field larger than field limit" (131,072 characters) is
+    # not a ValueError: it ended in a traceback with exit 1
+    bad.write_text("+1,0,-1,0\n" + "1" * 200_000 + ",0,-1,0\n")
+    assert run_cli("label", "--weak-labels", str(bad), "--n", "4", "--k", "2") == 2
+    assert capsys.readouterr().err.startswith("onionlabel: row 1: field larger than field limit")
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -215,17 +234,8 @@ def test_label_non_finite_alpha_exits_2(synth_files, capsys, flag, value, messag
     assert message in capsys.readouterr().err
 
 
-def test_config_file_non_finite_conv_tol_exits_2(synth_files, tmp_path, capsys):
-    _, weak_path, _ = synth_files
-    cfg = tmp_path / "nan.cfg"
-    cfg.write_text("conv_tol = nan\n")
-    assert run_cli("label", "--weak-labels", weak_path, "--n", "40", "--k", "2",
-                   "--config", str(cfg)) == 2
-    assert "conv_tol must be positive and finite" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("line, message", [
-    ("max_iters = 1e3", "max_iters must be an integer, got '1e3'"),
+    ("chunks = 10e3", "chunks must be an integer, got '10e3'"),
     ("alpha = 1/2", "alpha must be a number, got '1/2'"),
 ])
 def test_config_file_unparsable_value_names_file_line_and_key(synth_files, tmp_path,
@@ -404,8 +414,7 @@ def test_config_file_and_flag_precedence(synth_files):
 
 def test_config_file_sets_every_solver_field(synth_files):
     tmp_path, weak_path, _ = synth_files
-    values = {"alpha": 0.05, "max_iters": 3000, "conv_tol": 1e-05,
-              "seed": 4, "chunks": 4}
+    values = {"alpha": 0.05, "seed": 4, "chunks": 4}
     assert set(values) == {f.name for f in dataclasses.fields(SolverConfig)}
     cfg = tmp_path / "all.cfg"
     cfg.write_text("".join(f"{key} = {v}\n" for key, v in values.items()))
@@ -418,10 +427,12 @@ def test_config_file_sets_every_solver_field(synth_files):
     assert run_cli(*label) == 2
 
 
-@pytest.mark.parametrize("line", ["warp_factor = 9", "max_anneal_steps = 400"],
+@pytest.mark.parametrize("line", ["warp_factor = 9", "max_anneal_steps = 400",
+                                  "max_iters = 3000", "conv_tol = nan"],
                          ids=lambda line: line.split()[0])
 def test_config_unknown_key_exits_2(synth_files, capsys, line):
-    # max_anneal_steps bounded the stepped anneal grid, which is gone
+    # max_anneal_steps bounded the stepped anneal grid, which is gone; the
+    # label solve's cycle budget and gap threshold are constants
     tmp_path, weak_path, _ = synth_files
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{line}\n")
@@ -462,6 +473,21 @@ def test_sweep_end_to_end(tmp_path):
                    "--seed", "1", "--out", str(out2)) == 0
     strip_wall = lambda text: [ln.rsplit(",", 1)[0] for ln in text.splitlines()]
     assert strip_wall(out.read_text()) == strip_wall(out2.read_text())
+
+
+def test_sweep_spec_with_class_balance(tmp_path, capsys):
+    spec = {"n": 200, "k": 2, "m": 4, "signal_accuracy": 0.7,
+            "class_balance": [0.9, 0.1], "seed": 5}
+    spec_path = tmp_path / "specs.json"
+    spec_path.write_text(json.dumps([spec]))
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--specs", str(spec_path), "--methods", "mv",
+                   "--out", str(out)) == 0
+    [row] = sweep([SynthSpec(**dict(spec, class_balance=(0.9, 0.1)))], ["mv"])
+    assert out.read_text().splitlines()[1].split(",")[3] == f"{row['value']:.10g}"
+    spec_path.write_text(json.dumps([dict(spec, class_balance=[0.5, 0.6])]))
+    assert run_cli("sweep", "--specs", str(spec_path), "--out", str(out)) == 2
+    assert "class_balance must be nonnegative and sum to 1" in capsys.readouterr().err
 
 
 def test_sweep_rejects_non_list_specs(tmp_path):

@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onionlabel import signals
+from onionlabel.hull import build_A
 from onionlabel.signals import (
+    DEFAULT_CHUNKS,
     LabelVector,
     WeakSignalMatrix,
     col_index,
@@ -23,6 +25,7 @@ from onionlabel.signals import (
     reduce_signals,
     validate,
 )
+from onionlabel.synth import SynthSpec, generate_instance
 
 # ---------------------------------------------------------------------------
 # layout
@@ -150,6 +153,19 @@ def test_load_csv_rejects_bad_rows(tmp_path, text):
     path.write_text(text)
     message = _BAD_CSV[text].format(path=path)
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        load_pws_matrix(str(path), n=3, k=3)
+
+
+def test_load_csv_field_over_the_csv_limit_names_its_row(tmp_path):
+    # csv.reader raises _csv.Error on a field over csv.field_size_limit()
+    # (131,072 characters by default), which is not a ValueError
+    path = tmp_path / "w.csv"
+    path.write_text("1,2,1\n" + "1" * 200_000 + ",2,1\n")
+    with pytest.raises(ValueError, match=r"^row 1: field larger than field limit"):
+        load_pws_matrix(str(path), n=3, k=3)
+    # an earlier bad entry still wins, as over a row of the wrong length
+    path.write_text("1,2,x\n" + "1" * 200_000 + ",2,1\n")
+    with pytest.raises(ValueError, match=r"^row 0, col 2: unparsable entry 'x'$"):
         load_pws_matrix(str(path), n=3, k=3)
 
 
@@ -347,6 +363,13 @@ def test_load_json_rejects_bad_documents(tmp_path):
          r"row 0, col 0: unparsable entry '\[1\]'"),
         ('{"n": 1, "k": 2, "format": "prob", "rows": [[0.5, [0.5]]]}', "row 0, col 1"),
         ('{"n": 1, "k": 2, "format": "prob", "rows": [[{"p": 0.5}, 0.5]]}', "row 0, col 0"),
+        # float() reads true and false as 1 and 0; "pws" rows reject them too
+        ('{"n": 1, "k": 2, "format": "prob", "rows": [[0.5, true]]}',
+         "row 0, col 1: unparsable entry True"),
+        ('{"n": 1, "k": 2, "format": "prob", "rows": [[false, 0.5]]}',
+         "row 0, col 0: unparsable entry False"),
+        ('{"n": 1, "k": 2, "format": "prob", "rows": [[0.5, 0.5], [NaN, 0.5]]}',
+         "row 1, col 0: NaN entry"),
         ('{"n": 1, "k": 2, "format": "pws", "rows": 1}', "'rows' must be a non-empty list"),
         ('{"n": 1, "k": 2, "format": "pws", "rows": [1]}', "row 0"),
         ('{"n": [1], "k": 2, "format": "pws", "rows": [[1]]}', "does not match"),
@@ -414,6 +437,49 @@ def test_reduce_abstain_means_and_mask():
         k=2,
     )
     assert reduce_signals(both, chunks=1).abstain[0].tolist() == [True, True]
+
+
+def _reverse_within_chunks(w, chunks):
+    """w with its signals reversed inside each of reduce_signals's chunks."""
+    order = np.concatenate([g[::-1] for g in np.array_split(np.arange(w.m), chunks)])
+    return WeakSignalMatrix(values=w.values[order], abstain=w.abstain[order], n=w.n, k=w.k)
+
+
+def test_reduce_means_do_not_depend_on_signal_order():
+    # planted n=50k, k=3, m=15: chunks of 3.  Summed in the given order, the
+    # reversed signals gave 31,900 distinct columns against 31,892
+    w, _ = generate_instance(SynthSpec(n=50_000, k=3, m=15, signal_accuracy=0.8,
+                                       abstain_rate=0.3, seed=0))
+    groups = build_A(reduce_signals(w)).groups
+    again = build_A(reduce_signals(_reverse_within_chunks(w, DEFAULT_CHUNKS))).groups
+    for a, b in zip(groups, again):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 9])
+def test_reduce_mean_is_the_ascending_sum(m):
+    # "prob" values: the mean of one chunk is that of its sorted columns,
+    # bitwise, in every order of the signals
+    rng = np.random.default_rng(m)
+    n, k = 50, 3
+    values = rng.dirichlet(np.ones(k), size=(m, n)).transpose(0, 2, 1).reshape(m, n * k)
+    values[rng.random(values.shape) < 0.2] = 1.0 / k  # abstain fills tie
+    expected = np.sort(values, axis=0).mean(axis=0)
+    for _ in range(3):
+        shuffled = WeakSignalMatrix(values=values[rng.permutation(m)],
+                                    abstain=np.zeros(values.shape, bool), n=n, k=k)
+        assert reduce_signals(shuffled, chunks=1).values[0].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("m", [6, 7, 8, 9, 10])
+def test_reduce_chunks_of_two_keep_the_plain_mean(m):
+    # with at most two signals a chunk, the means are bitwise the ones summed
+    # in the given order
+    w, _ = generate_instance(SynthSpec(n=500, k=3, m=m, signal_accuracy=0.8,
+                                       abstain_rate=0.3, seed=m))
+    groups = np.array_split(np.arange(m), DEFAULT_CHUNKS)
+    plain = np.stack([w.values[g].mean(axis=0) for g in groups])
+    assert reduce_signals(w).values.tobytes() == plain.tobytes()
 
 
 def test_reduce_identity_when_m_small(table_signals):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onionlabel import solver
+from onionlabel import backends, solver
 from onionlabel.hull import SafeRegionStatus, build_A, hull_decompose, safe_region_status
 from onionlabel.metrics import majority_vote, weighted_majority_vote, accuracy
 from onionlabel.signals import WeakSignalMatrix, reduce_signals
@@ -375,17 +376,10 @@ def test_augment_system_dimension_mismatch(table_signals):
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(conv_tol=0.0)
-    # NaN passes a "<= 0" test: alpha=nan would make the grid length
-    # ceil(nan), and conv_tol=nan would spend every solve's whole budget
+    # NaN passes a "<= 0" test: alpha=nan would make the grid length ceil(nan)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match=r"alpha must be finite and at least \S+, got (nan|inf)"):
             SolverConfig(alpha=bad)
-        with pytest.raises(ValueError, match=r"conv_tol must be positive and finite"):
-            SolverConfig(conv_tol=bad)
     # below the smallest normal float ub / alpha overflows to inf
     with pytest.raises(ValueError, match=r"alpha must be finite and at least 2\.2250738585072014e-308, "
                                          r"got 1e-310"):
@@ -393,17 +387,17 @@ def test_solver_config_validation():
     SolverConfig(alpha=sys.float_info.min)
     with pytest.raises(ValueError):
         SolverConfig(chunks=0)
-    # counts and seeds are integers: a float would reach the solve's loop
-    # bound, the chunk split or the generator only after the hull and anneal
-    for name, bad in (("max_iters", math.nan), ("max_iters", math.inf), ("max_iters", 2.0),
-                      ("chunks", 2.5), ("chunks", True), ("seed", -1), ("seed", 1.5),
-                      ("seed", None)):
+    # counts and seeds are integers: a float would reach the chunk split or,
+    # only after the hull and anneal, the generator
+    for name, bad in (("chunks", math.nan), ("chunks", 2.0), ("chunks", 2.5), ("chunks", True),
+                      ("seed", -1), ("seed", 1.5), ("seed", None)):
         least = 0 if name == "seed" else 1
         with pytest.raises(ValueError, match=rf"{name} must be an integer >= {least}, "
                                              rf"got {re.escape(repr(bad))}"):
             SolverConfig(**{name: bad})
-    cfg = SolverConfig(max_iters=np.int64(5), chunks=np.int32(3), seed=np.uint64(7))
-    assert (cfg.max_iters, cfg.chunks, cfg.seed) == (5, 3, 7)
+    cfg = SolverConfig(chunks=np.int32(3), seed=np.uint64(7))
+    assert (cfg.chunks, cfg.seed) == (3, 7)
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["alpha", "seed", "chunks"]
 
 
 def test_synthetic_label_to_dict_maps_nan_epsilon_to_none():
@@ -442,21 +436,6 @@ def test_solve_tiny_unique_optimum():
     assert lbl.n == 1 and lbl.k == 2
 
 
-def test_solve_feasible_start_is_a_fixed_point():
-    rng = np.random.default_rng(11)
-    n, k, m = 5, 2, 2
-    A = rng.uniform(0.0, 2.0, size=(m, n * k))
-    y_star = rng.uniform(0.3, 0.7, size=n * k)
-    y_star *= n / y_star.sum()
-    a_aug = np.vstack([A, np.ones(n * k)])
-    b_aug = np.concatenate([A @ y_star, [float(n)]])
-    lbl = solve_labels(a_aug, b_aug, SolverConfig(), y0=y_star)
-    np.testing.assert_allclose(lbl.soft, y_star, atol=1e-9)
-    assert lbl.iterations == 1 and lbl.converged
-    assert lbl.residual <= 1e-9
-    assert lbl.initial_residual <= 1e-9
-
-
 def test_solve_box_sum_and_residual_monotonicity():
     rng = np.random.default_rng(21)
     n, k, m = 6, 3, 4
@@ -468,12 +447,13 @@ def test_solve_box_sum_and_residual_monotonicity():
     assert lbl.residual <= lbl.initial_residual
 
 
-def test_solve_reports_nonconvergence_honestly():
+def test_solve_reports_nonconvergence_honestly(monkeypatch):
     rng = np.random.default_rng(1)
     n, k, m = 10, 2, 3
     a_aug = np.vstack([rng.uniform(0, 2, size=(m, n * k)), np.ones(n * k)])
     b_aug = np.concatenate([rng.uniform(0, 2 * n, size=m), [float(n)]])
-    lbl = solve_labels(a_aug, b_aug, SolverConfig(max_iters=2))
+    monkeypatch.setattr(backends, "MAX_CYCLES", 2)
+    lbl = solve_labels(a_aug, b_aug, SolverConfig())
     assert not lbl.converged
     assert lbl.iterations == 2
     # the feasibility contract still holds
@@ -493,17 +473,13 @@ def test_solve_rejects_inconsistent_shapes():
         with pytest.raises(ValueError, match=rf"positive integer n with n \| nk, got {shown}$"):
             solve_labels(np.ones((2, 4)), np.array([1.0, n]))
     a_aug = np.array([[2.0, 0.0], [1.0, 1.0]])
-    with pytest.raises(ValueError):
-        solve_labels(a_aug, np.array([2.0, 1.0]), y0=np.ones(3))
-    # a NaN in y0 or b ran the Newton loop to its budget with gap nan: 33-35 s
-    # for max_iters=50 on a planted n=2000, k=2, m=5 system
+    # a NaN in b ran the Newton loop to its budget with gap nan: 33-35 s for
+    # 50 iterations on a planted n=2000, k=2, m=5 system
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="^a_aug must be finite$"):
             solve_labels(np.array([[2.0, bad], [1.0, 1.0]]), np.array([2.0, 1.0]))
         with pytest.raises(ValueError, match="^b_aug must be finite$"):
             solve_labels(a_aug, np.array([bad, 1.0]))
-        with pytest.raises(ValueError, match="^y0 must be finite$"):
-            solve_labels(a_aug, np.array([2.0, 1.0]), y0=np.array([0.5, bad]))
 
 
 # ---------------------------------------------------------------------------
