@@ -51,7 +51,12 @@ label solve all read them.  The dedup sorts no columns: it ranks each row's
 values against the row's sorted distinct values, folds the ranks into one
 integer key per column whose order is the lexicographic one, and groups the
 columns by key, through a table of the keys present when their range is
-within a constant factor of the number of columns.
+within a constant factor of the number of columns.  A cloud of votes
+(``_vote_cloud``) is grouped from the integer votes instead, since a
+column's value in a chunk is a function of the chunk's votes for its class
+and its abstains: it folds each chunk's value ranks, read from a small table
+of the chunk's means, into the same keys over the (class, point group)
+pairs, and builds its m x nk matrix only if that is read.
 """
 
 from __future__ import annotations
@@ -59,11 +64,12 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .backends import phase1_batch, phase1_simplex
+from .signals import _chunk_bounds, _chunk_mean
 
 __all__ = [
     "ColumnCloud",
@@ -80,6 +86,7 @@ __all__ = [
 HULL_TOL = 1e-8
 _BLOCK_FLOATS = 1 << 18  # bound on each work array of the vertex pass (2 MB)
 _COMPARE_RANKS = 16  # most values per row ranked by comparisons (measured crossover)
+_CODE_TABLE = 1 << 16  # most codes of a chunk's votes in a table kept for all calls
 
 log = logging.getLogger("onionlabel.hull")
 
@@ -99,6 +106,20 @@ def _budget_error(pivots: int, shape) -> PivotBudgetError:
     )
 
 
+def _check_cloud(m: np.ndarray) -> None:
+    """Raise on a cloud matrix that is not 2-d, empty, NaN or outside [0, 2];
+    then make it read-only."""
+    if m.ndim != 2:
+        raise ValueError("cloud matrix must be 2-d")
+    if m.size == 0:
+        raise ValueError("cloud must contain at least one column")
+    if np.isnan(m).any():
+        raise ValueError("cloud contains NaN")
+    if m.min() < 0.0 or m.max() > 2.0:
+        raise ValueError("cloud coordinates must lie in [0, 2]")
+    m.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class ColumnCloud:
     """Columns of the doubled signal matrix as points in R^m."""
@@ -107,15 +128,7 @@ class ColumnCloud:
 
     def __post_init__(self):
         m = np.ascontiguousarray(self.matrix, dtype=np.float64)
-        if m.ndim != 2:
-            raise ValueError("cloud matrix must be 2-d")
-        if m.size == 0:
-            raise ValueError("cloud must contain at least one column")
-        if np.isnan(m).any():
-            raise ValueError("cloud contains NaN")
-        if m.min() < 0.0 or m.max() > 2.0:
-            raise ValueError("cloud coordinates must lie in [0, 2]")
-        m.setflags(write=False)
+        _check_cloud(m)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -135,9 +148,113 @@ class ColumnCloud:
         return groups
 
 
+class _GroupedCloud(ColumnCloud):
+    """A cloud given by its groups ``(distinct, first, group)``, as
+    ``_unique_columns`` returns them; ``matrix = distinct[:, group]`` is built
+    on first read."""
+
+    def __init__(self, distinct, first, group):
+        _check_cloud(distinct)
+        for a in (first, group):
+            a.setflags(write=False)
+        self.__dict__["groups"] = (distinct, first, group)
+
+    @property
+    def dim(self) -> int:
+        return self.groups[0].shape[0]
+
+    @property
+    def n_points(self) -> int:
+        return self.groups[2].size
+
+    @cached_property
+    def matrix(self):
+        distinct, _, group = self.groups
+        matrix = np.take(distinct, group, axis=1)  # C-contiguous, as ColumnCloud's
+        matrix.setflags(write=False)
+        return matrix
+
+
 def build_A(w) -> ColumnCloud:
     """Double a weak-signal matrix into its column cloud (entries in [0, 2])."""
     return ColumnCloud(matrix=2.0 * w.values)
+
+
+def _vote_cloud(votes: np.ndarray, k: int, chunks: int) -> ColumnCloud:
+    """``build_A(reduce_signals(expand_pws(votes, k), chunks))`` with its
+    groups counted from the (m, n) votes; its matrix is built only if read.
+
+    A column's value in a chunk depends only on the chunk's votes for its
+    class and its abstains.  Each chunk codes every point's votes in it and
+    groups the codes by the ranks of their k class values
+    (``_chunk_groups``).  The points are grouped by their group in every
+    chunk, so a column is a (class, point group) pair, and the pairs' ranks
+    fold into keys as ``_unique_columns`` folds a row's.
+    """
+    m, n = votes.shape
+    key, radix, parts = np.zeros(n, dtype=np.int64), 1, []
+    for lo, hi in _chunk_bounds(m, chunks):
+        code, span = np.zeros(n, dtype=np.int64), 1
+        for row in votes[lo:hi]:
+            code, span = _fold(code, span, row, k + 1)
+        if (k + 1) ** (hi - lo) <= min(n, _CODE_TABLE):  # every code, cached: no more than points
+            values, ranks, chunk_group = _every_code_groups(hi - lo, k)
+        else:  # the codes present, each by the votes of one point
+            present, code = _dense_rank(code, span)
+            point = np.empty(present.size, dtype=np.intp)
+            point[code] = np.arange(n)
+            values, ranks, chunk_group = _chunk_groups(hi - lo, k, votes[lo:hi, point])
+        chunk_group = chunk_group[code]
+        parts.append((values, ranks, chunk_group))
+        key, radix = _fold(key, radix, chunk_group, ranks.shape[1])
+    point, pattern = _key_groups(key, radix, np.arange(n))  # the point groups
+    parts = [(values, np.take(ranks, chunk_group[point], axis=1).ravel())
+             for values, ranks, chunk_group in parts]
+    key, radix = np.zeros(k * point.size, dtype=np.int64), 1
+    for values, ranks in parts:
+        key, radix = _fold(key, radix, ranks, values.size)
+    columns = (np.arange(k)[:, None] * n + point).ravel()  # lowest column of each pair
+    first, pair_group = _key_groups(key, radix, columns)
+    pair = first // n * point.size + pattern[first % n]
+    distinct = np.empty((first.size, len(parts))).T  # laid out as _unique_columns' copy
+    for row, (values, ranks) in zip(distinct, parts):
+        row[:] = values[ranks[pair]]
+    group = np.take(pair_group.reshape(k, point.size), pattern, axis=1).ravel()
+    return _GroupedCloud(distinct, first, group)
+
+
+def _chunk_groups(g: int, k: int, block: np.ndarray):
+    """``(values, ranks, group)`` for a chunk of g signals over k classes.
+
+    ``values`` are the chunk's doubled means in ascending order, from
+    ``reduce_signals``' own mean and so bitwise its values.  ``block`` holds
+    the chunk's votes of one point per code, (g, codes); ``group`` groups the
+    codes by their class values, in the smallest unsigned dtype that holds
+    them, and ``ranks`` (k, groups) holds each group's rank of the value of
+    each class.
+    """
+    v, a = np.divmod(np.arange((g + 1) ** 2), g + 1)  # v votes for a class, a abstains
+    t = np.arange(g)[:, None]  # each cell's g values, ascending; cells with v + a > g unread
+    means = _chunk_mean(np.where(t < g - v - a, 0.0, np.where(t < g - v, 1.0 / k, 1.0)))
+    values, rank = np.unique(2.0 * means, return_inverse=True)
+    abstains = (block == 0).sum(axis=0)
+    key, radix, ranks = np.zeros(block.shape[1], dtype=np.int64), 1, []
+    for c in range(1, k + 1):
+        ranks.append(rank[(block == c).sum(axis=0) * (g + 1) + abstains])
+        key, radix = _fold(key, radix, ranks[-1], values.size)
+    first, group = _key_groups(key, radix, np.arange(key.size))
+    return values, np.stack(ranks)[:, first], group.astype(np.min_scalar_type(group.size))
+
+
+@lru_cache(maxsize=16)
+def _every_code_groups(g: int, k: int):
+    """``_chunk_groups`` of every code, the radix-(k + 1) numbers of g digits,
+    read-only."""
+    block = np.arange((k + 1) ** g) // (k + 1) ** np.arange(g - 1, -1, -1)[:, None] % (k + 1)
+    out = _chunk_groups(g, k, block)
+    for x in out:
+        x.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -181,18 +298,13 @@ def _unique_columns(matrix: np.ndarray):
     # one) are folded, row 0 first, into a mixed-radix key whose order is the
     # lexicographic order of the columns.  A row of at most _COMPARE_RANKS
     # values counts, per entry, the values above the smallest that it reaches;
-    # a longer row finds its ranks by binary search.  When the key range is
-    # at most 4p + 1024, a table of the keys present, summed up to each key,
-    # gives the groups with no sort, in memory a constant factor of the keys'.
+    # a longer row finds its ranks by binary search.
     p = matrix.shape[1]
     key = np.zeros(p, dtype=np.int64)
     radix = 1  # exclusive bound on key
     for row in matrix:
         values = np.unique(row)
-        if radix * values.size > 1 << 62:
-            # re-rank the key densely, in order, so the next fold fits in int64
-            uniq, key = np.unique(key, return_inverse=True)
-            radix = uniq.size
+        key, radix = _make_room(key, radix, values.size)
         key *= values.size
         if values.size <= _COMPARE_RANKS:
             for v in values[1:]:
@@ -200,18 +312,48 @@ def _unique_columns(matrix: np.ndarray):
         else:
             key += np.searchsorted(values, row)
         radix *= values.size
-    if radix <= 4 * p + 1024:
-        present = np.zeros(radix, dtype=bool)
-        present[key] = True
-        index = np.cumsum(present, dtype=np.intp) - 1  # group of each present key
-        group = index[key]
-        n_groups = int(index[-1]) + 1
-    else:
-        uniq, group = np.unique(key, return_inverse=True)
-        n_groups = uniq.size
-    first = np.full(n_groups, p, dtype=np.intp)
-    np.minimum.at(first, group, np.arange(p))
+    first, group = _key_groups(key, radix, np.arange(p))
     return matrix[:, first], first, group
+
+
+def _make_room(key: np.ndarray, radix: int, size: int):
+    """``(key, radix)``, re-ranked densely and in order when folding in one
+    more digit in [0, size) would pass 2^62."""
+    if radix * size > 1 << 62:
+        present, key = np.unique(key, return_inverse=True)
+        radix = present.size
+    return key, radix
+
+
+def _fold(key: np.ndarray, radix: int, digit: np.ndarray, size: int):
+    """Fold a digit in [0, size) into the mixed-radix key below ``radix``,
+    in place when no re-rank is due; returns ``(key, radix)``."""
+    key, radix = _make_room(key, radix, size)
+    key *= size
+    key += digit
+    return key, radix * size
+
+
+def _dense_rank(key: np.ndarray, radix: int):
+    """The distinct keys in [0, radix), ascending, and each key's rank among
+    them, as ``np.unique(key, return_inverse=True)`` gives them."""
+    # when the key range is at most 4p + 1024, a table of the keys present,
+    # summed up to each key, ranks them with no sort, in memory a constant
+    # factor of the keys'
+    if radix > 4 * key.size + 1024:
+        return np.unique(key, return_inverse=True)
+    present = np.zeros(radix, dtype=bool)
+    present[key] = True
+    return np.flatnonzero(present), (np.cumsum(present, dtype=np.intp) - 1)[key]
+
+
+def _key_groups(key: np.ndarray, radix: int, index: np.ndarray):
+    """Group equal keys in [0, radix): ``(first, group)``, each key's group
+    numbered densely in key order and the least ``index`` in each group."""
+    present, group = _dense_rank(key, radix)
+    first = np.full(present.size, np.iinfo(np.intp).max, dtype=np.intp)
+    np.minimum.at(first, group, index)
+    return first, group
 
 
 def convex_combination(columns: np.ndarray, q: np.ndarray):
@@ -400,7 +542,9 @@ def hull_decompose(cloud: ColumnCloud) -> HullDecomposition:
     """Split columns into hull vertices (h1) and the interior rest (h2)."""
     distinct, first_idx, _ = cloud.groups
     is_vertex, lps, pivots, rounds, certified, box = _vertex_pass(distinct)
-    h1 = np.sort(first_idx[is_vertex])
+    vertex = np.flatnonzero(is_vertex)
+    vertex = vertex[np.argsort(first_idx[vertex])]  # in h1 order
+    h1 = first_idx[vertex]
     log.debug("vertex pass: %d of %d distinct columns are vertices, %d certified, "
               "%d LPs in %d rounds, box certificate %s", h1.size, distinct.shape[1],
               certified, lps, rounds, "settled it" if box else "did not hold")
@@ -410,7 +554,7 @@ def hull_decompose(cloud: ColumnCloud) -> HullDecomposition:
     return HullDecomposition(
         h1=h1,
         h2=h2,
-        vertex_columns=cloud.matrix[:, h1],
+        vertex_columns=distinct[:, vertex],
         interior_columns=distinct[:, ~is_vertex],
         vertex_lps=lps,
         vertex_pivots=pivots,

@@ -36,7 +36,11 @@ class EvalReport:
 
 
 def _class_tallies(w: WeakSignalMatrix) -> np.ndarray:
-    """(k, n) sums of non-abstain signal values per class and point."""
+    """(k, n) sums of non-abstain signal values per class and point; the
+    vote counts, exactly as floats, for a matrix that keeps its votes."""
+    if w.votes is not None:
+        return np.stack([np.count_nonzero(w.votes == c, axis=0) for c in range(1, w.k + 1)]
+                        ).astype(np.float64)
     masked = np.where(w.abstain, 0.0, w.values)
     return masked.sum(axis=0).reshape(w.k, w.n)
 
@@ -44,7 +48,10 @@ def _class_tallies(w: WeakSignalMatrix) -> np.ndarray:
 def _decode_votes(scores: np.ndarray, w: WeakSignalMatrix, seed: int) -> LabelVector:
     """Per-point argmax of (k, n) class scores; seeded random class where all abstain."""
     hard = _block_argmax(scores)
-    all_abstain = w.abstain.reshape(w.m, w.k, w.n).all(axis=(0, 1))
+    if w.votes is not None:
+        all_abstain = ~w.votes.any(axis=0)
+    else:
+        all_abstain = w.abstain.reshape(w.m, w.k, w.n).all(axis=(0, 1))
     if all_abstain.any():
         rng = np.random.default_rng(seed)
         hard[all_abstain] = rng.integers(1, w.k + 1, size=int(all_abstain.sum()))

@@ -4,7 +4,9 @@ A weak-signal matrix holds m signals over n points and k classes as an
 ``(m, n*k)`` float matrix.  Columns are laid out class-major: the entry for
 class ``c`` (1-based) and point ``j`` (0-based) sits at column
 ``(c - 1) * n + j``.  Abstains are materialized eagerly as ``1/k`` and
-remembered in a parallel boolean mask.
+remembered in a parallel boolean mask.  A matrix expanded from votes also
+keeps the votes, from which the column groups and the vote tallies are
+counted without the float matrix.
 """
 
 from __future__ import annotations
@@ -45,12 +47,19 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeakSignalMatrix:
-    """m weak signals over n points and k classes, abstains filled with 1/k."""
+    """m weak signals over n points and k classes, abstains filled with 1/k.
+
+    A matrix built by ``expand_pws`` (so also by the vote loaders) keeps its
+    votes as ``votes``: a read-only (m, n) copy over {0 (abstain), 1..k} in
+    the smallest unsigned dtype that holds k.  It is not a constructor
+    argument; any other matrix has ``votes = None``.
+    """
 
     values: np.ndarray  # (m, n*k) float64
     abstain: np.ndarray  # (m, n*k) bool
     n: int
     k: int
+    votes = None  # not a field: set by expand_pws
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -134,7 +143,10 @@ def expand_pws(votes: np.ndarray, k: int) -> WeakSignalMatrix:
     ab = votes == 0
     # (m, k, n) with class c in plane c - 1: the reshape lays out the class blocks
     values = np.where(ab[:, None], 1.0 / k, votes[:, None] == np.arange(1, k + 1)[:, None])
-    return WeakSignalMatrix(values=values.reshape(m, n * k), abstain=np.tile(ab, k), n=n, k=k)
+    w = WeakSignalMatrix(values=values.reshape(m, n * k), abstain=np.tile(ab, k), n=n, k=k)
+    # a copy, so the caller's array stays writeable
+    object.__setattr__(w, "votes", _freeze(votes.astype(np.min_scalar_type(k))))
+    return w
 
 
 def _parse_pws_token(tok: str, k: int, where: str) -> int:
@@ -334,12 +346,24 @@ def reduce_signals(w: WeakSignalMatrix, chunks: int = DEFAULT_CHUNKS) -> WeakSig
         raise ValueError(f"chunks must be >= 1, got {chunks}")
     if w.m <= chunks:
         return w
-    groups = np.array_split(np.arange(w.m), chunks)
-    # each column is summed in ascending order; two rows commute unsorted
-    rows = [w.values[g[0]:g[-1] + 1] for g in groups]
-    values = np.stack([(np.sort(r, axis=0) if len(r) > 2 else r).mean(axis=0) for r in rows])
-    abstain = np.stack([w.abstain[g].all(axis=0) for g in groups])
+    bounds = _chunk_bounds(w.m, chunks)
+    values = np.stack([_chunk_mean(w.values[lo:hi]) for lo, hi in bounds])
+    abstain = np.stack([w.abstain[lo:hi].all(axis=0) for lo, hi in bounds])
     return WeakSignalMatrix(values=values, abstain=abstain, n=w.n, k=w.k)
+
+
+def _chunk_bounds(m: int, chunks: int) -> list[tuple[int, int]]:
+    """Row ranges ``[lo, hi)`` of ``reduce_signals``' chunks, one row each
+    when m <= chunks."""
+    count = min(m, chunks)
+    size, extra = divmod(m, max(count, 1))  # the first `extra` chunks take one more
+    return [(i * size + min(i, extra), (i + 1) * size + min(i + 1, extra)) for i in range(count)]
+
+
+def _chunk_mean(rows: np.ndarray) -> np.ndarray:
+    """Column means of one chunk's rows, each column summed in ascending
+    order; two rows commute unsorted."""
+    return (np.sort(rows, axis=0) if len(rows) > 2 else rows).mean(axis=0)
 
 
 def expected_error_rate(w: np.ndarray, y: LabelVector) -> float:

@@ -17,7 +17,8 @@ certified duality gap).  The start and the lift are closed forms on the group
 sums: a seeded uniform draw is scaled toward 0 or 1 to sum to n, and each
 group is scaled again from its start sum to its optimal sum, in one pass over
 the labels.  The cloud's column groups (``ColumnCloud.groups``) serve both
-the hull and the solve.
+the hull and the solve.  For a matrix that keeps its votes, ``prepare``
+counts the groups from the votes and never builds the m x nk cloud matrix.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .hull import (
     SafeRegionStatus,
     _combination,
     _unique_columns,
+    _vote_cloud,
     build_A,
     convex_combination,
     hull_decompose,
@@ -397,9 +399,12 @@ def prepare(w: WeakSignalMatrix, cfg: SolverConfig | None = None):
     """Reduce the signals, double them into a column cloud and layer its hull.
 
     Returns ``(w_red, cloud, decomp)``; every pipeline entry point starts here.
+    A matrix that keeps its votes gets a cloud grouped from them, bitwise
+    ``build_A(w_red)``'s groups.
     """
-    w_red = reduce_signals(w, (cfg or SolverConfig()).chunks)
-    cloud = build_A(w_red)
+    chunks = (cfg or SolverConfig()).chunks
+    w_red = reduce_signals(w, chunks)
+    cloud = build_A(w_red) if w.votes is None else _vote_cloud(w.votes, w.k, chunks)
     return w_red, cloud, hull_decompose(cloud)
 
 

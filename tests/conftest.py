@@ -78,20 +78,23 @@ def table_truth() -> LabelVector:
 
 @pytest.fixture()
 def dedup_calls(monkeypatch) -> list:
-    """Records one entry per ``_unique_columns`` call made anywhere in the package.
+    """Records the shape of the first argument of each call, made anywhere in
+    the package, to a routine that groups a cloud's columns:
+    ``_unique_columns`` (a float matrix) or ``_vote_cloud`` (votes).
 
-    The counter replaces the function in every loaded package module that
+    The counter replaces each routine in every loaded package module that
     holds it, since a module that imports it by name keeps its own reference.
     """
     calls: list = []
     for name, mod in list(sys.modules.items()):
         if name != "onionlabel" and not name.startswith("onionlabel."):
             continue
-        fn = getattr(mod, "_unique_columns", None)
-        if fn is not None:
-            def counted(matrix, _fn=fn):
-                calls.append(matrix.shape)
-                return _fn(matrix)
-            monkeypatch.setattr(mod, "_unique_columns", counted)
+        for attr in ("_unique_columns", "_vote_cloud"):
+            fn = getattr(mod, attr, None)
+            if fn is not None:
+                def counted(first, *rest, _fn=fn):
+                    calls.append(first.shape)
+                    return _fn(first, *rest)
+                monkeypatch.setattr(mod, attr, counted)
     assert calls == []
     return calls

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+import onionlabel
 import onionlabel.hull
 from onionlabel import SolverConfig, __version__, backends
 from onionlabel.cli import main
@@ -371,6 +372,27 @@ def test_inspect_hull_dedups_the_cloud_once(synth_files, dedup_calls, capsys):
     _, weak_path, _ = synth_files
     assert run_cli("inspect-hull", "--weak-labels", weak_path, "--n", "40", "--k", "2") == 0
     assert len(dedup_calls) == 1
+
+
+@pytest.mark.parametrize("k,chunks", [(2, 5), (3, 1), (3, 5), (4, 9)])
+def test_inspect_hull_document_is_the_same_from_votes_and_from_prob_rows(tmp_path, capsys,
+                                                                         k, chunks):
+    # a vote CSV groups the cloud from its votes, a "prob" document with the
+    # same values and abstains from the float matrix; the documents agree
+    n, m = 120, 11
+    prefix = tmp_path / "inst"
+    assert run_cli("synth", "--n", str(n), "--k", str(k), "--m", str(m), "--accuracy", "0.7",
+                   "--abstain", "0.3", "--seed", "4", "--out-prefix", str(prefix)) == 0
+    w = onionlabel.load_pws_matrix(f"{prefix}.csv", n, k)
+    rows = np.where(w.abstain, None, w.values).tolist()
+    prob = tmp_path / "inst.json"
+    prob.write_text(json.dumps({"n": n, "k": k, "format": "prob", "rows": rows}))
+    docs = []
+    for path in (f"{prefix}.csv", str(prob)):
+        assert run_cli("inspect-hull", "--weak-labels", path, "--n", str(n), "--k", str(k),
+                       "--chunks", str(chunks)) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    assert docs[0] == docs[1]
 
 
 # ---------------------------------------------------------------------------

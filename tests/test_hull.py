@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from onionlabel.hull import (
     in_hull,
     safe_region_status,
 )
-from onionlabel.signals import WeakSignalMatrix, reduce_signals
+from onionlabel.signals import WeakSignalMatrix, expand_pws, reduce_signals
 from onionlabel.synth import SynthSpec, generate_instance
 
 
@@ -722,3 +724,94 @@ def test_weak_matrix_cloud_roundtrip():
     cloud = build_A(w)
     assert cloud.matrix.max() <= 2.0
     assert extreme_points(cloud).tolist() == [0, 3]
+
+
+# ---------------------------------------------------------------------------
+# clouds grouped from votes
+
+
+def random_votes(rng, m: int, n: int, k: int, abstain: float) -> np.ndarray:
+    votes = rng.integers(1, k + 1, size=(m, n))
+    votes[rng.random((m, n)) < abstain] = 0
+    return votes
+
+
+def same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal bit for bit, in dtype, shape and memory layout."""
+    return (a.dtype == b.dtype and a.shape == b.shape and a.strides == b.strides
+            and a.tobytes() == b.tobytes())
+
+
+def assert_same_decomposition(got, want):
+    for name in ("h1", "h2", "vertex_columns", "interior_columns"):
+        assert same_array(getattr(got, name), getattr(want, name)), name
+    for name in ("vertex_lps", "vertex_pivots", "vertex_rounds", "vertex_certified"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def assert_vote_cloud_is_float_cloud(votes: np.ndarray, k: int, chunks: int, hull_too: bool):
+    w = expand_pws(votes, k)
+    got = hull._vote_cloud(w.votes, k, chunks)
+    want = build_A(reduce_signals(w, chunks))
+    for name, a, b in zip(("distinct", "first", "group"), got.groups, want.groups):
+        assert same_array(a, b), name
+    assert (got.dim, got.n_points) == (want.dim, want.n_points)
+    if hull_too:
+        assert_same_decomposition(hull_decompose(got), hull_decompose(want))
+    assert same_array(got.matrix, want.matrix)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_vote_groups_equal_the_float_groups(k):
+    # the groups counted from votes are the float matrix's bit for bit, at
+    # every chunk size from 1 to 48 signals, with abstains from none to all;
+    # so is the matrix rebuilt from them, and so are the hull layers
+    rng = np.random.default_rng(k)
+    for m, chunks, n, abstain in itertools.product(
+            (1, 3, 5, 7, 10, 12, 23, 48), (1, 5, 9), (1, 50, 5000), (0.0, 0.4, 1.0)):
+        votes = random_votes(rng, m, n, k, abstain)
+        assert_vote_cloud_is_float_cloud(votes, k, chunks, hull_too=n <= 50 and chunks <= 5)
+
+
+def test_vote_groups_rerank_a_code_past_int64(monkeypatch):
+    # one chunk of 48 signals at k = 2 codes each point's votes in 3^48 > 2^62
+    # values, so the fold re-ranks the codes on the way
+    reranks = []
+    make_room = hull._make_room
+
+    def spy(key, radix, size):
+        if radix * size > 1 << 62:
+            reranks.append(radix)
+        return make_room(key, radix, size)
+
+    monkeypatch.setattr(hull, "_make_room", spy)
+    votes = random_votes(np.random.default_rng(0), 48, 5000, 2, 0.4)
+    assert_vote_cloud_is_float_cloud(votes, 2, 1, hull_too=False)
+    assert reranks
+
+
+@st.composite
+def vote_instances(draw):
+    k, m, n = draw(st.integers(2, 6)), draw(st.integers(1, 12)), draw(st.integers(1, 40))
+    votes = draw(st.lists(st.integers(0, k), min_size=m * n, max_size=m * n))
+    return np.array(votes, dtype=np.int64).reshape(m, n), k, draw(st.integers(1, 9))
+
+
+@given(instance=vote_instances())
+@settings(max_examples=80, deadline=None)
+def test_property_vote_groups_equal_the_float_groups(instance):
+    votes, k, chunks = instance
+    assert_vote_cloud_is_float_cloud(votes, k, chunks, hull_too=True)
+
+
+def test_vote_cloud_validates_its_distinct_columns_only():
+    cloud = hull._vote_cloud(np.array([[0, 1, 2, 2]]), 2, 5)
+    assert "matrix" not in vars(cloud)  # nothing read it yet
+    assert (cloud.dim, cloud.n_points) == (1, 8)
+    assert cloud.groups[0].tolist() == [[0.0, 1.0, 2.0]]
+    with pytest.raises(ValueError):
+        cloud.groups[0][0, 0] = 1.0  # read-only, like a float cloud's groups
+    with pytest.raises(ValueError):
+        cloud.matrix[0, 0] = 1.0
+    with pytest.raises(ValueError, match="at least one column"):
+        hull._vote_cloud(np.zeros((0, 3), dtype=np.int64), 2, 5)

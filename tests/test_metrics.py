@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from onionlabel.metrics import (
     random_baseline_error,
     weighted_majority_vote,
 )
-from onionlabel.signals import LabelVector, expand_pws
+from onionlabel.signals import LabelVector, WeakSignalMatrix, expand_pws
 
 # ---------------------------------------------------------------------------
 # majority vote
@@ -94,6 +96,38 @@ def test_wmv_rejects_bad_priors(table_signals):
         weighted_majority_vote(table_signals, prior=np.array([0.5, 0.6, 0.1]))
     with pytest.raises(ValueError):
         weighted_majority_vote(table_signals, prior=np.array([-0.2, 0.6, 0.6]))
+
+
+# ---------------------------------------------------------------------------
+# votes counted from a matrix that keeps them
+
+
+def _assert_votes_count_as_floats(w, seed: int):
+    bare = WeakSignalMatrix(values=w.values, abstain=w.abstain, n=w.n, k=w.k)
+    assert w.votes is not None and bare.votes is None
+    for vote in (majority_vote, weighted_majority_vote):
+        got, want = vote(w, seed=seed).hard, vote(bare, seed=seed).hard
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), vote.__name__
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_vote_tallies_equal_the_float_tallies(k):
+    # both majority votes, counted from the votes, give the labels of the
+    # float tallies bit for bit, seeded draws for all-abstain points included
+    rng = np.random.default_rng(k)
+    for m, n, abstain in itertools.product(
+            (1, 3, 5, 7, 10, 12, 23, 48), (1, 50, 5000), (0.0, 0.4, 1.0)):
+        votes = rng.integers(1, k + 1, size=(m, n))
+        votes[rng.random((m, n)) < abstain] = 0
+        _assert_votes_count_as_floats(expand_pws(votes, k), seed=m)
+
+
+@given(seed=st.integers(0, 300))
+@settings(max_examples=40, deadline=None)
+def test_property_vote_tallies_equal_the_float_tallies(seed):
+    rng = np.random.default_rng(seed)
+    m, n, k = int(rng.integers(1, 9)), int(rng.integers(1, 30)), int(rng.integers(2, 7))
+    _assert_votes_count_as_floats(expand_pws(rng.integers(0, k + 1, size=(m, n)), k), seed)
 
 
 # ---------------------------------------------------------------------------

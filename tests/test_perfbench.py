@@ -38,6 +38,23 @@ def test_traced_benchmark_runs_and_replays_bitwise():
     assert result["metrics"]["hull.vertex_mismatch"]["value"] == 0
 
 
+def test_traced_benchmark_replays_a_reduced_cloud_bitwise():
+    # at m = 10 the signals merge into five chunks of two, so run_oua groups
+    # its cloud from the votes while the replay's build_A groups the reduced
+    # float matrix: replay_equal cross-checks the two on merged chunks
+    r = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--trace", "1",
+         "--spec", "n=300,k=3,m=10,seed=0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert r.returncode == 0, r.stderr
+    result = json.loads(r.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["metrics"]["trace.replay_equal"]["value"] == 1
+    assert result["metrics"]["hull.vertex_mismatch"]["value"] == 0
+
+
 def test_untraced_benchmark_runs_and_checks_its_labels():
     # the timed path (--trace 0) behind the end-to-end metrics: every label's
     # eps must re-classify as SAFE, and the metrics are the declared ones

@@ -72,6 +72,17 @@ def test_expand_pws_layout_and_abstain_fill():
     assert w.abstain[0].tolist() == [False, True, False, False, True, False]
 
 
+def test_expand_pws_keeps_a_read_only_copy_of_the_votes():
+    votes = np.array([[1, 0, 2], [2, 2, 0]])
+    w = expand_pws(votes, k=2)
+    assert w.votes.tolist() == votes.tolist() and w.votes.dtype == np.uint8
+    assert not w.votes.flags.writeable
+    votes[0, 0] = 2  # the caller's array stays writeable and apart
+    assert w.votes[0, 0] == 1
+    assert WeakSignalMatrix(values=w.values, abstain=w.abstain, n=3, k=2).votes is None
+    assert reduce_signals(w, 1).votes is None  # merged signals are no votes
+
+
 def test_expand_pws_rejects_bad_votes():
     with pytest.raises(ValueError):
         expand_pws(np.array([[3]]), k=2)
@@ -335,6 +346,16 @@ def test_load_json_prob_with_null_abstains(tmp_path):
     w = load_pws_matrix(str(path), n=2, k=2)
     np.testing.assert_allclose(w.values[0], [0.9, 0.5, 0.1, 0.5])
     assert w.abstain[0].tolist() == [False, True, False, True]
+
+
+def test_vote_loaders_keep_the_votes_and_prob_rows_do_not(tmp_path):
+    csv_path, pws_path, prob_path = (tmp_path / name for name in ("w.csv", "p.json", "q.json"))
+    csv_path.write_text("+1,0,-1\n-1,-1,+1\n")
+    assert load_pws_matrix(str(csv_path), n=3, k=2).votes.tolist() == [[1, 0, 2], [2, 2, 1]]
+    pws_path.write_text(json.dumps({"n": 2, "k": 3, "format": "pws", "rows": [[1, 0], [3, 2]]}))
+    assert load_pws_matrix(str(pws_path), n=2, k=3).votes.tolist() == [[1, 0], [3, 2]]
+    prob_path.write_text(json.dumps({"n": 1, "k": 2, "format": "prob", "rows": [[1.0, 0.0]]}))
+    assert load_pws_matrix(str(prob_path), n=1, k=2).votes is None
 
 
 def test_load_json_header_must_match(tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -13,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onionlabel import backends, solver
+from onionlabel import backends, hull, solver
 from onionlabel.hull import SafeRegionStatus, build_A, hull_decompose, safe_region_status
 from onionlabel.metrics import majority_vote, weighted_majority_vote, accuracy
-from onionlabel.signals import WeakSignalMatrix, reduce_signals
+from onionlabel.signals import WeakSignalMatrix, expand_pws, reduce_signals
 from onionlabel.solver import (
     AnnealingError,
     HullInconsistencyError,
@@ -544,6 +545,64 @@ def test_pipelines_equal_their_step_by_step_chains(spec):
     ablation = run_ablation(w, cfg)
     _assert_same_label(ablation, chain)
     assert ablation.mode == "ablation" and chain.mode == "safe_region"
+
+
+def _without_votes(w: WeakSignalMatrix) -> WeakSignalMatrix:
+    """The same signals as a matrix that keeps no votes, so the float path runs."""
+    return WeakSignalMatrix(values=w.values, abstain=w.abstain, n=w.n, k=w.k)
+
+
+def _outcome(run, w, cfg):
+    """``run(w, cfg)``'s label fields as bytes, or its exception's type and text."""
+    try:
+        label = run(w, cfg)
+    except AnnealingError as exc:
+        return type(exc).__name__, str(exc)
+    return tuple(np.asarray(getattr(label, name)).tobytes()
+                 for name in LABEL_FIELDS + ("converged", "initial_residual", "mode"))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_vote_input_runs_bitwise_as_the_float_path(k):
+    # run_oua and run_ablation on a matrix with votes (grouped from them) and
+    # on the same signals without votes (grouped from the float matrix) agree
+    # bit for bit, failures included; chunks of 9 signals are left to the
+    # groups' own grid in test_hull.py, since their hulls are slow here
+    rng = np.random.default_rng(100 + k)
+    for m, chunks, n, abstain in itertools.product(
+            (1, 3, 5, 7, 10, 12, 23, 48), (1, 5), (1, 50), (0.0, 0.4, 1.0)):
+        votes = rng.integers(1, k + 1, size=(m, n))
+        votes[rng.random((m, n)) < abstain] = 0
+        w = expand_pws(votes, k)
+        cfg = SolverConfig(chunks=chunks, seed=m)
+        for run in (run_oua, run_ablation):
+            assert _outcome(run, w, cfg) == _outcome(run, _without_votes(w), cfg), \
+                (run.__name__, m, chunks, n, abstain)
+
+
+@pytest.mark.parametrize("spec", PIPELINE_SPECS + [
+    SynthSpec(n=5000, k=2, m=48, signal_accuracy=0.6, abstain_rate=0.4, seed=1),
+], ids=lambda s: f"n{s.n}-k{s.k}-m{s.m}")
+@pytest.mark.parametrize("chunks", [1, 5])
+def test_planted_vote_input_runs_bitwise_as_the_float_path(spec, chunks):
+    # at m = 48, k = 2 and one chunk the vote codes are re-ranked past int64
+    w, _ = generate_instance(spec)
+    cfg = SolverConfig(chunks=chunks)
+    for run in (run_oua, run_ablation):
+        assert _outcome(run, w, cfg) == _outcome(run, _without_votes(w), cfg), run.__name__
+
+
+def test_vote_input_never_builds_the_cloud_matrix(monkeypatch, dedup_calls):
+    # a cloud grouped from votes reads no (m, nk) matrix in a run, and the
+    # columns are grouped once per run, from the votes
+    def unread(cloud):
+        raise AssertionError("the cloud built its (m, nk) matrix")
+
+    monkeypatch.setattr(hull._GroupedCloud, "matrix", property(unread))
+    w, _ = generate_instance(PIPELINE_SPECS[1])
+    run_oua(w, SolverConfig())
+    run_ablation(w, SolverConfig())
+    assert dedup_calls == [w.votes.shape] * 2
 
 
 def test_prepare_matches_the_stages():
