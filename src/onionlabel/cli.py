@@ -28,8 +28,7 @@ from .signals import LabelVector, WeakSignalMatrix, load_pws_matrix
 from .solver import (
     AnnealingError,
     SolverConfig,
-    epsilon_upper_bound,
-    init_b,
+    _target_at_bound,
     prepare,
     run_oua,
 )
@@ -193,8 +192,8 @@ def cmd_eval(args) -> int:
 def cmd_inspect_hull(args) -> int:
     cfg = _build_config(args)
     w = _load_weak(args)
-    w_red, cloud, decomp = prepare(w, cfg)
-    tv = init_b(w_red, epsilon_upper_bound(w.k))
+    cloud, decomp = prepare(w, cfg)
+    tv = _target_at_bound(w, cloud)
     status = safe_region_status(tv, w.n, decomp, cloud)
     doc = {
         "h1_size": int(decomp.h1.size),

@@ -18,8 +18,7 @@ from .solver import (
     SolverConfig,
     SyntheticLabel,
     _solve,
-    epsilon_upper_bound,
-    init_b,
+    _target_at_bound,
     prepare,
     run_oua,
 )
@@ -171,8 +170,8 @@ def run_ablation(w: WeakSignalMatrix, cfg: SolverConfig | None = None) -> Synthe
     result is flagged ``mode="ablation"`` and is never SAFE.
     """
     cfg = cfg or SolverConfig()
-    w_red, cloud, decomp = prepare(w, cfg)
-    tv = init_b(w_red, epsilon_upper_bound(w.k))
+    cloud, decomp = prepare(w, cfg)
+    tv = _target_at_bound(w, cloud)
     if safe_region_status(tv, w.n, decomp, cloud) is not SafeRegionStatus.INSIDE_H2:
         raise AblationEntryError(
             "b/n cannot enter the inner hull: eps is already at its upper bound"

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onionlabel import backends, hull, solver
+from onionlabel.cli import main
 from onionlabel.hull import SafeRegionStatus, build_A, hull_decompose, safe_region_status
 from onionlabel.metrics import majority_vote, weighted_majority_vote, accuracy
 from onionlabel.signals import WeakSignalMatrix, expand_pws, reduce_signals
@@ -605,11 +606,95 @@ def test_vote_input_never_builds_the_cloud_matrix(monkeypatch, dedup_calls):
     assert dedup_calls == [w.votes.shape] * 2
 
 
+def test_vote_input_is_never_reduced_as_floats(monkeypatch, tmp_path, capsys):
+    # run_oua, run_ablation and inspect-hull group a matrix that keeps its
+    # votes from them, and read the target's row sums from that cloud
+    def reduce_floats(w, chunks):
+        if w.votes is not None:
+            raise AssertionError("a matrix with votes was reduced as floats")
+        return reduce_signals(w, chunks)
+
+    monkeypatch.setattr(solver, "reduce_signals", reduce_floats)
+    w, _ = generate_instance(PIPELINE_SPECS[1])
+    run_oua(w, SolverConfig())
+    run_ablation(w, SolverConfig())
+    prefix = tmp_path / "inst"
+    assert main(["synth", "--n", "300", "--k", "3", "--m", "10", "--accuracy", "0.8",
+                 "--abstain", "0.3", "--out-prefix", str(prefix)]) == 0
+    assert main(["inspect-hull", "--weak-labels", f"{prefix}.csv", "--n", "300",
+                 "--k", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["h1_size"] >= 1
+
+
+def test_anneal_reads_its_row_sums_from_the_cloud():
+    # the unreduced matrix (m = 10 > chunks) and its reduced signals give the
+    # same target: only n and k are taken from the matrix
+    w, _ = generate_instance(SynthSpec(n=500, k=3, m=10, signal_accuracy=0.8,
+                                       abstain_rate=0.3, seed=0))
+    cfg = SolverConfig()
+    cloud, decomp = solver.prepare(w, cfg)
+    want = _anneal_outcome(anneal_b, reduce_signals(w), cloud, decomp, cfg)
+    assert want[0] == "target"
+    assert _anneal_outcome(anneal_b, w, cloud, decomp, cfg) == want
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_cloud_row_sums_are_the_reduced_matrix_row_sums(k):
+    # each distinct column times its count, halved, against the float sum
+    # over all nk columns, for clouds grouped from votes and from float
+    # matrices
+    rng = np.random.default_rng(k)
+    for m, chunks in itertools.product((1, 5, 10, 15), (1, 5, 9)):
+        votes = rng.integers(0, k + 1, size=(m, 200))
+        w = expand_pws(votes, k)
+        soft = rng.dirichlet(np.ones(k), size=(m, 200)).transpose(0, 2, 1).reshape(m, -1)
+        soft[:, :50] = soft[:, 50:100]  # repeated columns
+        soft = signals_from_columns(soft.T, n=200, k=k)
+        cases = [(w, hull._vote_cloud(votes, k, chunks)),
+                 (w, build_A(reduce_signals(_without_votes(w), chunks))),
+                 (soft, build_A(reduce_signals(soft, chunks)))]
+        for signals, cloud in cases:
+            want = reduce_signals(signals, chunks).values.sum(axis=1)
+            np.testing.assert_allclose(solver._row_sums(cloud), want, rtol=1e-13, atol=0.0,
+                                       err_msg=f"m={m} chunks={chunks}")
+
+
+def _matrix_row_sum_walk_eps(w, cloud, decomp, cfg):
+    """eps of the walk over eps_j = max(0, ub - j alpha) whose targets take
+    their row sums from the reduced float matrix, not from the cloud."""
+    row_sums = reduce_signals(w, cfg.chunks).values.sum(axis=1)
+    ub = epsilon_upper_bound(w.k)
+    j = 0
+    while True:
+        eps = max(0.0, ub - j * cfg.alpha)
+        b = -w.n * w.k * eps + row_sums + w.n
+        status = safe_region_status(b, w.n, decomp, cloud)
+        if status is not SafeRegionStatus.INSIDE_H2 or eps <= 0.0:
+            return eps, status
+        j += 1
+
+
+@pytest.mark.parametrize("spec", [
+    SynthSpec(n=500, k=2, m=10, signal_accuracy=0.8, abstain_rate=0.3, seed=seed)
+    for seed in range(5)
+] + [
+    SynthSpec(n=500, k=3, m=10, signal_accuracy=0.8, abstain_rate=0.3, seed=seed)
+    for seed in range(3)
+] + PIPELINE_SPECS, ids=lambda s: f"n{s.n}-k{s.k}-m{s.m}-s{s.seed}")
+def test_run_oua_eps_is_the_walk_on_matrix_row_sums(spec):
+    w, _ = generate_instance(spec)
+    cfg = SolverConfig(seed=spec.seed)
+    cloud, decomp = solver.prepare(w, cfg)
+    eps, status = _matrix_row_sum_walk_eps(w, cloud, decomp, cfg)
+    assert status is SafeRegionStatus.SAFE
+    assert run_oua(w, cfg).epsilon_used == eps
+
+
 def test_prepare_matches_the_stages():
     w, _ = generate_instance(PIPELINE_SPECS[1])
     cfg = SolverConfig(chunks=4)
-    w_red, cloud, decomp = solver.prepare(w, cfg)
-    assert w_red.m == 4
+    cloud, decomp = solver.prepare(w, cfg)
+    assert cloud.dim == 4
     np.testing.assert_array_equal(cloud.matrix, build_A(reduce_signals(w, 4)).matrix)
     ref = hull_decompose(cloud)
     np.testing.assert_array_equal(decomp.h1, ref.h1)
