@@ -258,7 +258,7 @@ def cmd_sweep(args) -> int:
             if entry.get("class_balance") is not None:
                 entry["class_balance"] = tuple(entry["class_balance"])
             specs.append(SynthSpec(**entry))
-        except TypeError as exc:  # unknown or missing keys, wrongly typed values
+        except (TypeError, ValueError) as exc:  # unknown, missing or bad keys
             raise ValueError(f"{args.specs}: spec {i}: {exc}") from None
     methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
     rows = sweep(specs, methods, cfg)

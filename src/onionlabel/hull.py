@@ -45,18 +45,18 @@ copies in ``h2``.  The *geometry* of the inner hull, however, is generated by
 distinct column values that are not hull vertices: duplicate copies of a
 vertex value do not drag the vertex into Conv(H2).  Without this rule the
 inner hull of any vote matrix with repeated extreme columns would swallow the
-outer hull and the safe region would vanish.  A cloud finds its distinct
-values once (``ColumnCloud.groups``); the vertex pass, ``in_hull`` and the
-label solve all read them.  The dedup sorts no columns: it ranks each row's
-values against the row's sorted distinct values, folds the ranks into one
-integer key per column whose order is the lexicographic one, and groups the
-columns by key, through a table of the keys present when their range is
-within a constant factor of the number of columns.  A cloud of votes
-(``_vote_cloud``) is grouped from the integer votes instead, since a
-column's value in a chunk is a function of the chunk's votes for its class
-and its abstains: it folds each chunk's value ranks, read from a small table
-of the chunk's means, into the same keys over the (class, point group)
-pairs, and builds its m x nk matrix only if that is read.
+outer hull and the safe region would vanish.  A cloud is its column groups
+(``ColumnCloud``): the vertex pass, ``in_hull`` and the label solve read its
+distinct values, and its m x nk matrix is built only when read.  The dedup
+sorts no columns: it ranks each row's values against the row's sorted
+distinct values, folds the ranks into one integer key per column whose order
+is the lexicographic one, and groups the columns by key, through a table of
+the keys present when their range is within a constant factor of the number
+of columns.  A cloud of votes (``_vote_cloud``) is grouped from the integer
+votes instead, since a column's value in a chunk is a function of the chunk's
+votes for its class and its abstains: it folds each chunk's value ranks, read
+from a small table of the chunk's means, into the same keys over the (class,
+point group) pairs.
 """
 
 from __future__ import annotations
@@ -106,56 +106,42 @@ def _budget_error(pivots: int, shape) -> PivotBudgetError:
     )
 
 
-def _check_cloud(m: np.ndarray) -> None:
-    """Raise on a cloud matrix that is not 2-d, empty, NaN or outside [0, 2];
-    then make it read-only."""
+def _check_cloud(m: np.ndarray, top: float = 2.0) -> None:
+    """Raise on a cloud matrix that is not 2-d, empty, NaN or outside [0, top]."""
     if m.ndim != 2:
         raise ValueError("cloud matrix must be 2-d")
     if m.size == 0:
         raise ValueError("cloud must contain at least one column")
     if np.isnan(m).any():
         raise ValueError("cloud contains NaN")
-    if m.min() < 0.0 or m.max() > 2.0:
+    if m.min() < 0.0 or m.max() > top:
         raise ValueError("cloud coordinates must lie in [0, 2]")
-    m.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ColumnCloud:
-    """Columns of the doubled signal matrix as points in R^m."""
+    """Columns of the doubled signal matrix, entries in [0, 2], as points in
+    R^m, held as their groups: ``_unique_columns(matrix)``, read-only.  Each
+    group's size as float64 (``counts``) and ``matrix = distinct[:, group]``
+    are built on first read; the caller's matrix is neither kept nor frozen."""
 
-    matrix: np.ndarray  # (m, p) float64, entries in [0, 2]
+    groups: tuple  # (distinct (m, d), first (d,), group (p,))
 
-    def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=np.float64)
-        _check_cloud(m)
-        object.__setattr__(self, "matrix", m)
+    def __init__(self, matrix):
+        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+        _check_cloud(matrix)  # all of it: grouping ranks a NaN with its row's least value
+        self._hold(*_unique_columns(matrix))
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_points(self) -> int:
-        return self.matrix.shape[1]
-
-    @cached_property
-    def groups(self):
-        """``_unique_columns(matrix)``, read-only, computed once per cloud."""
-        groups = _unique_columns(self.matrix)
-        for a in groups:
-            a.setflags(write=False)
-        return groups
-
-
-class _GroupedCloud(ColumnCloud):
-    """A cloud given by its groups ``(distinct, first, group)``, as
-    ``_unique_columns`` returns them; ``matrix = distinct[:, group]`` is built
-    on first read."""
-
-    def __init__(self, distinct, first, group):
+    @classmethod
+    def _of_groups(cls, distinct, first, group) -> "ColumnCloud":
+        """The cloud of ``(distinct, first, group)``; only distinct is checked."""
         _check_cloud(distinct)
-        for a in (first, group):
+        cloud = cls.__new__(cls)
+        cloud._hold(distinct, first, group)
+        return cloud
+
+    def _hold(self, distinct, first, group):
+        for a in (distinct, first, group):
             a.setflags(write=False)
         self.__dict__["groups"] = (distinct, first, group)
 
@@ -168,21 +154,31 @@ class _GroupedCloud(ColumnCloud):
         return self.groups[2].size
 
     @cached_property
+    def counts(self):
+        counts = np.bincount(self.groups[2]).astype(np.float64)
+        counts.setflags(write=False)
+        return counts
+
+    @cached_property
     def matrix(self):
         distinct, _, group = self.groups
-        matrix = np.take(distinct, group, axis=1)  # C-contiguous, as ColumnCloud's
+        matrix = np.take(distinct, group, axis=1)  # C-contiguous
         matrix.setflags(write=False)
         return matrix
 
 
 def build_A(w) -> ColumnCloud:
-    """Double a weak-signal matrix into its column cloud (entries in [0, 2])."""
-    return ColumnCloud(matrix=2.0 * w.values)
+    """Double a weak-signal matrix into its column cloud (entries in [0, 2]):
+    doubling is exact, so ``w.values``' groups, distinct columns doubled."""
+    _check_cloud(w.values, top=1.0)
+    distinct, first, group = _unique_columns(w.values)
+    distinct *= 2.0  # a copy, laid out as a cloud matrix's groups
+    return ColumnCloud._of_groups(distinct, first, group)
 
 
 def _vote_cloud(votes: np.ndarray, k: int, chunks: int) -> ColumnCloud:
     """``build_A(reduce_signals(expand_pws(votes, k), chunks))`` with its
-    groups counted from the (m, n) votes; its matrix is built only if read.
+    groups counted from the (m, n) votes.
 
     A column's value in a chunk depends only on the chunk's votes for its
     class and its abstains.  Each chunk codes every point's votes in it and
@@ -220,7 +216,7 @@ def _vote_cloud(votes: np.ndarray, k: int, chunks: int) -> ColumnCloud:
     for row, (values, ranks) in zip(distinct, parts):
         row[:] = values[ranks[pair]]
     group = np.take(pair_group.reshape(k, point.size), pattern, axis=1).ravel()
-    return _GroupedCloud(distinct, first, group)
+    return ColumnCloud._of_groups(distinct, first, group)
 
 
 def _chunk_groups(g: int, k: int, block: np.ndarray):

@@ -82,7 +82,7 @@ def weighted_majority_vote(w: WeakSignalMatrix, prior: np.ndarray | None = None,
         prior = np.asarray(prior, dtype=np.float64)
         if prior.shape != (w.k,):
             raise ValueError(f"prior must have length k = {w.k}")
-        if prior.min() < 0 or abs(float(prior.sum()) - 1.0) > 1e-9:
+        if not (prior.min() >= 0 and abs(float(prior.sum()) - 1.0) <= 1e-9):  # also NaN
             raise ValueError("prior must be nonnegative and sum to 1")
     return _decode_votes(tallies * prior[:, None], w, seed)
 

@@ -17,10 +17,10 @@ certified duality gap).  The start and the lift are closed forms on the group
 sums: a seeded uniform draw is scaled toward 0 or 1 to sum to n, and each
 group is scaled again from its start sum to its optimal sum, in one pass over
 the labels.  After ``prepare`` every stage reads the cloud's column groups
-(``ColumnCloud.groups``): the hull, the solve, and the target's row sums
-w_i.1, which are each distinct column times its count, halved
-(``_row_sums``).  A matrix that keeps its votes is grouped from them and is
-never reduced or doubled as floats.
+and their counts (``ColumnCloud``): the hull, the solve, and the target's row
+sums w_i.1, each distinct column times its count, halved (``_row_sums``).  No
+cloud builds its m x nk matrix unless that is read, and a matrix that keeps
+its votes is grouped from them, never reduced or doubled as floats.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .hull import (
     HullDecomposition,
     SafeRegionStatus,
     _combination,
-    _GroupedCloud,
     _unique_columns,
     _vote_cloud,
     build_A,
@@ -105,10 +104,13 @@ class SolverConfig:
             raise ValueError(f"alpha must be finite and at least {sys.float_info.min!r}, "
                              f"got {self.alpha!r}")
         for name, least in (("chunks", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-                    or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            _require_int(name, getattr(self, name), least)
+
+
+def _require_int(name: str, value, least: int) -> None:
+    """Raise unless value is an integer, not a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -178,16 +180,14 @@ def epsilon_upper_bound(k: int) -> float:
 def init_b(w: WeakSignalMatrix, eps: float) -> TargetVector:
     """Target vector at an assumed error rate: b_i = -n k eps + w_i.1 + n.
 
-    The row sums w_i.1 come from the column groups of w, as the pipeline reads
-    them from its cloud (``_row_sums``), so on the signals that a cloud was
-    built from, b is the pipeline's bit for bit.  Doubling is exact, so w's
-    own groups, with their distinct columns doubled, are ``build_A(w)``'s.
+    The row sums w_i.1 come from ``build_A(w)``'s column groups, as the
+    pipeline reads them from its cloud (``_row_sums``), so on the signals that
+    a cloud was built from, b is the pipeline's bit for bit.
     """
     ub = epsilon_upper_bound(w.k)
     if eps < -1e-12 or eps > ub + 1e-12:
         raise ValueError(f"eps must lie in [0, {ub}], got {eps}")
-    distinct, first, group = _unique_columns(w.values)
-    return _target(w, _row_sums(_GroupedCloud(2.0 * distinct, first, group)), eps)
+    return _target(w, _row_sums(build_A(w)), eps)
 
 
 def _row_sums(cloud: ColumnCloud) -> np.ndarray:
@@ -199,8 +199,7 @@ def _row_sums(cloud: ColumnCloud) -> np.ndarray:
     accumulates in order: on planted (20000, 5, 12) clouds it was up to 162
     ulps off.
     """
-    distinct, _, group = cloud.groups
-    products = distinct * np.bincount(group)
+    products = cloud.groups[0] * cloud.counts
     return np.array([math.fsum(row) for row in products.tolist()]) / 2.0
 
 
@@ -385,21 +384,21 @@ def solve_labels(a_aug: np.ndarray, b_aug: np.ndarray, cfg: SolverConfig | None 
         # a NaN would end the solve in a LinAlgError from its least-squares step
         if not np.isfinite(arr).all():
             raise ValueError(f"{name} must be finite")
-    return _solve(b_aug[:-1], int(n), _unique_columns(a_aug[:-1]), cfg or SolverConfig(),
-                  epsilon_used)
+    groups = _unique_columns(a_aug[:-1])
+    counts = np.bincount(groups[2]).astype(np.float64)
+    return _solve(b_aug[:-1], int(n), groups, counts, cfg or SolverConfig(), epsilon_used)
 
 
-def _solve(b: np.ndarray, n: int, groups, cfg: SolverConfig,
+def _solve(b: np.ndarray, n: int, groups, counts: np.ndarray, cfg: SolverConfig,
            epsilon_used: float = float("nan"), mode: str = "safe_region") -> SyntheticLabel:
-    """``solve_labels`` on b without the sum row, with n given and
-    ``groups = _unique_columns(A)`` (``ColumnCloud.groups`` for a cloud)."""
+    """``solve_labels`` on b without the sum row, with n given, ``groups =
+    _unique_columns(A)`` and their float sizes ``counts``, as a cloud holds them."""
     distinct, _, group = groups
     nk, n = group.size, int(n)  # a numpy n would reach the JSON artifact
     z = np.random.default_rng(cfg.seed).uniform(0.0, 1.0, size=nk)
 
     # the start spreads z to sum n as one group; only its group sums are
     # formed, clipped because rounding can leave a full group an ulp above c
-    counts = np.bincount(group).astype(np.float64)
     z_sums = np.bincount(group, z, counts.size)
     a0, r0 = backends.spread(z_sums.sum(), n, nk)
     start = np.clip(a0 * counts + r0 * z_sums, 0.0, counts)
@@ -452,4 +451,4 @@ def run_oua(w: WeakSignalMatrix, cfg: SolverConfig | None = None) -> SyntheticLa
     cfg = cfg or SolverConfig()
     cloud, decomp = prepare(w, cfg)
     tv = anneal_b(w, cloud, decomp, cfg)
-    return _solve(tv.b, w.n, cloud.groups, cfg, epsilon_used=tv.epsilon)
+    return _solve(tv.b, w.n, cloud.groups, cloud.counts, cfg, epsilon_used=tv.epsilon)

@@ -17,6 +17,7 @@ from .solver import (
     AnnealingError,
     SolverConfig,
     SyntheticLabel,
+    _require_int,
     _solve,
     _target_at_bound,
     prepare,
@@ -64,10 +65,8 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
-        if self.n < 1 or self.m < 1:
-            raise ValueError("n and m must be >= 1")
+        for name, least in (("n", 1), ("k", 2), ("m", 1)):
+            _require_int(name, getattr(self, name), least)
         if not (1.0 / self.k < self.signal_accuracy <= 1.0):
             raise ValueError(
                 f"signal_accuracy must lie in (1/k, 1], got {self.signal_accuracy}"
@@ -177,7 +176,8 @@ def run_ablation(w: WeakSignalMatrix, cfg: SolverConfig | None = None) -> Synthe
             "b/n cannot enter the inner hull: eps is already at its upper bound"
         )
     log.debug("ablation: INSIDE_H2 at eps=%.6f", tv.epsilon)
-    return _solve(tv.b, w.n, cloud.groups, cfg, epsilon_used=tv.epsilon, mode="ablation")
+    return _solve(tv.b, w.n, cloud.groups, cloud.counts, cfg, epsilon_used=tv.epsilon,
+                  mode="ablation")
 
 
 def _run_method(method: str, w: WeakSignalMatrix, truth: LabelVector, cfg: SolverConfig):

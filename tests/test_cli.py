@@ -533,6 +533,11 @@ def test_sweep_rejects_bad_spec_entries(tmp_path, capsys):
         ([missing_n], "spec 0: SynthSpec.__init__() missing 1 required "
                       "positional argument: 'n'"),
         ([good, dict(good, seed=None)], "spec 1: seed must be an integer, got None"),
+        ([dict(good, n=20.5)], "spec 0: n must be an integer >= 1, got 20.5"),
+        ([dict(good, k=2.0)], "spec 0: k must be an integer >= 2, got 2.0"),
+        ([dict(good, m=True)], "spec 0: m must be an integer >= 1, got True"),
+        ([dict(good, signal_accuracy=0.2)], "spec 0: signal_accuracy must lie in "
+                                            "(1/k, 1], got 0.2"),
     ]:
         spec_path.write_text(json.dumps(specs))
         assert run_cli("sweep", "--specs", str(spec_path),

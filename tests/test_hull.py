@@ -48,9 +48,14 @@ def test_column_cloud_validates_range_and_shape():
         ColumnCloud(np.array([[-0.1, 1.0]]))
     with pytest.raises(ValueError):
         ColumnCloud(np.zeros(3))
-    cloud = ColumnCloud(np.array([[0.0, 2.0]]))
+    with pytest.raises(ValueError, match="cloud contains NaN"):
+        ColumnCloud(np.array([[0.0, np.nan, 1.0]]))  # grouped with the 0.0 column
+    a = np.array([[0.0, 2.0]])
+    cloud = ColumnCloud(a)
     with pytest.raises(ValueError):
         cloud.matrix[0, 0] = 1.0  # read-only
+    assert a.flags.writeable and cloud.matrix is not a  # neither frozen nor kept
+    assert a.tolist() == [[0.0, 2.0]]
 
 
 # ---------------------------------------------------------------------------

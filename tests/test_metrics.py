@@ -96,6 +96,8 @@ def test_wmv_rejects_bad_priors(table_signals):
         weighted_majority_vote(table_signals, prior=np.array([0.5, 0.6, 0.1]))
     with pytest.raises(ValueError):
         weighted_majority_vote(table_signals, prior=np.array([-0.2, 0.6, 0.6]))
+    with pytest.raises(ValueError):  # every check of a NaN prior is false
+        weighted_majority_vote(table_signals, prior=np.array([np.nan, 0.5, 0.5]))
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,17 @@ def test_init_b_rejects_out_of_range_eps(table_signals):
         init_b(table_signals, 0.6)  # > 4/9 for k=3
 
 
+def test_init_b_rejects_a_nan_grouped_behind_another_column():
+    # the NaN column ranks with the 0 column, so grouping alone would drop it
+    w = WeakSignalMatrix(values=[[0.0, np.nan, 1.0, 1.0]], abstain=np.zeros((1, 4), bool),
+                         n=2, k=2)
+    with pytest.raises(ValueError, match="cloud contains NaN"):
+        init_b(w, 0.1)
+    with pytest.raises(ValueError, match="cloud coordinates"):
+        init_b(WeakSignalMatrix(values=[[0.0, 1.5, 1.0, 1.0]], abstain=np.zeros((1, 4), bool),
+                                n=2, k=2), 0.1)
+
+
 @given(
     eps=st.floats(min_value=0.02, max_value=0.5),
     alpha=st.floats(min_value=0.001, max_value=0.01),
@@ -594,16 +605,38 @@ def test_planted_vote_input_runs_bitwise_as_the_float_path(spec, chunks):
 
 
 def test_vote_input_never_builds_the_cloud_matrix(monkeypatch, dedup_calls):
-    # a cloud grouped from votes reads no (m, nk) matrix in a run, and the
-    # columns are grouped once per run, from the votes
+    # no run reads an (m, nk) cloud matrix, on vote or float input; the
+    # columns are grouped once per run, from the votes or the reduced floats
     def unread(cloud):
         raise AssertionError("the cloud built its (m, nk) matrix")
 
-    monkeypatch.setattr(hull._GroupedCloud, "matrix", property(unread))
+    monkeypatch.setattr(hull.ColumnCloud, "matrix", property(unread))
     w, _ = generate_instance(PIPELINE_SPECS[1])
-    run_oua(w, SolverConfig())
-    run_ablation(w, SolverConfig())
-    assert dedup_calls == [w.votes.shape] * 2
+    for run in (run_oua, run_ablation):
+        run(w, SolverConfig())
+        run(_without_votes(w), SolverConfig())
+    reduced = (SolverConfig().chunks, w.n * w.k)
+    assert dedup_calls == [w.votes.shape, reduced] * 2
+
+
+def test_one_group_count_per_pipeline_run(monkeypatch):
+    # each run counts its cloud's groups once, and the anneal and the solve
+    # read those counts
+    counts = []
+    bincount = np.bincount
+
+    def spy(x, weights=None, minlength=0):
+        if weights is None:
+            counts.append(x.size)
+        return bincount(x, weights, minlength)
+
+    monkeypatch.setattr(np, "bincount", spy)
+    w, _ = generate_instance(PIPELINE_SPECS[1])
+    for run in (run_oua, run_ablation):
+        for x in (w, _without_votes(w)):
+            counts.clear()
+            run(x, SolverConfig())
+            assert counts == [w.n * w.k], run.__name__
 
 
 def test_vote_input_is_never_reduced_as_floats(monkeypatch, tmp_path, capsys):
