@@ -1,19 +1,17 @@
 """Numeric kernels: the phase-1 simplex, the label solve and the label spread.
 
-The phase-1 simplex decides convex-combination feasibility (hull membership
-and vertex tests).  It enters the column with the most negative reduced cost
-(Dantzig's rule) and falls back to the lowest-index column (Bland's rule)
-during long runs of degenerate pivots, so it cannot cycle.  It runs as a
-lockstep batch for the vertex pass, which has hundreds to thousands of LPs a
-round, and as one loop on a 2-D tableau for the callers that solve one LP at
-a time; both give bitwise the same answer for an LP.  The label solve
-minimizes 1/2 ||A s - b||^2 over the label sums s of the distinct columns of
-A, exactly: Wolfe's minimum-norm point in the image A s - b, whose linear
-oracle is a sort-and-fill of the scores, stopped by a certified Frank-Wolfe
-duality gap.  A closed-form spread scales a group's labels toward 0 or 1 to
-meet a new sum: it gives the seeded start and lifts the group sums back to
-one label per column.  All three are plain numpy; only the pivot and
-major-cycle loops run in Python.
+The phase-1 simplex decides convex-combination feasibility, one LP at a time
+on a 2-D tableau: hull membership, the anneal's probes and the vertex pass's
+self-checks all run on it.  It enters the column with the most negative
+reduced cost (Dantzig's rule) and falls back to the lowest-index column
+(Bland's rule) during long runs of degenerate pivots, so it cannot cycle.
+The label solve minimizes 1/2 ||A s - b||^2 over the label sums s of the
+distinct columns of A, exactly: Wolfe's minimum-norm point in the image
+A s - b, whose linear oracle is a sort-and-fill of the scores, stopped by a
+certified Frank-Wolfe duality gap.  A closed-form spread scales a group's
+labels toward 0 or 1 to meet a new sum: it gives the seeded start and lifts
+the group sums back to one label per column.  All three are plain numpy;
+only the pivot and major-cycle loops run in Python.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import math
 import numpy as np
 
 # ---------------------------------------------------------------------------
-# Phase-1 simplex: feasibility of  E @ lam = f,  lam >= 0,  for a batch of f.
+# Phase-1 simplex: feasibility of  E @ lam = f,  lam >= 0.
 #
 # The caller builds E = [C; 1^T] and f = [q; 1] so feasibility means exactly
 # "q is a convex combination of the columns of C".  Rows with f < 0 are sign
@@ -39,20 +37,12 @@ import numpy as np
 # ran out.  The caller decides feasibility from the explicit residual of lam,
 # not from the phase-1 objective.
 #
-# The LPs of a batch share the shape of E and pivot in lockstep, each on its
-# own tableau with the arithmetic of a lone solve, so every LP's lam, pivot
-# count and status are bitwise those of its solve on its own.  An LP leaves
-# the batch when it stops, and the remaining tableaus are compacted.  At the
-# optimum the duals of the sign-normalized rows are 1 minus the reduced costs
-# of the artificial columns; undoing the row signs gives duals y of E lam = f
-# with y.E_j <= _PIVOT_TOL for every column j and y.f equal to the phase-1
-# objective, so an infeasible LP's y separates f from the columns of E.
-#
-# phase1_simplex solves one LP on its own 2-D tableau with the same rules and
-# the same arithmetic; its ratio test runs on Python floats, which round as
-# numpy's do.  Its lam, pivots, status and duals are therefore bitwise those
-# of the LP in a batch, at a fraction of the batch's per-pivot overhead.  The
-# anneal's probes and convex_combination, one LP at a time, call it.
+# At the optimum the duals of the sign-normalized rows are 1 minus the reduced
+# costs of the artificial columns; undoing the row signs gives duals y of
+# E lam = f with y.E_j <= _PIVOT_TOL for every column j and y.f equal to the
+# phase-1 objective, so an infeasible LP's y separates f from the columns of
+# E.  The tableau is 2-D and the ratio test runs on Python floats, which round
+# as numpy's do.
 # ---------------------------------------------------------------------------
 
 _DEGENERATE_RUN = 50
@@ -61,103 +51,24 @@ _PIVOT_BUDGET_BASE = 200
 _PIVOT_BUDGET_PER_DIM = 25
 
 
-def _tableaus(E, F):
-    """The starting tableaus of the LPs ``E_b lam = F[b]``, with their row
-    signs and pivot budget: ``(T, sign, max_pivots)``."""
-    F = np.ascontiguousarray(F, dtype=np.float64)
-    n_lp, m1 = F.shape
-    E = np.asarray(E, dtype=np.float64)
-    p = E.shape[-1]
-    ncols = p + m1
-    sign = np.where(F < 0, -1.0, 1.0)
-    T = np.zeros((n_lp, m1 + 1, ncols + 1))
-    T[:, :m1, :p] = E * sign[:, :, None]
-    T[:, :m1, p:ncols] = np.eye(m1)
-    T[:, :m1, ncols] = np.abs(F)
-    # reduced costs for minimizing the sum of artificials
-    T[:, m1, :p] = -T[:, :m1, :p].sum(axis=1)
-    T[:, m1, ncols] = -T[:, :m1, ncols].sum(axis=1)
-    return T, sign, _PIVOT_BUDGET_BASE + _PIVOT_BUDGET_PER_DIM * (m1 + p)
-
-
-def phase1_batch(E, F):
-    """Phase-1 simplex on ``E_b lam = F[b], lam >= 0`` for every row of ``F``.
-
-    ``E`` is ``(rows, p)``, shared by every LP, or ``(B, rows, p)``; ``F`` is
-    ``(B, rows)``.  Returns ``(lam, pivots, status, duals)`` of shapes
-    ``(B, p)``, ``(B,)``, ``(B,)`` and ``(B, rows)``.
-    """
-    T, sign, max_pivots = _tableaus(E, F)
-    n_lp, m1 = sign.shape
-    ncols = T.shape[2] - 1
-    p = ncols - m1
-    lam = np.zeros((n_lp, p))
-    pivots = np.zeros(n_lp, dtype=np.int64)
-    status = np.zeros(n_lp, dtype=np.int64)
-    duals = np.zeros((n_lp, m1))
-    lp = np.arange(n_lp)  # the LP of each tableau still in the batch
-    at = lp
-    basis = np.arange(p, ncols)[None].repeat(n_lp, axis=0)
-    degenerate = np.zeros(n_lp, dtype=np.int64)
-    update = np.empty_like(T)
-    step = 0
-    while lp.size:
-        if step == max_pivots:
-            stop = np.ones(lp.size, dtype=bool)
-        else:
-            cost = T[:, m1, :ncols]
-            enter = cost.argmin(axis=1)
-            if step >= _DEGENERATE_RUN and degenerate.max() >= _DEGENERATE_RUN:
-                bland = (cost < -_PIVOT_TOL).argmax(axis=1)
-                enter = np.where(degenerate < _DEGENERATE_RUN, enter, bland)
-            col = T[at, :, enter]
-            # rows that bound the step of an improving entering column
-            up = (col[:, :m1] > _PIVOT_TOL) & (col[:, m1:] < -_PIVOT_TOL)
-            ratios = np.where(up, T[:, :m1, ncols], np.inf)
-            np.divide(ratios, col[:, :m1], out=ratios, where=up)
-            best = np.minimum.reduce(ratios, axis=1, keepdims=True)
-            # optimal, or the entering column is unbounded and cannot improve
-            stop = best[:, 0] == np.inf
-        n_stop = np.count_nonzero(stop)
-        if n_stop:
-            done = lp[stop]
-            pivots[done] = step
-            status[done] = step == max_pivots
-            duals[done] = (1.0 - T[stop, m1, p:ncols]) * sign[done]
-            b_stop = basis[stop]
-            i, r = np.nonzero(b_stop < p)
-            lam[done[i], b_stop[i, r]] = T[stop, :m1, ncols][i, r]
-            if n_stop == lp.size:
-                break
-            keep = ~stop
-            T, lp, basis, degenerate = T[keep], lp[keep], basis[keep], degenerate[keep]
-            enter, col, ratios, best = enter[keep], col[keep], ratios[keep], best[keep]
-            at = np.arange(lp.size)
-        leave = np.where(ratios == best, basis, ncols).argmin(axis=1)
-        degenerate = (degenerate + 1) * (best[:, 0] <= _PIVOT_TOL)
-        piv_row = T[at, leave]
-        piv_row /= col[at, leave][:, None]
-        # the update's pivot row is discarded: the row is overwritten below
-        buf = update[: lp.size]
-        np.multiply(col[:, :, None], piv_row[:, None, :], out=buf)
-        T -= buf
-        T[at, leave] = piv_row
-        basis[at, leave] = enter
-        step += 1
-    return lam, pivots, status, duals
-
-
 def phase1_simplex(E, f):
-    """Phase-1 simplex on one LP ``E lam = f, lam >= 0``, on a 2-D tableau.
+    """Phase-1 simplex on one LP ``E lam = f, lam >= 0`` (see the block above).
 
-    The rules and arithmetic of ``phase1_batch``, so the outputs are bitwise
-    those of this LP in a batch: ``(lam, pivots, status, duals)``.
+    Returns ``(lam, pivots, status, duals)``.
     """
-    T, sign, max_pivots = _tableaus(E, np.asarray(f, dtype=np.float64)[None])
-    T, sign = T[0], sign[0]
-    m1 = sign.size
-    ncols = T.shape[1] - 1
-    p = ncols - m1
+    E = np.asarray(E, dtype=np.float64)
+    f = np.asarray(f, dtype=np.float64)
+    m1, p = E.shape
+    ncols = p + m1
+    sign = np.where(f < 0, -1.0, 1.0)
+    T = np.zeros((m1 + 1, ncols + 1))
+    T[:m1, :p] = E * sign[:, None]
+    T[:m1, p:ncols] = np.eye(m1)
+    T[:m1, ncols] = np.abs(f)
+    # reduced costs for minimizing the sum of artificials
+    T[m1, :p] = -T[:m1, :p].sum(axis=0)
+    T[m1, ncols] = -T[:m1, ncols].sum()
+    max_pivots = _PIVOT_BUDGET_BASE + _PIVOT_BUDGET_PER_DIM * (m1 + p)
     cost, rhs = T[m1, :ncols], T[:m1, ncols]
     basis = list(range(p, ncols))
     step = degenerate = 0
@@ -167,7 +78,7 @@ def phase1_simplex(E, f):
         else:
             enter = int((cost < -_PIVOT_TOL).argmax())
         c, r = T[:, enter].tolist(), rhs.tolist()
-        # the least ratio, ties to the lowest basis index, as in the batch
+        # the least ratio, ties to the lowest basis index
         ratios = [(r[i] / c[i], basis[i], i) for i in range(m1) if c[i] > _PIVOT_TOL]
         if c[m1] >= -_PIVOT_TOL or not ratios:
             break

@@ -201,7 +201,6 @@ def cmd_inspect_hull(args) -> int:
         "status_at_eps_max": status.value,
         "vertex_lps": decomp.vertex_lps,
         "vertex_pivots": decomp.vertex_pivots,
-        "vertex_rounds": decomp.vertex_rounds,
         "vertex_certified": decomp.vertex_certified,
     }
     _dump_json(doc, args.out)

@@ -12,33 +12,24 @@ hull of a column set iff some ``lam >= 0`` with ``sum(lam) = 1`` reproduces
 boundary therefore count as inside; in particular a point on the boundary of
 Conv(H2) is classified INSIDE_H2.
 
-Vertices are found by Clarkson's output-sensitive scheme (FOCS 1994) over the
-distinct column values in lexicographic order.  The vertex set V starts as
-the lexicographic maximum and the certified Akl-Toussaint seeds (IPL 1978).
-A seed is the last value in lexicographic order that maximizes u.x for a
-direction u among +-e_i and, while there are no more of them than distinct
-values or than m^3, the sign vectors {+-1}^m.  It is certified when it beats
-every other value by more than 5 HULL_TOL |u|_1 plus a rounding slack: then
-no fit within HULL_TOL reproduces it from the others.  Each round solves
-every pending value against Conv(V), all LPs in one lockstep batch of the
-phase-1 simplex.  A feasible value is interior.  An infeasible value's duals
-(g, g0) separate it from V: g.v + g0 <= 0 < g.q + g0.  The maximum of g.x
-over the cloud then lies among the values still pending, and the last of
-them in lexicographic order that attains it is a vertex; it joins V, so
-every round adds at least one.  Rounds end when no value is pending.
-Rounding can break a tie in g.x and admit a non-vertex, so a final batch
-checks each uncertified member c of V against Conv(V without c) and drops
-those inside.  A certified seed would have been admitted by the rounds and
-kept by that check, and every other value meets the rounds and the check as
-before, so the seeds spare rounds and LPs without changing the layers.
-When the certified seeds are all 2^r corners of the values' bounding box (r
-the rows that are not constant), the box is their hull and holds every value,
-so they are exactly the vertices and the pass ends with no LP.  With more
-than one varying row only sign vectors certify corners, so this holds only
-for m <= 9, on saturated clouds such as vote lattices.
-Every tableau and score matrix of this pass is processed in blocks of at
-most ``_BLOCK_FLOATS`` floats, so its memory does not grow with the square
-of the number of distinct values.
+The vertex pass runs over the distinct column values, which are in
+lexicographic order.  The box certificate comes first: when all 2^r corners
+of the values' bounding box are present (r the rows that are not constant)
+and every other value lies farther than a margin from its nearest corner in
+L1, the corners are exactly the vertices and the pass runs no LP.  This
+settles saturated clouds such as vote lattices.  Otherwise Qhull (Barber,
+Dobkin and Huhdanpaa, ACM TOMS 1996; ``scipy.spatial.ConvexHull``) proposes
+the candidates: the values are centered and projected onto their affine hull
+(its rank by SVD), and Qhull's vertices of the projected cloud are proposed
+at rank 2 to 5, the two ends of the line at rank 1.  A value Qhull leaves
+out is not fitted by an LP, but it is measured against Qhull's facets and
+proposed too when it lies beyond one of them by more than HULL_TOL / 4.
+Above rank 5, with too few values for a simplex of the rank, or when Qhull
+fails, every value is a candidate.  Last, one phase-1 LP per candidate
+decides: in ascending order, a candidate that fits the candidates still kept
+within HULL_TOL leaves at once, so of values that fit each other the
+lexicographically last stays.  ``scipy.spatial`` is imported only when
+Qhull runs.
 
 Duplicate columns keep their lowest index in ``h1`` and park the remaining
 copies in ``h2``.  The *geometry* of the inner hull, however, is generated by
@@ -68,7 +59,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .backends import phase1_batch, phase1_simplex
+from .backends import phase1_simplex
 from .signals import _chunk_bounds, _chunk_mean
 
 __all__ = [
@@ -84,7 +75,9 @@ __all__ = [
 ]
 
 HULL_TOL = 1e-8
-_BLOCK_FLOATS = 1 << 18  # bound on each work array of the vertex pass (2 MB)
+_RANK_TOL = 1e-12  # singular values at or below this times the largest are rank-deficient
+_QHULL_RANK = 5  # the highest rank whose vertices Qhull proposes
+_DISTANCE_FLOATS = 1 << 18  # most facet distances held at once
 _COMPARE_RANKS = 16  # most values per row ranked by comparisons (measured crossover)
 _CODE_TABLE = 1 << 16  # most codes of a chunk's votes in a table kept for all calls
 
@@ -115,7 +108,7 @@ def _check_cloud(m: np.ndarray, top: float = 2.0) -> None:
     if np.isnan(m).any():
         raise ValueError("cloud contains NaN")
     if m.min() < 0.0 or m.max() > top:
-        raise ValueError("cloud coordinates must lie in [0, 2]")
+        raise ValueError(f"cloud coordinates must lie in [0, {top:g}]")
 
 
 @dataclass(frozen=True, init=False)
@@ -268,10 +261,9 @@ class HullDecomposition:
     h2: np.ndarray  # all remaining indices, sorted
     vertex_columns: np.ndarray = field(repr=False)  # (m, |V|)
     interior_columns: np.ndarray = field(repr=False)  # (m, |I|), may be empty
-    vertex_lps: int = 0  # phase-1 LPs of the rounds and the uncertified self-checks
+    vertex_lps: int = 0  # phase-1 LPs of the self-check
     vertex_pivots: int = 0
-    vertex_rounds: int = 0  # Clarkson rounds after the certified seeds, before the self-check
-    vertex_certified: int = 0  # vertices kept by a margin, with no self-check LP
+    vertex_certified: int = 0  # box corners that settled the pass with no LP, else 0
 
     def __post_init__(self):
         for name in ("h1", "h2", "vertex_columns", "interior_columns"):
@@ -367,33 +359,28 @@ def convex_combination(columns: np.ndarray, q: np.ndarray):
     p = columns.shape[1]
     if p == 0:
         return np.zeros(0), False
-    lam, inside, _ = _combination(np.vstack([columns, np.ones((1, p))]), q)
+    lam, inside, _, _ = _combination(np.vstack([columns, np.ones((1, p))]), q)
     return lam, inside
 
 
 def _combination(E: np.ndarray, q: np.ndarray):
     """One phase-1 LP of q against the columns V of ``E = [V; 1^T]``.
 
-    Returns ``(lam, inside, duals)``, inside as ``_fits`` decides it.  Raises
-    PivotBudgetError when the LP exhausts its pivot budget.
+    Returns ``(lam, inside, duals, pivots)``, inside as ``_fits`` decides it.
+    Raises PivotBudgetError when the LP exhausts its pivot budget.
     """
     lam, pivots, status, duals = phase1_simplex(E, np.append(q, 1.0))
     if status == 1:
         raise _budget_error(pivots, E[:-1].shape)
-    return lam, bool(_fits(E[:-1], lam[None], q[None])[0]), duals
+    return lam, _fits(E[:-1], lam, q), duals, pivots
 
 
-def _fits(V: np.ndarray, lam: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Whether each row of ``lam`` reproduces its row of ``Q`` from the
-    columns of V within ``HULL_TOL``, in the infinity norm, sum row included,
-    with at most ``HULL_TOL`` of negative weight in all.
-
-    Each row's error is summed over that row alone, so a point's verdict does
-    not depend on the batch it is tested in.
-    """
-    err = np.maximum(np.abs((lam[:, None, :] * V).sum(axis=2) - Q).max(axis=1),
-                     np.abs(lam.sum(axis=1) - 1.0))
-    return np.maximum(err, -np.minimum(lam, 0.0).sum(axis=1)) <= HULL_TOL
+def _fits(V: np.ndarray, lam: np.ndarray, q: np.ndarray) -> bool:
+    """Whether ``lam`` reproduces q from the columns of V within ``HULL_TOL``,
+    in the infinity norm, sum row included, with at most ``HULL_TOL`` of
+    negative weight in all."""
+    err = np.maximum(np.abs((lam * V).sum(axis=1) - q).max(), abs(lam.sum() - 1.0))
+    return bool(np.maximum(err, -np.minimum(lam, 0.0).sum()) <= HULL_TOL)
 
 
 def in_hull(q, cloud: ColumnCloud) -> bool:
@@ -401,127 +388,117 @@ def in_hull(q, cloud: ColumnCloud) -> bool:
     return convex_combination(cloud.groups[0], q)[1]
 
 
-def _membership(V: np.ndarray, Q: np.ndarray, drop=None):
-    """One phase-1 LP per column of Q against the columns of V, in blocks.
-
-    Returns ``(inside, duals, pivots)``: whether each column lies in Conv(V)
-    (``_fits``, as in ``convex_combination``), each LP's duals
-    and the pivot total.  With ``drop``, LP b leaves out column ``drop[b]``
-    of V: a zero column never enters the basis.  Raises PivotBudgetError
-    when any LP exhausts its pivot budget.
-    """
-    m, p = V.shape
-    E = np.vstack([V, np.ones((1, p))])
-    F = np.vstack([Q, np.ones((1, Q.shape[1]))]).T
-    block = max(1, _BLOCK_FLOATS // ((m + 2) * (p + m + 2)))
-    inside = np.empty(F.shape[0], dtype=bool)
-    duals = np.empty(F.shape)
-    pivots = 0
-    for lo in range(0, F.shape[0], block):
-        part = slice(lo, lo + block)
-        E_part = E
-        if drop is not None:
-            lps = np.arange(drop[part].size)
-            E_part = np.repeat(E[None], lps.size, axis=0)
-            E_part[lps, :, drop[part]] = 0.0
-        lam, piv, status, y = phase1_batch(E_part, F[part])
-        duals[part] = y
-        if status.any():
-            raise _budget_error(int(piv[status == 1][0]), V.shape)
-        inside[part] = _fits(V, lam, Q[:, part].T)
-        pivots += int(piv.sum())
-    return inside, duals, pivots
-
-
-def _seed_directions(m: int, d: int):
-    """The seed directions in blocks of at most ``_BLOCK_FLOATS`` scores over
-    d columns: +e_i, -e_i, then the 2^m sign vectors while 2^m <= d and
-    2^m <= m^3.  The second bound keeps their 2^m d scores within a small
-    multiple of one round's cost, d LPs of about m pivots on (m + 2)^2
-    entries, so the scores never grow with d^2."""
-    rows = max(1, _BLOCK_FLOATS // max(m, d))
-    for lo in range(0, m, rows):
-        axes = np.eye(min(rows, m - lo), m, k=lo)
-        yield axes
-        yield -axes
-    if 2**m <= min(d, m**3):
-        for lo in range(0, 2**m, rows):
-            codes = np.arange(lo, min(lo + rows, 2**m))
-            yield 1.0 - 2.0 * ((codes[:, None] >> np.arange(m)) & 1)
-
-
-def _vertex_pass(distinct: np.ndarray):
-    """Directional seeds, then Clarkson rounds over the lexicographically
-    sorted distinct columns.
-
-    When the certified seeds are every corner of the distinct columns'
-    bounding box, they are the vertex set and the pass runs no LP.
-
-    Returns ``(is_vertex, lps, pivots, rounds, certified, box)``: which
-    distinct columns are hull vertices, the LPs, pivots and rounds it took,
-    how many vertices a margin certified without a self-check LP, and whether
-    the box certificate settled the pass.
-    """
-    m, d = distinct.shape
-    # Margin certificate.  Let c be the only maximizer of u.x over the cloud
-    # for a direction u, by delta = u.c - max u.x over the other columns x.
-    # On [0, 2]^m the values u.x lie in an interval of width 2 |u|_1 that
-    # holds 0.  A fit in _fits of c by the others has |sum(lam) - 1| <= t,
-    # negative weight |min(lam, 0)|_1 <= t and r = sum(lam_j x_j) with
-    # |r - c|_inf <= t, t = HULL_TOL.  Then u.r <= sum(lam) max u.x + 2 t |u|_1
-    # <= u.c - delta + 4 t |u|_1, while u.r >= u.c - t |u|_1; so delta >
-    # 5 t |u|_1 leaves no fit, and neither a round nor the self-check can call
-    # c inside: the rounds would admit it as a vertex and the final check keep
-    # it.  Rounding in the scores and in _fits' sums over p <= d columns moves
+def _box_vertices(distinct: np.ndarray):
+    """The corners of the distinct columns' bounding box when they settle the
+    vertex pass: all 2^r of them are present (r the rows that are not
+    constant) and each is farther than ``5 HULL_TOL m`` plus a rounding slack
+    from every other column in L1.  Returns the corner mask, or None."""
+    # Margin certificate.  For a corner c let u be the sign vector with u_i =
+    # +1 where c_i is the row maximum, -1 where it is the minimum and 0 on a
+    # constant row.  Over the box, u.c - u.x = |c - x|_1, so c beats every
+    # other column in direction u by delta, its least L1 distance to one of
+    # them: at least the least row width for another corner, and for a
+    # non-corner x at least x's distance to its nearest corner,
+    # sum_i min(x_i - low_i, high_i - x_i).  On [0, 2]^m the values u.x
+    # lie in an interval of width 2 |u|_1 that holds 0.  A fit in _fits of c
+    # by the others has |sum(lam) - 1| <= t, negative weight |min(lam, 0)|_1
+    # <= t and r = sum(lam_j x_j) with |r - c|_inf <= t, t = HULL_TOL.  Then
+    # u.r <= sum(lam) max u.x + 2 t |u|_1 <= u.c - delta + 4 t |u|_1, while
+    # u.r >= u.c - t |u|_1; so delta > 5 t |u|_1 leaves no fit, and |u|_1 <= m.
+    # Rounding in the distances and in _fits' sums over p <= d columns moves
     # this by at most (2m + 6p + 14) eps |u|_1 to first order; the slack is
-    # four times a bound on that.  A maximizer with a smaller margin stays
-    # pending: a column within HULL_TOL of it may fit it.
-    bound = 5 * HULL_TOL + 64 * (m + d) * np.finfo(np.float64).eps
-    certified = np.zeros(d, dtype=bool)
-    for U in _seed_directions(m, d):
-        scores = U @ distinct
-        rows = np.arange(U.shape[0])
-        top = d - 1 - np.argmax(scores[:, ::-1], axis=1)  # last maximum, as below
-        best = scores[rows, top]
-        scores[rows, top] = -np.inf
-        margin = best - scores.max(axis=1)
-        certified[top[margin > bound * np.abs(U).sum(axis=1)]] = True
-    # Box certificate.  With low, high the row minima and maxima, a corner
-    # has every coordinate at low_i or high_i.  When all 2^(rows with
-    # low_i < high_i) corners are certified, their hull is the box, which
-    # holds every column: each other column is an exact convex combination
-    # of the corners (multilinear weights), so the rounds would call it
-    # inside, and the certified corners would be admitted and kept.  No other
-    # column can be certified, since every direction's maximum over the box
-    # is attained at a corner, so the certified set is the vertex set, found
-    # with no LP.
+    # four times a bound on that.  Every non-corner is an exact convex
+    # combination of the corners (multilinear weights), so it fits them, and
+    # the corners are exactly the vertices.
+    m, d = distinct.shape
     low, high = distinct.min(axis=1), distinct.max(axis=1)
     corner = ((distinct == low[:, None]) | (distinct == high[:, None])).all(axis=0)
-    if np.count_nonzero(certified & corner) == 2 ** np.count_nonzero(low < high):
-        return certified, 0, 0, 0, int(certified.sum()), True
-    is_vertex = certified.copy()
-    is_vertex[-1] = True  # the lexicographic maximum is a vertex
-    pending = np.flatnonzero(~is_vertex)
-    lps = pivots = rounds = 0
-    while pending.size:
-        inside, duals, piv = _membership(distinct[:, is_vertex], distinct[:, pending])
-        lps, pivots, rounds = lps + pending.size, pivots + piv, rounds + 1
-        pending, g = pending[~inside], duals[~inside, :m]
-        X = distinct[:, pending]
-        rows = max(1, _BLOCK_FLOATS // max(1, pending.size))
-        for lo in range(0, g.shape[0], rows):
-            scores = g[lo : lo + rows] @ X
-            # last maximum = lexicographic maximum: the columns are sorted
-            is_vertex[pending[-1 - np.argmax(scores[:, ::-1], axis=1)]] = True
-        pending = pending[~is_vertex[pending]]
-    verts = np.flatnonzero(is_vertex)
-    check = np.flatnonzero(~certified[verts])  # positions in verts
-    if verts.size > 1 and check.size:
-        V = distinct[:, verts]
-        inside, _, piv = _membership(V, V[:, check], drop=check)
-        lps, pivots = lps + check.size, pivots + piv
-        is_vertex[verts[check[inside]]] = False
-    return is_vertex, lps, pivots, rounds, int(certified.sum()), False
+    varying = low < high
+    if np.count_nonzero(corner) != 2 ** int(np.count_nonzero(varying)):
+        return None
+    bound = (5 * HULL_TOL + 64 * (m + d) * np.finfo(np.float64).eps) * m
+    rest = distinct[:, ~corner]
+    nearest = np.minimum(rest - low[:, None], high[:, None] - rest).sum(axis=0)
+    if (nearest > bound).all() and ((high - low)[varying] > bound).all():
+        return corner
+    return None
+
+
+def _proposed(distinct: np.ndarray):
+    """The distinct columns that may be vertices, ascending, and the rank of
+    their affine hull: ``(candidates, rank)``.
+
+    The rank counts the singular values of the centered columns above
+    ``_RANK_TOL`` times the largest; it is at least 1, since a cloud with one
+    distinct column is settled by the box.  At rank 1 the candidates are the
+    columns at either end of the line; at rank 2 to 5 they are the vertices
+    Qhull finds for the columns projected onto their affine hull, and the
+    columns it leaves out that lie beyond one of its facets.  A rank above
+    5, too few columns for a simplex of the rank (d <= rank + 1) or a
+    ``QhullError`` (logged at WARNING) propose every column, so a failed
+    Qhull never yields a vertex set.
+    """
+    d = distinct.shape[1]
+    everyone = np.arange(d)
+    centered = distinct - distinct.mean(axis=1, keepdims=True)
+    u, s, _ = np.linalg.svd(centered, full_matrices=False)
+    rank = int(np.count_nonzero(s > _RANK_TOL * s[0]))
+    if rank > _QHULL_RANK or d <= rank + 1:
+        return everyone, rank
+    Y = u[:, :rank].T @ centered  # the columns in coordinates of their affine hull
+    if rank == 1:
+        return np.flatnonzero((Y[0] == Y[0].min()) | (Y[0] == Y[0].max())), rank
+    from scipy.spatial import ConvexHull, QhullError
+
+    try:
+        qhull = ConvexHull(Y.T, qhull_options="QbB Q12" + " Qx" * (rank == 5))
+    except QhullError as err:
+        log.warning("Qhull failed on %d columns of rank %d, so every column is "
+                    "self-checked: %s", d, rank, str(err).strip().splitlines()[0])
+        return everyone, rank
+    # Q12 lets Qhull keep wide facets, so its roundoff bound no longer limits
+    # how far outside the hull a column it leaves out may lie: one beyond a
+    # facet by more than HULL_TOL / 4 is proposed too.  The equations are unit
+    # normals for Y scaled by QbB to [-0.5, 0.5] per row, taken back here to
+    # Y's coordinates.  Y is centered, so a column nearer its origin than
+    # every facet plane is inside and skips the product.
+    low, width = Y.min(axis=1), np.ptp(Y, axis=1)  # each > 0 along a principal axis
+    normal = qhull.equations[:, :-1] / width
+    scale = np.linalg.norm(normal, axis=1)
+    offset = (qhull.equations[:, -1] - normal @ (low + width / 2)) / scale
+    normal /= scale[:, None]
+    proposed = np.zeros(d, dtype=bool)
+    proposed[qhull.vertices] = True
+    rest = np.flatnonzero(~proposed & (np.linalg.norm(Y, axis=0) >= -offset.max()))
+    step = max(1, _DISTANCE_FLOATS // offset.size)  # columns per block
+    for i in range(0, rest.size, step):
+        block = rest[i:i + step]
+        proposed[block] = (Y[:, block].T @ normal.T + offset).max(axis=1) > HULL_TOL / 4
+    return np.flatnonzero(proposed), rank
+
+
+def _self_check(distinct: np.ndarray, candidates: np.ndarray):
+    """Each candidate, ascending, leaves at once when one phase-1 LP fits it
+    to the candidates still kept within ``HULL_TOL``; so of columns that fit
+    each other the lexicographically last stays.
+
+    Returns ``(is_vertex, lps, pivots)``.  Raises PivotBudgetError when an LP
+    exhausts its pivot budget.
+    """
+    C = distinct[:, candidates]
+    kept = np.ones(candidates.size, dtype=bool)
+    lps = pivots = 0
+    for j in range(candidates.size):
+        kept[j] = False
+        V = C[:, kept]
+        inside = False  # with no other candidate kept, nothing can fit it
+        if V.shape[1]:
+            _, inside, _, piv = _combination(np.vstack([V, np.ones((1, V.shape[1]))]), C[:, j])
+            lps, pivots = lps + 1, pivots + piv
+        kept[j] = not inside
+    is_vertex = np.zeros(distinct.shape[1], dtype=bool)
+    is_vertex[candidates[kept]] = True
+    return is_vertex, lps, pivots
 
 
 def extreme_points(cloud: ColumnCloud) -> np.ndarray:
@@ -537,13 +514,22 @@ def extreme_points(cloud: ColumnCloud) -> np.ndarray:
 def hull_decompose(cloud: ColumnCloud) -> HullDecomposition:
     """Split columns into hull vertices (h1) and the interior rest (h2)."""
     distinct, first_idx, _ = cloud.groups
-    is_vertex, lps, pivots, rounds, certified, box = _vertex_pass(distinct)
+    d = distinct.shape[1]
+    is_vertex = _box_vertices(distinct)
+    certified = lps = pivots = 0
+    if is_vertex is not None:
+        certified = int(np.count_nonzero(is_vertex))
+        log.debug("vertex pass: the box certificate settled it, %d of %d distinct "
+                  "columns are its corners", certified, d)
+    else:
+        candidates, rank = _proposed(distinct)
+        is_vertex, lps, pivots = _self_check(distinct, candidates)
+        log.debug("vertex pass: %d of %d distinct columns are vertices, %d proposed at "
+                  "rank %d, %d self-check LPs", np.count_nonzero(is_vertex), d,
+                  candidates.size, rank, lps)
     vertex = np.flatnonzero(is_vertex)
     vertex = vertex[np.argsort(first_idx[vertex])]  # in h1 order
     h1 = first_idx[vertex]
-    log.debug("vertex pass: %d of %d distinct columns are vertices, %d certified, "
-              "%d LPs in %d rounds, box certificate %s", h1.size, distinct.shape[1],
-              certified, lps, rounds, "settled it" if box else "did not hold")
     rest = np.ones(cloud.n_points, dtype=bool)
     rest[h1] = False
     h2 = np.flatnonzero(rest).astype(np.int64, copy=False)
@@ -554,7 +540,6 @@ def hull_decompose(cloud: ColumnCloud) -> HullDecomposition:
         interior_columns=distinct[:, ~is_vertex],
         vertex_lps=lps,
         vertex_pivots=pivots,
-        vertex_rounds=rounds,
         vertex_certified=certified,
     )
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hull import _check_cloud
 from .signals import LabelVector, WeakSignalMatrix
 from .solver import _block_argmax, epsilon_upper_bound
 
@@ -37,10 +38,13 @@ class EvalReport:
 
 def _class_tallies(w: WeakSignalMatrix) -> np.ndarray:
     """(k, n) sums of non-abstain signal values per class and point; the
-    vote counts, exactly as floats, for a matrix that keeps its votes."""
+    vote counts, exactly as floats, for a matrix that keeps its votes.
+    Raises on a float matrix holding NaN or a value outside [0, 1], as
+    ``build_A`` does."""
     if w.votes is not None:
         return np.stack([np.count_nonzero(w.votes == c, axis=0) for c in range(1, w.k + 1)]
                         ).astype(np.float64)
+    _check_cloud(w.values, top=1.0)
     masked = np.where(w.abstain, 0.0, w.values)
     return masked.sum(axis=0).reshape(w.k, w.n)
 

@@ -293,7 +293,7 @@ def anneal_b(w: WeakSignalMatrix, cloud: ColumnCloud, decomp: HullDecomposition,
         rounds += 1
         for j in picks:  # in index order, up to the first one outside
             probes += 1
-            _, inside, y_j = _combination(E, q_at(j))
+            _, inside, y_j, _ = _combination(E, q_at(j))
             if not inside:
                 hi, y = j, y_j
                 break

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onionlabel import backends
+from onionlabel import backends, hull
 from onionlabel.backends import phase1_simplex, spread
 from onionlabel.hull import build_A, hull_decompose
 from onionlabel.signals import reduce_signals
@@ -65,7 +65,7 @@ def _reference_pgd(A, b, y0, target, lr, conv_tol, max_iters):
 
 
 def _reference_phase1(E, f):
-    """The one-LP phase-1 loop the batched kernel replaced, with its pivot rules.
+    """A plain one-LP phase-1 loop with ``phase1_simplex``'s pivot rules.
 
     Rows are sign-normalized here; returns ``(lam, pivots, status)``.
     """
@@ -170,9 +170,10 @@ def test_simplex_bland_fallback_still_solves(monkeypatch, feasible):
 
 
 def _batch_and_single_solves(rng, lattice: bool):
-    """The lockstep batch's outputs on a shared column set, with each LP's
-    ``phase1_simplex`` solve and the reference loop's, which has no duals.
-    Queries with negative coordinates exercise the row sign flips."""
+    """A batch of LPs on a shared column set, each solved by
+    ``phase1_simplex`` and checked bitwise against the reference loop's
+    single solve, which has no duals.  Queries with negative coordinates
+    exercise the row sign flips."""
     d, p = 4, 24
     if lattice:
         cols = rng.integers(0, 5, size=(d, p)) * 0.5
@@ -183,23 +184,18 @@ def _batch_and_single_solves(rng, lattice: bool):
     outside = rng.uniform(-1.0, 3.0, size=(d, 20))
     Q = np.hstack([inside, corners, outside])
     E = np.vstack([cols, np.ones((1, p))])
-    F = np.vstack([Q, np.ones((1, Q.shape[1]))]).T
-    batch = backends.phase1_batch(E, F)
-    for b in range(F.shape[0]):
-        one, ref = phase1_simplex(E, F[b]), _reference_phase1(E, F[b])
-        got = tuple(out[b] for out in batch)
-        for want in (one, ref):
-            assert got[0].tobytes() == want[0].tobytes()
-            assert (int(got[1]), int(got[2])) == want[1:3]
-        assert got[3].tobytes() == one[3].tobytes()
-        yield E, F[b], got
+    for q in Q.T:
+        f = np.append(q, 1.0)
+        got, ref = phase1_simplex(E, f), _reference_phase1(E, f)
+        assert got[0].tobytes() == ref[0].tobytes()
+        assert got[1:3] == ref[1:3]
+        yield E, f, got
 
 
 @pytest.mark.parametrize("run", [backends._DEGENERATE_RUN, 0])
 def test_simplex_batch_matches_single_solves_and_certifies(monkeypatch, run):
-    # every LP of a lockstep batch is bitwise its one-LP solve, duals
-    # included, and the reference loop's; each infeasible LP's duals separate
-    # its point from the shared columns
+    # every LP of the batch is bitwise the reference loop's solve, and each
+    # infeasible LP's duals separate its point from the shared columns
     monkeypatch.setattr(backends, "_DEGENERATE_RUN", run)
     rng = np.random.default_rng(46)
     for lattice in (False, True):
@@ -217,7 +213,8 @@ def test_simplex_batch_matches_single_solves_and_certifies(monkeypatch, run):
 @pytest.mark.parametrize("run", [backends._DEGENERATE_RUN, 0])
 def test_simplex_kernels_stop_alike_when_the_budget_runs_out(monkeypatch, run):
     # a budget of 3 pivots: the LPs that need more stop with status 1 after
-    # exactly 3 pivots in both kernels, with bitwise equal iterates and duals
+    # exactly 3 pivots in phase1_simplex and in the reference loop, with
+    # bitwise equal iterates
     monkeypatch.setattr(backends, "_DEGENERATE_RUN", run)
     monkeypatch.setattr(backends, "_PIVOT_BUDGET_BASE", 3)
     monkeypatch.setattr(backends, "_PIVOT_BUDGET_PER_DIM", 0)
@@ -229,19 +226,28 @@ def test_simplex_kernels_stop_alike_when_the_budget_runs_out(monkeypatch, run):
         assert all(pivots <= 3 and status == (pivots == 3) for pivots, status in stops)
 
 
-def test_simplex_batch_takes_one_matrix_per_lp():
-    # a column zeroed in one LP's matrix never enters that LP's basis
+def test_simplex_batch_takes_one_matrix_per_lp(monkeypatch):
+    # the vertex pass's self-check solves each candidate against its own
+    # matrix: the candidates still kept, without the candidate itself
     rng = np.random.default_rng(47)
-    cols = rng.uniform(0.0, 2.0, size=(3, 6))
-    E = np.vstack([cols, np.ones((1, 6))])
-    Es = np.repeat(E[None], 6, axis=0)
-    Es[np.arange(6), :, np.arange(6)] = 0.0
-    F = np.vstack([cols, np.ones((1, 6))]).T  # LP b asks for column b itself
-    lam, _, status, _ = backends.phase1_batch(Es, F)
-    assert (status == 0).all()
-    assert (np.diag(lam) == 0.0).all()
-    for b in range(6):
-        assert lam[b].tobytes() == phase1_simplex(Es[b], F[b])[0].tobytes()
+    distinct = np.unique(rng.uniform(0.0, 2.0, size=(3, 12)), axis=1)
+    lps = []
+
+    def recording(E, f):
+        lps.append((E[:-1].copy(), f[:-1].copy()))
+        return phase1_simplex(E, f)
+
+    monkeypatch.setattr(hull, "phase1_simplex", recording)
+    candidates = np.arange(distinct.shape[1])
+    is_vertex, n_lps, _ = hull._self_check(distinct, candidates)
+    assert n_lps == len(lps) == candidates.size
+    kept = np.ones(candidates.size, dtype=bool)
+    for j, (V, q) in enumerate(lps):
+        assert q.tobytes() == distinct[:, j].tobytes()
+        kept[j] = False
+        assert V.tobytes() == np.ascontiguousarray(distinct[:, kept]).tobytes()
+        kept[j] = is_vertex[j]
+    assert 0 < is_vertex.sum() < candidates.size
 
 
 def test_simplex_finds_known_combination():

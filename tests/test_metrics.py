@@ -17,6 +17,7 @@ from onionlabel.metrics import (
     random_baseline_error,
     weighted_majority_vote,
 )
+from onionlabel.hull import build_A
 from onionlabel.signals import LabelVector, WeakSignalMatrix, expand_pws
 
 # ---------------------------------------------------------------------------
@@ -98,6 +99,20 @@ def test_wmv_rejects_bad_priors(table_signals):
         weighted_majority_vote(table_signals, prior=np.array([-0.2, 0.6, 0.6]))
     with pytest.raises(ValueError):  # every check of a NaN prior is false
         weighted_majority_vote(table_signals, prior=np.array([np.nan, 0.5, 0.5]))
+
+
+@pytest.mark.parametrize("values, message", [
+    ([[0.0, np.nan, 1.0, 1.0], [1.0, 0.5, 0.0, 0.5]], "cloud contains NaN"),
+    ([[0.0, 7.0, 1.0, -3.0]], r"must lie in \[0, 1\]"),
+])
+def test_votes_reject_a_float_matrix_that_build_A_rejects(values, message):
+    # a hand-built matrix holding NaN or a value outside [0, 1] is not
+    # labelled: both votes raise build_A's error
+    values = np.array(values)
+    w = WeakSignalMatrix(values=values, abstain=np.zeros(values.shape, bool), n=2, k=2)
+    for vote in (majority_vote, weighted_majority_vote, build_A):
+        with pytest.raises(ValueError, match=message):
+            vote(w)
 
 
 # ---------------------------------------------------------------------------
