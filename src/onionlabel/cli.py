@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .hull import PivotBudgetError, safe_region_status
 from .metrics import accuracy, f1
-from .signals import LabelVector, WeakSignalMatrix, load_pws_matrix
+from .signals import MAX_CHUNKS, LabelVector, WeakSignalMatrix, load_pws_matrix
 from .solver import (
     AnnealingError,
     SolverConfig,
@@ -182,8 +182,8 @@ def cmd_eval(args) -> int:
             f"length mismatch: {len(pred_hard)} predictions vs {len(truth_hard)} labels"
         )
     k = max(max(pred_hard), max(truth_hard), 2)
-    pred = LabelVector(hard=np.asarray(pred_hard), k=k)
-    truth = LabelVector(hard=np.asarray(truth_hard), k=k)
+    pred = LabelVector(hard=pred_hard, k=k)
+    truth = LabelVector(hard=truth_hard, k=k)
     report = f1(pred, truth) if args.metric == "f1" else accuracy(pred, truth)
     _dump_json(report.to_dict(), args.out)
     return EXIT_OK
@@ -267,7 +267,8 @@ def cmd_sweep(args) -> int:
 
 def _add_common_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=None, help="annealing step size")
-    p.add_argument("--chunks", type=int, default=None, help="signal chunks after reduction")
+    p.add_argument("--chunks", type=int, default=None,
+                   help=f"signal chunks after reduction, 1..{MAX_CHUNKS}")
     p.add_argument("--seed", type=int, default=None, help="seed for all randomness")
     p.add_argument("--config", default=None, help="flat key=value config file")
 

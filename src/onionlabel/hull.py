@@ -24,12 +24,14 @@ the candidates: the values are centered and projected onto their affine hull
 at rank 2 to 5, the two ends of the line at rank 1.  A value Qhull leaves
 out is not fitted by an LP, but it is measured against Qhull's facets and
 proposed too when it lies beyond one of them by more than HULL_TOL / 4.
-Above rank 5, with too few values for a simplex of the rank, or when Qhull
-fails, every value is a candidate.  Last, one phase-1 LP per candidate
+With too few values for a simplex of the rank, or when Qhull fails, every
+value is a candidate.  Last, one phase-1 LP per candidate
 decides: in ascending order, a candidate that fits the candidates still kept
 within HULL_TOL leaves at once, so of values that fit each other the
 lexicographically last stays.  ``scipy.spatial`` is imported only when
-Qhull runs.
+Qhull runs.  The cloud lives in R^<=5: ``hull_decompose`` refuses a cloud of
+more than ``MAX_CHUNKS`` rows before any LP, while grouping and membership
+take any number of rows.
 
 Duplicate columns keep their lowest index in ``h1`` and park the remaining
 copies in ``h2``.  The *geometry* of the inner hull, however, is generated by
@@ -60,7 +62,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .backends import phase1_simplex
-from .signals import _chunk_bounds, _chunk_mean
+from .signals import MAX_CHUNKS, _chunk_bounds, _chunk_mean, _freeze
 
 __all__ = [
     "ColumnCloud",
@@ -76,7 +78,6 @@ __all__ = [
 
 HULL_TOL = 1e-8
 _RANK_TOL = 1e-12  # singular values at or below this times the largest are rank-deficient
-_QHULL_RANK = 5  # the highest rank whose vertices Qhull proposes
 _DISTANCE_FLOATS = 1 << 18  # most facet distances held at once
 _COMPARE_RANKS = 16  # most values per row ranked by comparisons (measured crossover)
 _CODE_TABLE = 1 << 16  # most codes of a chunk's votes in a table kept for all calls
@@ -134,9 +135,7 @@ class ColumnCloud:
         return cloud
 
     def _hold(self, distinct, first, group):
-        for a in (distinct, first, group):
-            a.setflags(write=False)
-        self.__dict__["groups"] = (distinct, first, group)
+        self.__dict__["groups"] = tuple(_freeze(a, owned=True) for a in (distinct, first, group))
 
     @property
     def dim(self) -> int:
@@ -148,16 +147,12 @@ class ColumnCloud:
 
     @cached_property
     def counts(self):
-        counts = np.bincount(self.groups[2]).astype(np.float64)
-        counts.setflags(write=False)
-        return counts
+        return _freeze(np.bincount(self.groups[2]).astype(np.float64), owned=True)
 
     @cached_property
     def matrix(self):
         distinct, _, group = self.groups
-        matrix = np.take(distinct, group, axis=1)  # C-contiguous
-        matrix.setflags(write=False)
-        return matrix
+        return _freeze(np.take(distinct, group, axis=1), owned=True)  # C-contiguous
 
 
 def build_A(w) -> ColumnCloud:
@@ -240,10 +235,7 @@ def _every_code_groups(g: int, k: int):
     """``_chunk_groups`` of every code, the radix-(k + 1) numbers of g digits,
     read-only."""
     block = np.arange((k + 1) ** g) // (k + 1) ** np.arange(g - 1, -1, -1)[:, None] % (k + 1)
-    out = _chunk_groups(g, k, block)
-    for x in out:
-        x.setflags(write=False)
-    return out
+    return tuple(_freeze(x, owned=True) for x in _chunk_groups(g, k, block))
 
 
 @dataclass(frozen=True)
@@ -267,9 +259,7 @@ class HullDecomposition:
 
     def __post_init__(self):
         for name in ("h1", "h2", "vertex_columns", "interior_columns"):
-            a = np.ascontiguousarray(getattr(self, name))
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
 
 class SafeRegionStatus(enum.Enum):
@@ -433,17 +423,17 @@ def _proposed(distinct: np.ndarray):
     distinct column is settled by the box.  At rank 1 the candidates are the
     columns at either end of the line; at rank 2 to 5 they are the vertices
     Qhull finds for the columns projected onto their affine hull, and the
-    columns it leaves out that lie beyond one of its facets.  A rank above
-    5, too few columns for a simplex of the rank (d <= rank + 1) or a
-    ``QhullError`` (logged at WARNING) propose every column, so a failed
-    Qhull never yields a vertex set.
+    columns it leaves out that lie beyond one of its facets.  Too few
+    columns for a simplex of the rank (d <= rank + 1) or a ``QhullError``
+    (logged at WARNING) propose every column, so a failed Qhull never yields
+    a vertex set.
     """
     d = distinct.shape[1]
     everyone = np.arange(d)
     centered = distinct - distinct.mean(axis=1, keepdims=True)
     u, s, _ = np.linalg.svd(centered, full_matrices=False)
     rank = int(np.count_nonzero(s > _RANK_TOL * s[0]))
-    if rank > _QHULL_RANK or d <= rank + 1:
+    if d <= rank + 1:
         return everyone, rank
     Y = u[:, :rank].T @ centered  # the columns in coordinates of their affine hull
     if rank == 1:
@@ -505,14 +495,19 @@ def extreme_points(cloud: ColumnCloud) -> np.ndarray:
     """Indices of the hull vertices, lowest index per duplicate group.
 
     A distinct column value is a vertex iff it is not a convex combination of
-    the other distinct values.  Works in any dimension, including degenerate
-    (collinear / coplanar) clouds.
+    the other distinct values.  Works on any cloud of at most ``MAX_CHUNKS``
+    rows, including degenerate (collinear / coplanar) ones.
     """
     return hull_decompose(cloud).h1
 
 
 def hull_decompose(cloud: ColumnCloud) -> HullDecomposition:
-    """Split columns into hull vertices (h1) and the interior rest (h2)."""
+    """Split columns into hull vertices (h1) and the interior rest (h2).
+
+    Raises ValueError on a cloud of more than ``MAX_CHUNKS`` rows."""
+    if cloud.dim > MAX_CHUNKS:
+        raise ValueError(f"the hull takes a cloud of at most {MAX_CHUNKS} rows, got "
+                         f"{cloud.dim}: reduce the signals to at most {MAX_CHUNKS} chunks")
     distinct, first_idx, _ = cloud.groups
     d = distinct.shape[1]
     is_vertex = _box_vertices(distinct)
@@ -534,10 +529,10 @@ def hull_decompose(cloud: ColumnCloud) -> HullDecomposition:
     rest[h1] = False
     h2 = np.flatnonzero(rest).astype(np.int64, copy=False)
     return HullDecomposition(
-        h1=h1,
-        h2=h2,
-        vertex_columns=distinct[:, vertex],
-        interior_columns=distinct[:, ~is_vertex],
+        h1=_freeze(h1, owned=True),
+        h2=_freeze(h2, owned=True),
+        vertex_columns=_freeze(np.take(distinct, vertex, axis=1), owned=True),  # C-contiguous
+        interior_columns=_freeze(np.compress(~is_vertex, distinct, axis=1), owned=True),
         vertex_lps=lps,
         vertex_pivots=pivots,
         vertex_certified=certified,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hull import _check_cloud
-from .signals import LabelVector, WeakSignalMatrix
+from .signals import LabelVector, WeakSignalMatrix, _freeze
 from .solver import _block_argmax, epsilon_upper_bound
 
 __all__ = [
@@ -59,7 +59,7 @@ def _decode_votes(scores: np.ndarray, w: WeakSignalMatrix, seed: int) -> LabelVe
     if all_abstain.any():
         rng = np.random.default_rng(seed)
         hard[all_abstain] = rng.integers(1, w.k + 1, size=int(all_abstain.sum()))
-    return LabelVector(hard=hard, k=w.k)
+    return LabelVector(hard=_freeze(hard, owned=True), k=w.k)
 
 
 def majority_vote(w: WeakSignalMatrix, seed: int = 0) -> LabelVector:

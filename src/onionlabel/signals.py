@@ -31,7 +31,8 @@ __all__ = [
     "expected_error_rate",
 ]
 
-DEFAULT_CHUNKS = 5  # signals left after reduce_signals; SolverConfig.chunks
+MAX_CHUNKS = 5  # the most rows of a cloud: SolverConfig.chunks and hull_decompose's bound
+DEFAULT_CHUNKS = MAX_CHUNKS  # signals left after reduce_signals; SolverConfig.chunks
 
 
 def col_index(cls: int, point: int, n: int) -> int:
@@ -39,10 +40,31 @@ def col_index(cls: int, point: int, n: int) -> int:
     return (cls - 1) * n + point
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
+def _freeze(a, dtype=None, owned: bool = False) -> np.ndarray:
+    """A read-only array of a's values, for a frozen output to keep.
+
+    An ``owned`` array, made for the output and handed over, is frozen in
+    place with every array it views, laid out as it is.  Any other input
+    becomes a C-contiguous array of ``dtype``: kept when it already is one
+    that nothing can write (it and every array it views are read-only, as
+    an array handed over is), the conversion's own result when that copies,
+    and a copy otherwise, so a caller's array stays writeable and apart.
+    """
+    if not owned:
+        out = np.asarray(a, dtype=dtype, order="C")
+        if (out is a or out.base is not None) and any(x.flags.writeable for x in _views(out)):
+            out = out.copy()
+        a = out
+    for x in _views(a):
+        x.setflags(write=False)
     return a
+
+
+def _views(a):
+    """a and each array it is a view of."""
+    while isinstance(a, np.ndarray):
+        yield a
+        a = a.base
 
 
 @dataclass(frozen=True)
@@ -62,8 +84,8 @@ class WeakSignalMatrix:
     votes = None  # not a field: set by expand_pws
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        abstain = np.asarray(self.abstain, dtype=bool)
+        values = _freeze(self.values, np.float64)
+        abstain = _freeze(self.abstain, bool)
         if values.ndim != 2:
             raise ValueError("values must be a 2-d array")
         if values.shape != abstain.shape:
@@ -76,8 +98,8 @@ class WeakSignalMatrix:
             raise ValueError(
                 f"values has {values.shape[1]} columns, expected n*k = {self.n * self.k}"
             )
-        object.__setattr__(self, "values", _freeze(values))
-        object.__setattr__(self, "abstain", _freeze(abstain))
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "abstain", abstain)
 
     @property
     def m(self) -> int:
@@ -92,14 +114,14 @@ class LabelVector:
     k: int
 
     def __post_init__(self):
-        hard = np.asarray(self.hard, dtype=np.int64)
+        hard = _freeze(self.hard, np.int64)
         if hard.ndim != 1:
             raise ValueError("hard labels must be 1-d")
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if hard.size and (hard.min() < 1 or hard.max() > self.k):
             raise ValueError("hard labels must lie in 1..k")
-        object.__setattr__(self, "hard", _freeze(hard))
+        object.__setattr__(self, "hard", hard)
 
     @property
     def n(self) -> int:
@@ -123,7 +145,7 @@ class LabelVector:
             np.isclose(grid.max(axis=0), 1.0)
         ):
             raise ValueError("vector is not one-hot per point")
-        return cls(hard=grid.argmax(axis=0) + 1, k=k)
+        return cls(hard=_freeze(grid.argmax(axis=0) + 1, owned=True), k=k)
 
 
 def expand_pws(votes: np.ndarray, k: int) -> WeakSignalMatrix:
@@ -143,9 +165,10 @@ def expand_pws(votes: np.ndarray, k: int) -> WeakSignalMatrix:
     ab = votes == 0
     # (m, k, n) with class c in plane c - 1: the reshape lays out the class blocks
     values = np.where(ab[:, None], 1.0 / k, votes[:, None] == np.arange(1, k + 1)[:, None])
-    w = WeakSignalMatrix(values=values.reshape(m, n * k), abstain=np.tile(ab, k), n=n, k=k)
+    w = WeakSignalMatrix(values=_freeze(values, owned=True).reshape(m, n * k),
+                         abstain=_freeze(np.tile(ab, k), owned=True), n=n, k=k)
     # a copy, so the caller's array stays writeable
-    object.__setattr__(w, "votes", _freeze(votes.astype(np.min_scalar_type(k))))
+    object.__setattr__(w, "votes", _freeze(votes.astype(np.min_scalar_type(k)), owned=True))
     return w
 
 
@@ -273,7 +296,8 @@ def _load_json(path: str, n: int, k: int) -> WeakSignalMatrix:
             if v < 0.0 or v > 1.0:
                 raise ValueError(f"row {r}, col {c}: entry {v} outside [0, 1]")
             values[r, c] = v
-    return WeakSignalMatrix(values=values, abstain=abstain, n=n, k=k)
+    return WeakSignalMatrix(values=_freeze(values, owned=True),
+                            abstain=_freeze(abstain, owned=True), n=n, k=k)
 
 
 def load_pws_matrix(path: str, n: int, k: int) -> WeakSignalMatrix:
@@ -297,7 +321,7 @@ def load_pws_matrix(path: str, n: int, k: int) -> WeakSignalMatrix:
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # "nan" | "out_of_range" | "bad_abstain_fill" | "shape"
+    kind: str  # "nan" | "out_of_range" | "bad_abstain_fill"
     row: int
     col: int
     detail: str = ""
@@ -349,7 +373,8 @@ def reduce_signals(w: WeakSignalMatrix, chunks: int = DEFAULT_CHUNKS) -> WeakSig
     bounds = _chunk_bounds(w.m, chunks)
     values = np.stack([_chunk_mean(w.values[lo:hi]) for lo, hi in bounds])
     abstain = np.stack([w.abstain[lo:hi].all(axis=0) for lo, hi in bounds])
-    return WeakSignalMatrix(values=values, abstain=abstain, n=w.n, k=w.k)
+    return WeakSignalMatrix(values=_freeze(values, owned=True),
+                            abstain=_freeze(abstain, owned=True), n=w.n, k=w.k)
 
 
 def _chunk_bounds(m: int, chunks: int) -> list[tuple[int, int]]:

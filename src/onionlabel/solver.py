@@ -49,7 +49,7 @@ from .hull import (
     # patches solver.safe_region_status
     safe_region_status,  # noqa: F401
 )
-from .signals import DEFAULT_CHUNKS, WeakSignalMatrix, reduce_signals
+from .signals import DEFAULT_CHUNKS, MAX_CHUNKS, WeakSignalMatrix, _freeze, reduce_signals
 
 __all__ = [
     "SolverConfig",
@@ -87,8 +87,10 @@ class HullInconsistencyError(AnnealingError):
 class SolverConfig:
     """Every run setting: signal reduction, annealing and the label solve.
 
-    ``alpha`` is the annealing step of eps, at least the smallest normal
-    float.  ``chunks`` is the number of signals left after ``reduce_signals``.
+    ``alpha`` is the annealing step of eps, a real number of at least the
+    smallest normal float.  ``chunks`` is the number of signals left after
+    ``reduce_signals``, an integer in 1..``MAX_CHUNKS`` (5): the cloud lives
+    in R^<=5.
     All randomness flows from ``seed``.  The label solve's gap threshold and
     cycle budget are ``backends.GAP_TOL`` and ``backends.MAX_CYCLES``.
     """
@@ -100,11 +102,19 @@ class SolverConfig:
     def __post_init__(self):
         # also false for NaN; below the smallest normal float the grid
         # length ub / alpha can overflow to inf
-        if not sys.float_info.min <= self.alpha < math.inf:
+        if not (_is_real(self.alpha) and sys.float_info.min <= self.alpha < math.inf):
             raise ValueError(f"alpha must be finite and at least {sys.float_info.min!r}, "
                              f"got {self.alpha!r}")
         for name, least in (("chunks", 1), ("seed", 0)):
             _require_int(name, getattr(self, name), least)
+        if self.chunks > MAX_CHUNKS:
+            raise ValueError(f"chunks must be at most {MAX_CHUNKS}, the most rows the hull "
+                             f"takes, got {self.chunks!r}")
+
+
+def _is_real(value) -> bool:
+    """Whether value is a real number and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _require_int(name: str, value, least: int) -> None:
@@ -121,9 +131,7 @@ class TargetVector:
     epsilon: float
 
     def __post_init__(self):
-        b = np.ascontiguousarray(self.b, dtype=np.float64)
-        b.setflags(write=False)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "b", _freeze(self.b, np.float64))
 
 
 @dataclass(frozen=True)
@@ -151,9 +159,7 @@ class SyntheticLabel:
 
     def __post_init__(self):
         for name in ("soft", "hard"):
-            a = np.ascontiguousarray(getattr(self, name))
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     def to_dict(self) -> dict:
         return {
@@ -206,7 +212,8 @@ def _row_sums(cloud: ColumnCloud) -> np.ndarray:
 def _target(w: WeakSignalMatrix, row_sums: np.ndarray, eps: float) -> TargetVector:
     """``init_b`` from the row sums w_i.1, without the range check; only n
     and k are read from w."""
-    return TargetVector(b=-w.n * w.k * eps + row_sums + w.n, epsilon=float(eps))
+    b = -w.n * w.k * eps + row_sums + w.n
+    return TargetVector(b=_freeze(b, owned=True), epsilon=float(eps))
 
 
 def _target_at_bound(w: WeakSignalMatrix, cloud: ColumnCloud) -> TargetVector:
@@ -415,8 +422,8 @@ def _solve(b: np.ndarray, n: int, groups, counts: np.ndarray, cfg: SolverConfig,
     y += np.take(a + r * a0, group)
     np.clip(y, 0.0, 1.0, out=y)
     return SyntheticLabel(
-        soft=y,
-        hard=decode_labels(y, n, nk // n),
+        soft=_freeze(y, owned=True),
+        hard=_freeze(decode_labels(y, n, nk // n), owned=True),
         residual=float(np.linalg.norm(distinct @ sums - b)),
         epsilon_used=epsilon_used,
         converged=converged,

@@ -12,11 +12,12 @@ import numpy as np
 from .hull import HULL_TOL, ColumnCloud, PivotBudgetError, SafeRegionStatus, safe_region_status
 from .hull import hull_decompose  # noqa: F401  (perfbench/tracing.py patches synth.hull_decompose)
 from .metrics import accuracy, majority_vote, weighted_majority_vote
-from .signals import LabelVector, WeakSignalMatrix, expand_pws
+from .signals import LabelVector, WeakSignalMatrix, _freeze, expand_pws
 from .solver import (
     AnnealingError,
     SolverConfig,
     SyntheticLabel,
+    _is_real,
     _require_int,
     _solve,
     _target_at_bound,
@@ -67,19 +68,21 @@ class SynthSpec:
     def __post_init__(self):
         for name, least in (("n", 1), ("k", 2), ("m", 1)):
             _require_int(name, getattr(self, name), least)
-        if not (1.0 / self.k < self.signal_accuracy <= 1.0):
+        # a bool or a string is no rate: True would plant accuracy 1
+        if not (_is_real(self.signal_accuracy) and 1.0 / self.k < self.signal_accuracy <= 1.0):
             raise ValueError(
                 f"signal_accuracy must lie in (1/k, 1], got {self.signal_accuracy}"
             )
-        if not (0.0 <= self.abstain_rate < 1.0):
+        if not (_is_real(self.abstain_rate) and 0.0 <= self.abstain_rate < 1.0):
             raise ValueError(f"abstain_rate must lie in [0, 1), got {self.abstain_rate}")
         if self.class_balance is not None:
-            bal = tuple(float(p) for p in self.class_balance)
+            bal = tuple(self.class_balance)
             if len(bal) != self.k:
                 raise ValueError(f"class_balance must have length k = {self.k}")
-            if not (min(bal) >= 0 and abs(sum(bal) - 1.0) <= 1e-9):  # also NaN
+            if not (all(map(_is_real, bal)) and min(bal) >= 0
+                    and abs(sum(bal) - 1.0) <= 1e-9):  # also NaN
                 raise ValueError("class_balance must be nonnegative and sum to 1")
-            object.__setattr__(self, "class_balance", bal)
+            object.__setattr__(self, "class_balance", tuple(float(p) for p in bal))
 
     @property
     def balance(self) -> np.ndarray:
@@ -103,7 +106,7 @@ def generate_votes(spec: SynthSpec) -> tuple[np.ndarray, LabelVector]:
     wrong = (y[None, :] - 1 + offset) % spec.k + 1
     votes = np.where(correct, y[None, :], wrong)
     votes[ab] = 0
-    return votes.astype(np.int64), LabelVector(hard=y, k=spec.k)
+    return votes.astype(np.int64), LabelVector(hard=_freeze(y, owned=True), k=spec.k)
 
 
 def generate_instance(spec: SynthSpec) -> tuple[WeakSignalMatrix, LabelVector]:

@@ -372,7 +372,7 @@ def test_inspect_hull_dedups_the_cloud_once(synth_files, dedup_calls, capsys):
     assert len(dedup_calls) == 1
 
 
-@pytest.mark.parametrize("k,chunks", [(2, 5), (3, 1), (3, 5), (4, 9)])
+@pytest.mark.parametrize("k,chunks", [(2, 5), (3, 1), (3, 5), (4, 4)])
 def test_inspect_hull_document_is_the_same_from_votes_and_from_prob_rows(tmp_path, capsys,
                                                                          k, chunks):
     # a vote CSV groups the cloud from its votes, a "prob" document with the
@@ -391,6 +391,27 @@ def test_inspect_hull_document_is_the_same_from_votes_and_from_prob_rows(tmp_pat
                        "--chunks", str(chunks)) == 0
         docs.append(json.loads(capsys.readouterr().out))
     assert docs[0] == docs[1]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command", ["label", "ablate", "inspect-hull", "sweep"])
+def test_chunks_above_five_exit_2_before_the_input_is_read(tmp_path, capsys, command, via):
+    # the cloud lives in R^<=5: chunks 6 is refused, naming chunks and the
+    # bound, before the input file, which does not exist, is opened
+    missing = tmp_path / "missing.csv"
+    if command == "sweep":
+        argv = ["sweep", "--specs", str(missing), "--out", str(tmp_path / "s.csv")]
+    else:
+        argv = [command, "--weak-labels", str(missing), "--n", "4", "--k", "2"]
+    cfg = tmp_path / "run.cfg"
+    for chunks, message in ((6, "onionlabel: chunks must be at most 5, the most rows the "
+                                "hull takes, got 6"),
+                            (5, f"onionlabel: [Errno 2] No such file or directory: "
+                                f"'{missing}'")):
+        cfg.write_text(f"chunks = {chunks}\n")
+        extra = ["--chunks", str(chunks)] if via == "flag" else ["--config", str(cfg)]
+        assert run_cli(*argv, *extra) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +557,15 @@ def test_sweep_rejects_bad_spec_entries(tmp_path, capsys):
         ([dict(good, m=True)], "spec 0: m must be an integer >= 1, got True"),
         ([dict(good, signal_accuracy=0.2)], "spec 0: signal_accuracy must lie in "
                                             "(1/k, 1], got 0.2"),
+        # true would plant accuracy 1, false no abstains, [true, false] class 1 only
+        ([dict(good, signal_accuracy=True)], "spec 0: signal_accuracy must lie in "
+                                             "(1/k, 1], got True"),
+        ([dict(good, abstain_rate=False)], "spec 0: abstain_rate must lie in [0, 1), "
+                                           "got False"),
+        ([dict(good, signal_accuracy="0.9")], "spec 0: signal_accuracy must lie in "
+                                              "(1/k, 1], got 0.9"),
+        ([dict(good, class_balance=[True, False])], "spec 0: class_balance must be "
+                                                    "nonnegative and sum to 1"),
     ]:
         spec_path.write_text(json.dumps(specs))
         assert run_cli("sweep", "--specs", str(spec_path),

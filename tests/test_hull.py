@@ -16,6 +16,7 @@ from scipy.optimize import linprog
 from onionlabel import backends, hull
 from onionlabel.hull import (
     ColumnCloud,
+    HullDecomposition,
     PivotBudgetError,
     SafeRegionStatus,
     build_A,
@@ -26,6 +27,7 @@ from onionlabel.hull import (
     safe_region_status,
 )
 from onionlabel.signals import WeakSignalMatrix, expand_pws, reduce_signals
+from onionlabel.solver import prepare
 from onionlabel.synth import SynthSpec, generate_instance
 
 
@@ -479,16 +481,39 @@ def test_box_certificate_settles_planted_n300k():
     assert decomp.interior_columns.tobytes() == distinct[:, ~corner].tobytes()
 
 
-def test_vertex_pass_self_checks_every_column_above_rank_five(monkeypatch):
-    # 12 chunks give a cloud of rank 12: Qhull is not asked, and every
-    # distinct column is self-checked, with the all-pairs layers
-    monkeypatch.setattr("scipy.spatial.ConvexHull", None)  # never called
+def test_hull_decomposition_copies_a_caller_array_and_never_freezes_it():
+    given = {"h1": np.array([0, 1]), "h2": np.array([2]),
+             "vertex_columns": np.array([[0.0, 2.0]]), "interior_columns": np.array([[1.0]])}
+    decomp = HullDecomposition(**given)
+    for name, a in given.items():
+        kept = getattr(decomp, name)
+        before = a.copy()
+        assert a.flags.writeable and not kept.flags.writeable, name
+        assert not np.shares_memory(a, kept), name
+        a[...] = 0
+        assert kept.tolist() == before.tolist(), name
+
+
+def test_hull_refuses_a_cloud_above_five_rows(monkeypatch):
+    # the cloud lives in R^<=5: 12 chunks give a 12-row cloud, which the
+    # hull refuses by its row count before any LP and before it imports
+    # scipy.spatial (a None in sys.modules makes that import raise)
+    def no_lp(*args):
+        raise AssertionError("no LP may run")
+
+    monkeypatch.setattr(hull, "phase1_simplex", no_lp)
+    monkeypatch.setitem(sys.modules, "scipy.spatial", None)
     spec = SynthSpec(n=150, k=2, m=12, signal_accuracy=0.8, abstain_rate=0.3, seed=3)
     w, _ = generate_instance(spec)
-    cloud = build_A(reduce_signals(w, 12))
-    assert cloud.dim == 12
-    decomp = _assert_matches_all_pairs(cloud)
-    assert decomp.vertex_lps == cloud.groups[0].shape[1]
+    for rows in (6, 12):
+        cloud = build_A(reduce_signals(w, rows))
+        assert cloud.dim == rows  # grouping takes any number of rows
+        for decompose in (hull_decompose, extreme_points):
+            with pytest.raises(ValueError, match=rf"at most 5 rows, got {rows}\b"):
+                decompose(cloud)
+        # prepare reads only chunks from its config, which SolverConfig caps at 5
+        with pytest.raises(ValueError, match=rf"at most 5 rows, got {rows}\b"):
+            prepare(w, SimpleNamespace(chunks=rows))
 
 
 def test_self_check_drops_proposed_non_vertices(monkeypatch):
@@ -880,8 +905,12 @@ def assert_vote_cloud_is_float_cloud(votes: np.ndarray, k: int, chunks: int, hul
     for name, a, b in zip(("distinct", "first", "group"), got.groups, want.groups):
         assert same_array(a, b), name
     assert (got.dim, got.n_points) == (want.dim, want.n_points)
-    if hull_too:
+    if hull_too and got.dim <= 5:
         assert_same_decomposition(hull_decompose(got), hull_decompose(want))
+    elif hull_too:  # the hull refuses both clouds by their row count
+        for cloud in (got, want):
+            with pytest.raises(ValueError, match=rf"at most 5 rows, got {got.dim}\b"):
+                hull_decompose(cloud)
     assert same_array(got.matrix, want.matrix)
 
 

@@ -60,6 +60,94 @@ def test_label_vector_rejects_bad_classes():
         LabelVector(hard=np.array([1, 3]), k=2)
 
 
+def _caller_array_stays_apart(given: np.ndarray, kept: np.ndarray) -> None:
+    before = given.copy()
+    assert given.flags.writeable and not kept.flags.writeable
+    assert not np.shares_memory(given, kept)
+    given[...] = 0  # the caller writes its own array; the kept one is unchanged
+    assert kept.tolist() == before.tolist()
+
+
+def test_weak_signal_matrix_copies_a_caller_array_and_never_freezes_it():
+    values = np.array([[1.0, 0.5, 0.0, 0.5]])
+    abstain = np.array([[False, True, False, True]])
+    w = WeakSignalMatrix(values=values, abstain=abstain, n=2, k=2)
+    _caller_array_stays_apart(values, w.values)
+    _caller_array_stays_apart(abstain, w.abstain)
+    # an array nothing can write is kept: a matrix built on another's arrays
+    # shares them; a read-only view of a writeable array is copied
+    again = WeakSignalMatrix(values=w.values, abstain=w.abstain, n=2, k=2)
+    assert again.values is w.values and again.abstain is w.abstain
+    view = values.view()
+    view.setflags(write=False)
+    _caller_array_stays_apart(values, WeakSignalMatrix(values=view, abstain=abstain, n=2,
+                                                       k=2).values)
+    # a list or another dtype is converted once, into an array of its own
+    w = WeakSignalMatrix(values=[[1, 0, 0, 1]], abstain=[[0, 0, 0, 0]], n=2, k=2)
+    assert w.values.dtype == np.float64 and w.abstain.dtype == bool
+    assert w.values.base is None and not w.values.flags.writeable
+
+
+def test_label_vector_copies_a_caller_array_and_never_freezes_it():
+    hard = np.array([1, 2, 2])
+    y = LabelVector(hard=hard, k=2)
+    _caller_array_stays_apart(hard, y.hard)
+    assert LabelVector(hard=y.hard, k=2).hard is y.hard
+    with pytest.raises(ValueError, match="1-d"):
+        LabelVector(hard=np.array(1), k=2)
+
+
+def test_freeze_hands_over_owned_arrays_and_copies_the_rest():
+    # an owned array is frozen in place with the array it views, so a
+    # constructor keeps it without a second copy
+    base = np.arange(6.0)
+    view = signals._freeze(base.reshape(2, 3), owned=True)
+    assert view.base is base and not base.flags.writeable
+    assert signals._freeze(view, np.float64) is view
+    # an F-ordered array becomes a C-ordered copy of its own, frozen
+    f = np.asfortranarray(np.ones((2, 3)))
+    c = signals._freeze(f)
+    assert c.flags.c_contiguous and f.flags.writeable and not c.flags.writeable
+
+
+@pytest.mark.parametrize("build", ["expand_pws", "reduce_signals", "load_json", "target",
+                                   "hull_decompose", "solve"])
+def test_package_constructions_hand_over_their_arrays(build, tmp_path, monkeypatch):
+    # the package's own constructions make each frozen array once: the
+    # constructor keeps what it is handed, with no second copy
+    from onionlabel import hull, solver
+
+    votes = np.random.default_rng(0).integers(0, 3, size=(7, 30))
+    w = expand_pws(votes, 2)
+    path = tmp_path / "w.json"
+    rows = np.where(w.abstain, None, w.values).tolist()
+    path.write_text(json.dumps({"n": 30, "k": 2, "format": "prob", "rows": rows}))
+    cloud, decomp = solver.prepare(w)
+    kept = []
+    freeze = signals._freeze
+
+    def spy(a, dtype=None, owned=False):
+        out = freeze(a, dtype, owned)
+        kept.append(owned or out is a)
+        return out
+
+    for module in (signals, hull, solver):
+        monkeypatch.setattr(module, "_freeze", spy)
+    out = {
+        "expand_pws": lambda: expand_pws(votes, 2),
+        "reduce_signals": lambda: reduce_signals(w, 5),
+        "load_json": lambda: load_pws_matrix(str(path), 30, 2),
+        "target": lambda: solver._target_at_bound(w, cloud),
+        "hull_decompose": lambda: hull.hull_decompose(cloud),
+        "solve": lambda: solver._solve(solver._target_at_bound(w, cloud).b, w.n, cloud.groups,
+                                       cloud.counts, solver.SolverConfig()),
+    }[build]()
+    assert kept and all(kept)
+    for a in vars(out).values():
+        if isinstance(a, np.ndarray):
+            assert not any(x.flags.writeable for x in signals._views(a))
+
+
 # ---------------------------------------------------------------------------
 # expand_pws
 

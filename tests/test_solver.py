@@ -403,11 +403,24 @@ def test_solver_config_validation():
     # counts and seeds are integers: a float would reach the chunk split or,
     # only after the hull and anneal, the generator
     for name, bad in (("chunks", math.nan), ("chunks", 2.0), ("chunks", 2.5), ("chunks", True),
-                      ("seed", -1), ("seed", 1.5), ("seed", None)):
+                      ("chunks", -6), ("seed", -1), ("seed", 1.5), ("seed", None)):
         least = 0 if name == "seed" else 1
         with pytest.raises(ValueError, match=rf"{name} must be an integer >= {least}, "
                                              rf"got {re.escape(repr(bad))}"):
             SolverConfig(**{name: bad})
+    # the cloud lives in R^<=5: more chunks get their own message, naming the bound
+    for bad in (6, np.int64(9), 10**20):
+        with pytest.raises(ValueError, match=r"chunks must be at most 5, the most rows the hull "
+                                             rf"takes, got {re.escape(repr(bad))}$"):
+            SolverConfig(chunks=bad)
+    assert SolverConfig(chunks=np.int8(5)).chunks == 5
+    # alpha is a real number: True would anneal with alpha 1 and reach the
+    # manifest as true, and a string is no step
+    for bad in (True, False, np.True_, "0.1", None, 1j):
+        with pytest.raises(ValueError, match=r"alpha must be finite and at least \S+, "
+                                             rf"got {re.escape(repr(bad))}$"):
+            SolverConfig(alpha=bad)
+    assert SolverConfig(alpha=1).alpha == 1 and SolverConfig(alpha=np.float32(0.5)).alpha == 0.5
     cfg = SolverConfig(chunks=np.int32(3), seed=np.uint64(7))
     assert (cfg.chunks, cfg.seed) == (3, 7)
     assert [f.name for f in dataclasses.fields(SolverConfig)] == ["alpha", "seed", "chunks"]
@@ -431,6 +444,21 @@ def test_synthetic_label_to_dict_maps_nan_epsilon_to_none():
     assert doc["gap"] == 0.0
     assert doc["mode"] == "safe_region"
     assert doc["hard"] == [1]
+
+
+def test_target_and_label_copy_a_caller_array_and_never_freeze_it():
+    given = {"b": np.array([1.0, 2.0]), "soft": np.array([1.0, 0.0]), "hard": np.array([1])}
+    tv = TargetVector(b=given["b"], epsilon=0.1)
+    lbl = SyntheticLabel(soft=given["soft"], hard=given["hard"], residual=0.0,
+                         epsilon_used=0.1, converged=True, iterations=1,
+                         initial_residual=1.0, n=1, k=2, gap=0.0)
+    for name, kept in (("b", tv.b), ("soft", lbl.soft), ("hard", lbl.hard)):
+        before = given[name].copy()
+        assert given[name].flags.writeable and not kept.flags.writeable, name
+        assert not np.shares_memory(given[name], kept), name
+        given[name][...] = 0
+        assert kept.tolist() == before.tolist(), name
+    assert TargetVector(b=tv.b, epsilon=0.2).b is tv.b  # read-only: kept, not copied
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +606,8 @@ def _outcome(run, w, cfg):
 def test_vote_input_runs_bitwise_as_the_float_path(k):
     # run_oua and run_ablation on a matrix with votes (grouped from them) and
     # on the same signals without votes (grouped from the float matrix) agree
-    # bit for bit, failures included; chunks of 9 signals are left to the
-    # groups' own grid in test_hull.py, since their hulls are slow here
+    # bit for bit, failures included; chunks of 9 signals, which the hull
+    # refuses, are left to the groups' own grid in test_hull.py
     rng = np.random.default_rng(100 + k)
     for m, chunks, n, abstain in itertools.product(
             (1, 3, 5, 7, 10, 12, 23, 48), (1, 5), (1, 50), (0.0, 0.4, 1.0)):

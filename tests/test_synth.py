@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import re
 import subprocess
 import sys
 
@@ -48,6 +49,26 @@ def test_spec_validation():
         SynthSpec(n=10, k=2, m=2, signal_accuracy=0.9, class_balance=(1.0,))
     with pytest.raises(ValueError):
         SynthSpec(n=10, k=2, m=2, signal_accuracy=0.9, class_balance=(0.8, 0.1))
+
+
+@pytest.mark.parametrize("bad", [True, False, np.True_, "0.9", None])
+def test_spec_rates_are_real_numbers(bad):
+    # a bool or a string is no rate: signal_accuracy=True planted accuracy 1,
+    # and a string raised TypeError from the comparison; each gets its
+    # setting's own message
+    with pytest.raises(ValueError, match=r"signal_accuracy must lie in \(1/k, 1\], "
+                                         rf"got {re.escape(str(bad))}$"):
+        SynthSpec(n=10, k=2, m=2, signal_accuracy=bad)
+    with pytest.raises(ValueError, match=r"abstain_rate must lie in \[0, 1\), "
+                                         rf"got {re.escape(str(bad))}$"):
+        SynthSpec(n=10, k=2, m=2, signal_accuracy=0.9, abstain_rate=bad)
+    with pytest.raises(ValueError, match=r"class_balance must be nonnegative and sum to 1$"):
+        SynthSpec(n=10, k=2, m=2, signal_accuracy=0.9, class_balance=(bad, 0.0))
+    with pytest.raises(ValueError, match=r"class_balance must be nonnegative and sum to 1$"):
+        SynthSpec(n=10, k=2, m=2, signal_accuracy=0.9, class_balance=(0.5, bad))
+    spec = SynthSpec(n=10, k=2, m=2, signal_accuracy=1, abstain_rate=np.float32(0.25),
+                     class_balance=(1, np.float64(0.0)))
+    assert spec.class_balance == (1.0, 0.0) and type(spec.class_balance[0]) is float
 
 
 def test_spec_balance_defaults_to_uniform():
