@@ -197,7 +197,7 @@ def cmd_inspect_hull(args) -> int:
     status = safe_region_status(tv, w.n, decomp, cloud)
     doc = {
         "h1_size": int(decomp.h1.size),
-        "h2_size": int(decomp.h2.size),
+        "h2_size": cloud.n_points - decomp.h1.size,  # every column not named in h1
         "status_at_eps_max": status.value,
         "vertex_lps": decomp.vertex_lps,
         "vertex_pivots": decomp.vertex_pivots,
@@ -250,12 +250,7 @@ def cmd_sweep(args) -> int:
             entry["seed"] = int(
                 np.random.SeedSequence([cfg.seed, i]).generate_state(1)[0]
             )
-        elif type(entry["seed"]) is not int:  # null would draw an unseeded instance
-            raise ValueError(f"{args.specs}: spec {i}: seed must be an integer, "
-                             f"got {entry['seed']!r}")
         try:
-            if entry.get("class_balance") is not None:
-                entry["class_balance"] = tuple(entry["class_balance"])
             specs.append(SynthSpec(**entry))
         except (TypeError, ValueError) as exc:  # unknown, missing or bad keys
             raise ValueError(f"{args.specs}: spec {i}: {exc}") from None

@@ -1,10 +1,11 @@
 """Convex-hull layering of signal columns.
 
 The doubled signal matrix ``A = 2 W`` is read as a cloud of n*k points in
-R^m (one per column, coordinates in [0, 2]).  The outer layer H1 is the set
-of hull vertices; everything else is H2.  The solver's safe region is the
-part of Conv(H1) not covered by Conv(H2), and a candidate target point is
-classified as INSIDE_H2, SAFE, or OUTSIDE_H1.
+R^m (one per column, coordinates in [0, 2]).  The hull is peeled into two
+layers of distinct column values: the outer layer H1 is the hull vertices,
+and the inner layer H2 is every distinct value that is not a vertex.  The
+solver's safe region is the part of Conv(H1) not covered by Conv(H2), and a
+candidate target point is classified as INSIDE_H2, SAFE, or OUTSIDE_H1.
 
 Membership is decided by convex-combination feasibility: ``q`` lies in the
 hull of a column set iff some ``lam >= 0`` with ``sum(lam) = 1`` reproduces
@@ -33,12 +34,11 @@ Qhull runs.  The cloud lives in R^<=5: ``hull_decompose`` refuses a cloud of
 more than ``MAX_CHUNKS`` rows before any LP, while grouping and membership
 take any number of rows.
 
-Duplicate columns keep their lowest index in ``h1`` and park the remaining
-copies in ``h2``.  The *geometry* of the inner hull, however, is generated by
-distinct column values that are not hull vertices: duplicate copies of a
-vertex value do not drag the vertex into Conv(H2).  Without this rule the
-inner hull of any vote matrix with repeated extreme columns would swallow the
-outer hull and the safe region would vanish.  A cloud is its column groups
+Both layers are sets of distinct values, so the copies of a vertex value
+belong to the outer layer alone, and ``h1`` names each vertex by its lowest
+column index.  Were the copies counted into H2, the inner hull of any vote
+matrix with repeated extreme columns would swallow the outer hull and the
+safe region would vanish.  A cloud is its column groups
 (``ColumnCloud``): the vertex pass, ``in_hull`` and the label solve read its
 distinct values, and its m x nk matrix is built only when read.  The dedup
 sorts no columns: it ranks each row's values against the row's sorted
@@ -240,17 +240,17 @@ def _every_code_groups(g: int, k: int):
 
 @dataclass(frozen=True)
 class HullDecomposition:
-    """Index partition into hull vertices (h1) and the rest (h2).
+    """The two hull layers of a cloud's distinct column values.
 
-    ``vertex_columns`` holds the distinct vertex values; ``interior_columns``
-    holds the distinct non-vertex values, i.e. the generators of Conv(H2).
-    Both are cached here so membership queries never recompute the hull.
+    ``vertex_columns`` holds the vertex values, the outer layer, and ``h1``
+    the lowest column index of each; ``interior_columns`` holds every other
+    distinct value, the inner layer, whose hull is Conv(H2).  Both are kept
+    here so membership queries never recompute the hull.
     The ``vertex_*`` counts record the work of the vertex pass that found
     them (zero for a decomposition built by hand).
     """
 
     h1: np.ndarray  # sorted vertex indices, one per duplicate group
-    h2: np.ndarray  # all remaining indices, sorted
     vertex_columns: np.ndarray = field(repr=False)  # (m, |V|)
     interior_columns: np.ndarray = field(repr=False)  # (m, |I|), may be empty
     vertex_lps: int = 0  # phase-1 LPs of the self-check
@@ -258,7 +258,7 @@ class HullDecomposition:
     vertex_certified: int = 0  # box corners that settled the pass with no LP, else 0
 
     def __post_init__(self):
-        for name in ("h1", "h2", "vertex_columns", "interior_columns"):
+        for name in ("h1", "vertex_columns", "interior_columns"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
 
@@ -502,7 +502,7 @@ def extreme_points(cloud: ColumnCloud) -> np.ndarray:
 
 
 def hull_decompose(cloud: ColumnCloud) -> HullDecomposition:
-    """Split columns into hull vertices (h1) and the interior rest (h2).
+    """Peel the cloud's distinct values into hull vertices and the rest.
 
     Raises ValueError on a cloud of more than ``MAX_CHUNKS`` rows."""
     if cloud.dim > MAX_CHUNKS:
@@ -524,13 +524,8 @@ def hull_decompose(cloud: ColumnCloud) -> HullDecomposition:
                   candidates.size, rank, lps)
     vertex = np.flatnonzero(is_vertex)
     vertex = vertex[np.argsort(first_idx[vertex])]  # in h1 order
-    h1 = first_idx[vertex]
-    rest = np.ones(cloud.n_points, dtype=bool)
-    rest[h1] = False
-    h2 = np.flatnonzero(rest).astype(np.int64, copy=False)
     return HullDecomposition(
-        h1=_freeze(h1, owned=True),
-        h2=_freeze(h2, owned=True),
+        h1=_freeze(first_idx[vertex], owned=True),
         vertex_columns=_freeze(np.take(distinct, vertex, axis=1), owned=True),  # C-contiguous
         interior_columns=_freeze(np.compress(~is_vertex, distinct, axis=1), owned=True),
         vertex_lps=lps,

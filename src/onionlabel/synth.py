@@ -66,7 +66,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("n", 1), ("k", 2), ("m", 1)):
+        for name, least in (("n", 1), ("k", 2), ("m", 1), ("seed", 0)):
             _require_int(name, getattr(self, name), least)
         # a bool or a string is no rate: True would plant accuracy 1
         if not (_is_real(self.signal_accuracy) and 1.0 / self.k < self.signal_accuracy <= 1.0):
@@ -76,7 +76,11 @@ class SynthSpec:
         if not (_is_real(self.abstain_rate) and 0.0 <= self.abstain_rate < 1.0):
             raise ValueError(f"abstain_rate must lie in [0, 1), got {self.abstain_rate}")
         if self.class_balance is not None:
-            bal = tuple(self.class_balance)
+            try:
+                bal = tuple(self.class_balance)
+            except TypeError:  # a lone number
+                raise ValueError(f"class_balance must be a sequence of k = {self.k} weights, "
+                                 f"got {self.class_balance!r}") from None
             if len(bal) != self.k:
                 raise ValueError(f"class_balance must have length k = {self.k}")
             if not (all(map(_is_real, bal)) and min(bal) >= 0

@@ -305,6 +305,24 @@ def test_gap_certifies_a_stopped_solve(monkeypatch):
         assert lbl.converged == (lbl.gap <= 1e-6)
 
 
+def test_solve_stops_when_the_new_atom_gets_no_weight(monkeypatch):
+    # an atom whose affine weight is not above _WEIGHT_TOL ends the solve in
+    # its first cycle, on the start, with the gap measured there
+    calls = []
+
+    def weight_on_the_start(Q):
+        calls.append(Q.shape)
+        return np.eye(1, Q.shape[1])[0]
+
+    monkeypatch.setattr(backends, "_affine_weights", weight_on_the_start)
+    a_aug, b_aug = _small_system(np.random.default_rng(9), m=4, p=36, n=12)
+    lbl = solve_labels(a_aug, b_aug, SolverConfig())
+    assert len(calls) == 1
+    assert (lbl.iterations, lbl.converged) == (1, False)
+    assert lbl.residual == lbl.initial_residual
+    assert lbl.gap > backends.GAP_TOL
+
+
 # Instances where a solver went wrong, with the seed of the solver's start.
 # Projected gradient descent hit its 20,000-iteration budget on safe-region
 # seed 1026 and planted n=5000.  A Newton on mu and the sum multiplier jointly

@@ -14,7 +14,7 @@ import pytest
 
 import onionlabel
 import onionlabel.hull
-from onionlabel import SolverConfig, __version__, backends
+from onionlabel import SolverConfig, __version__, backends, cli
 from onionlabel.cli import main
 from onionlabel.synth import SynthSpec, generate_votes, sweep
 
@@ -330,6 +330,21 @@ def test_eval_bad_truth_file_exits_2(tmp_path):
     assert run_cli("eval", "--pred", str(pred), "--truth", str(truth)) == 2
 
 
+@pytest.mark.parametrize("text, labels", [
+    ("1\n\n 2 \n\n", [1, 2]),  # blank lines are skipped
+    ("", None),
+    ("\n  \n", None),
+])
+def test_read_truth_skips_blank_lines_and_refuses_an_empty_file(tmp_path, text, labels):
+    path = tmp_path / "truth.txt"
+    path.write_text(text)
+    if labels is None:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no labels$"):
+            cli._read_truth(str(path))
+    else:
+        assert cli._read_truth(str(path)) == labels
+
+
 def test_eval_bad_pred_artifact_exits_2(tmp_path, capsys):
     pred, truth = tmp_path / "pred.json", tmp_path / "truth.txt"
     truth.write_text("1\n")
@@ -551,7 +566,10 @@ def test_sweep_rejects_bad_spec_entries(tmp_path, capsys):
                                      "unexpected keyword argument 'warp'"),
         ([missing_n], "spec 0: SynthSpec.__init__() missing 1 required "
                       "positional argument: 'n'"),
-        ([good, dict(good, seed=None)], "spec 1: seed must be an integer, got None"),
+        ([good, dict(good, seed=None)], "spec 1: seed must be an integer >= 0, got None"),
+        ([dict(good, seed=1.5)], "spec 0: seed must be an integer >= 0, got 1.5"),
+        ([dict(good, class_balance=0.5)], "spec 0: class_balance must be a sequence of "
+                                          "k = 2 weights, got 0.5"),
         ([dict(good, n=20.5)], "spec 0: n must be an integer >= 1, got 20.5"),
         ([dict(good, k=2.0)], "spec 0: k must be an integer >= 2, got 2.0"),
         ([dict(good, m=True)], "spec 0: m must be an integer >= 1, got True"),
@@ -593,6 +611,14 @@ def test_unknown_subcommand_is_usage_error():
 
 # ---------------------------------------------------------------------------
 # console script + env var wiring (subprocess)
+
+
+def test_module_entry_point_prints_the_version_and_exits_2_on_usage_errors():
+    module = [sys.executable, "-m", "onionlabel"]
+    r = subprocess.run(module + ["--version"], capture_output=True, text=True)
+    assert (r.returncode, r.stdout) == (0, "0.1.0\n")
+    r = subprocess.run(module + ["label"], capture_output=True, text=True)
+    assert r.returncode == 2 and "required" in r.stderr
 
 
 def test_console_script_end_to_end(tmp_path):

@@ -382,24 +382,21 @@ def _assert_matches_all_pairs(cloud: ColumnCloud):
     distinct, first_idx, _ = hull._unique_columns(cloud.matrix)
     is_vertex = _all_pairs_vertex_mask(distinct)
     h1 = np.sort(first_idx[is_vertex])
-    h2 = np.setdiff1d(np.arange(cloud.n_points, dtype=np.int64), h1)
     decomp = hull_decompose(cloud)
     assert decomp.h1.tobytes() == h1.tobytes()
-    assert decomp.h2.dtype == np.int64
-    assert decomp.h2.tobytes() == h2.tobytes()
     assert decomp.interior_columns.tobytes() == distinct[:, ~is_vertex].tobytes()
     assert decomp.interior_columns.shape == (cloud.dim, int((~is_vertex).sum()))
     return decomp
 
 
-@pytest.mark.parametrize("cols, h2", [
-    ([[0, 0], [2, 0], [0, 2], [2, 2]], []),  # every column a vertex
-    ([[1, 1]], []),  # one column
-    ([[2, 2], [0, 0], [2, 2], [1, 1], [0, 2], [2, 0], [0, 0]], [2, 3, 6]),
+@pytest.mark.parametrize("cols, h1", [
+    ([[0, 0], [2, 0], [0, 2], [2, 2]], [0, 1, 2, 3]),  # every column a vertex
+    ([[1, 1]], [0]),  # one column
+    ([[2, 2], [0, 0], [2, 2], [1, 1], [0, 2], [2, 0], [0, 0]], [0, 1, 4, 5]),
 ])
-def test_layers_match_all_pairs_on_edge_clouds(cols, h2):
+def test_layers_match_all_pairs_on_edge_clouds(cols, h1):
     decomp = _assert_matches_all_pairs(cloud_of(*cols))
-    assert decomp.h2.tolist() == h2
+    assert decomp.h1.tolist() == h1
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -482,7 +479,7 @@ def test_box_certificate_settles_planted_n300k():
 
 
 def test_hull_decomposition_copies_a_caller_array_and_never_freezes_it():
-    given = {"h1": np.array([0, 1]), "h2": np.array([2]),
+    given = {"h1": np.array([0, 1]),
              "vertex_columns": np.array([[0.0, 2.0]]), "interior_columns": np.array([[1.0]])}
     decomp = HullDecomposition(**given)
     for name, a in given.items():
@@ -743,19 +740,15 @@ def test_hull_decompose_partition_and_interior_values():
     cloud = cloud_of([0, 0], [2, 0], [0, 2], [2, 2], [2, 2], [1, 1], [1, 1], [0.5, 1])
     decomp = hull_decompose(cloud)
     assert decomp.h1.tolist() == [0, 1, 2, 3]
-    assert decomp.h2.tolist() == [4, 5, 6, 7]
-    assert sorted(decomp.h1.tolist() + decomp.h2.tolist()) == list(range(8))
     np.testing.assert_allclose(decomp.vertex_columns, cloud.matrix[:, [0, 1, 2, 3]])
-    # the inner-hull generators are the distinct non-vertex VALUES: the
-    # duplicate copy of (2,2) sits in h2 but contributes no generator
-    got = {tuple(col) for col in decomp.interior_columns.T}
-    assert got == {(1.0, 1.0), (0.5, 1.0)}
+    # the inner layer is the distinct non-vertex VALUES: the duplicate copy
+    # of (2,2) adds no generator, and (1,1) appears once
+    assert [tuple(col) for col in decomp.interior_columns.T] == [(0.5, 1.0), (1.0, 1.0)]
 
 
 def test_hull_decompose_no_interior():
     decomp = hull_decompose(cloud_of([0, 0], [2, 0], [0, 2]))
     assert decomp.h1.tolist() == [0, 1, 2]
-    assert decomp.h2.size == 0
     assert decomp.interior_columns.shape == (2, 0)
 
 
@@ -805,6 +798,12 @@ def test_status_scales_by_n(layered_cloud):
     decomp = hull_decompose(layered_cloud)
     st_ = safe_region_status(np.array([4.0, 4.0]), 4, decomp, layered_cloud)
     assert st_ is SafeRegionStatus.INSIDE_H2
+
+
+def test_status_rejects_a_target_of_the_wrong_dimension(layered_cloud):
+    decomp = hull_decompose(layered_cloud)
+    with pytest.raises(ValueError, match=r"^target must have dimension 2$"):
+        safe_region_status(np.ones(3), 1, decomp, layered_cloud)
 
 
 def test_status_all_vertices_cannot_be_inside_h2():
@@ -892,7 +891,7 @@ def same_array(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def assert_same_decomposition(got, want):
-    for name in ("h1", "h2", "vertex_columns", "interior_columns"):
+    for name in ("h1", "vertex_columns", "interior_columns"):
         assert same_array(getattr(got, name), getattr(want, name)), name
     for name in ("vertex_lps", "vertex_pivots", "vertex_certified"):
         assert getattr(got, name) == getattr(want, name), name

@@ -60,6 +60,31 @@ def test_label_vector_rejects_bad_classes():
         LabelVector(hard=np.array([1, 3]), k=2)
 
 
+def _zeros(values_shape, abstain_shape, n, k) -> WeakSignalMatrix:
+    return WeakSignalMatrix(values=np.zeros(values_shape), abstain=np.zeros(abstain_shape, bool),
+                            n=n, k=k)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _zeros(4, 4, n=2, k=2), "values must be a 2-d array"),
+    (lambda: _zeros((1, 4), (1, 3), n=2, k=2), "values and abstain mask must have the same shape"),
+    (lambda: _zeros((1, 2), (1, 2), n=2, k=1), "k must be >= 2, got 1"),
+    (lambda: _zeros((1, 4), (1, 4), n=0, k=2), "n must be >= 1, got 0"),
+    (lambda: _zeros((1, 4), (1, 4), n=3, k=2), "values has 4 columns, expected n*k = 6"),
+    (lambda: LabelVector(hard=np.array([1, 1]), k=1), "k must be >= 2, got 1"),
+    (lambda: LabelVector.from_onehot(np.ones(3), n=2, k=2),
+     "one-hot vector must have length n*k = 4"),
+    (lambda: LabelVector.from_onehot(np.full(4, 0.5), n=2, k=2),
+     "vector is not one-hot per point"),
+    # the loader checks n and k before it looks for the file
+    (lambda: load_pws_matrix("absent.csv", n=2, k=1), "k must be >= 2, got 1"),
+    (lambda: load_pws_matrix("absent.json", n=0, k=2), "n must be >= 1, got 0"),
+])
+def test_constructors_and_loader_reject_bad_shapes(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def _caller_array_stays_apart(given: np.ndarray, kept: np.ndarray) -> None:
     before = given.copy()
     assert given.flags.writeable and not kept.flags.writeable
@@ -481,6 +506,8 @@ def test_load_json_rejects_bad_documents(tmp_path):
          "row 1, col 0: NaN entry"),
         ('{"n": 1, "k": 2, "format": "pws", "rows": 1}', "'rows' must be a non-empty list"),
         ('{"n": 1, "k": 2, "format": "pws", "rows": [1]}', "row 0"),
+        ('{"n": 1, "k": 2, "format": "prob", "rows": [[0.5, 0.5], [0.5]]}',
+         "^row 1: expected 2 entries, found 1$"),
         ('{"n": [1], "k": 2, "format": "pws", "rows": [[1]]}', "does not match"),
         ("5", "JSON object"),
         ("null", "JSON object"),
@@ -506,6 +533,14 @@ def test_validate_flags_out_of_range_and_bad_fill():
     assert (oob.row, oob.col) == (0, 0)
     bad = next(v for v in report.violations if v.kind == "bad_abstain_fill")
     assert (bad.row, bad.col) == (0, 2)  # abstain entry not filled with 1/k
+
+
+def test_validate_flags_nan_entries():
+    values = np.array([[0.5, np.nan, 0.0, 1.0]])
+    abstain = np.array([[True, False, False, False]])
+    report = validate(WeakSignalMatrix(values=values, abstain=abstain, n=2, k=2))
+    assert report.violations == (signals.Violation("nan", 0, 1),)
+    assert not report.ok
 
 
 def test_validate_clean_matrix_is_ok(table_signals):

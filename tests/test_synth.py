@@ -71,6 +71,23 @@ def test_spec_rates_are_real_numbers(bad):
     assert spec.class_balance == (1.0, 0.0) and type(spec.class_balance[0]) is float
 
 
+@pytest.mark.parametrize("bad", [True, None, 1.5, -3, "0"])
+def test_spec_seed_is_a_nonnegative_integer(bad):
+    # None would draw an unseeded instance and True the seed-1 one
+    message = f"seed must be an integer >= 0, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SynthSpec(n=10, k=2, m=2, signal_accuracy=0.9, seed=bad)
+    assert SynthSpec(n=10, k=2, m=2, signal_accuracy=0.9, seed=np.int64(7)).seed == 7
+
+
+def test_spec_class_balance_must_be_a_sequence():
+    with pytest.raises(ValueError, match=r"^class_balance must be a sequence of k = 2 weights, "
+                                         r"got 0\.5$"):
+        SynthSpec(n=10, k=2, m=2, signal_accuracy=0.9, class_balance=0.5)
+    spec = SynthSpec(n=10, k=2, m=2, signal_accuracy=0.9, class_balance=[0.5, 0.5])
+    assert spec.class_balance == (0.5, 0.5)
+
+
 def test_spec_balance_defaults_to_uniform():
     spec = SynthSpec(n=4, k=4, m=1, signal_accuracy=0.5)
     np.testing.assert_allclose(spec.balance, 0.25)
@@ -148,6 +165,8 @@ def test_vertex_oracle_toys():
     assert brute_force_vertex_oracle(square_center).tolist() == [0, 1, 2, 3]
     dup = ColumnCloud(np.array([[2, 0, 2], [2, 0, 2]], float))
     assert brute_force_vertex_oracle(dup).tolist() == [0, 1]
+    one_value = ColumnCloud(np.ones((2, 3)))
+    assert brute_force_vertex_oracle(one_value).tolist() == [0]
 
 
 def test_vertex_oracle_agrees_with_fast_path():
