@@ -113,7 +113,14 @@ def _write_manifest(out: str, cfg: SolverConfig, inputs: dict, shape: dict) -> P
 
 
 def _load_weak(args) -> WeakSignalMatrix:
-    return load_pws_matrix(args.weak_labels, args.n, args.k)
+    """``load_pws_matrix`` on ``--weak-labels``; its errors name the file once."""
+    path = str(args.weak_labels)
+    try:
+        return load_pws_matrix(path, args.n, args.k)
+    except ValueError as exc:
+        if str(exc).startswith(path):
+            raise
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _write_label(args, pipeline) -> int:

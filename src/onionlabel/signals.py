@@ -3,10 +3,10 @@
 A weak-signal matrix holds m signals over n points and k classes as an
 ``(m, n*k)`` float matrix.  Columns are laid out class-major: the entry for
 class ``c`` (1-based) and point ``j`` (0-based) sits at column
-``(c - 1) * n + j``.  Abstains are materialized eagerly as ``1/k`` and
-remembered in a parallel boolean mask.  A matrix expanded from votes also
-keeps the votes, from which the column groups and the vote tallies are
-counted without the float matrix.
+``(c - 1) * n + j``.  Abstains are filled with ``1/k`` and remembered in a
+parallel boolean mask.  A matrix of votes holds only the votes, from which
+the column groups and the vote tallies are counted; its float matrix and
+mask are built on first read.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
 
 MAX_CHUNKS = 5  # the most rows of a cloud: SolverConfig.chunks and hull_decompose's bound
 DEFAULT_CHUNKS = MAX_CHUNKS  # signals left after reduce_signals; SolverConfig.chunks
+_BLOCK = 1 << 20  # bytes of a binary vote CSV parsed at a time
 
 
 def col_index(cls: int, point: int, n: int) -> int:
@@ -67,43 +69,55 @@ def _views(a):
         a = a.base
 
 
-@dataclass(frozen=True)
+def _check_size(n: int, k: int) -> None:
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class WeakSignalMatrix:
     """m weak signals over n points and k classes, abstains filled with 1/k.
 
-    A matrix built by ``expand_pws`` (so also by the vote loaders) keeps its
+    ``values`` is the (m, n*k) float64 matrix and ``abstain`` its bool mask.
+    A matrix built by ``expand_pws`` (so also by the vote loaders) holds its
     votes as ``votes``: a read-only (m, n) copy over {0 (abstain), 1..k} in
-    the smallest unsigned dtype that holds k.  It is not a constructor
-    argument; any other matrix has ``votes = None``.
+    the smallest unsigned dtype that holds k, from which ``values`` and
+    ``abstain`` are built, read-only, on first read.  Any other matrix has
+    ``votes = None``.
     """
 
-    values: np.ndarray  # (m, n*k) float64
-    abstain: np.ndarray  # (m, n*k) bool
     n: int
     k: int
-    votes = None  # not a field: set by expand_pws
+    votes: np.ndarray | None = None
 
-    def __post_init__(self):
-        values = _freeze(self.values, np.float64)
-        abstain = _freeze(self.abstain, bool)
+    def __init__(self, values, abstain, n: int, k: int):
+        values = _freeze(values, np.float64)
+        abstain = _freeze(abstain, bool)
         if values.ndim != 2:
             raise ValueError("values must be a 2-d array")
         if values.shape != abstain.shape:
             raise ValueError("values and abstain mask must have the same shape")
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if values.shape[1] != self.n * self.k:
-            raise ValueError(
-                f"values has {values.shape[1]} columns, expected n*k = {self.n * self.k}"
-            )
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "abstain", abstain)
+        _check_size(n, k)
+        if values.shape[1] != n * k:
+            raise ValueError(f"values has {values.shape[1]} columns, expected n*k = {n * k}")
+        self.__dict__.update(values=values, abstain=abstain, n=n, k=k)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        # (m, k, n) with class c in plane c - 1: the reshape lays out the class blocks
+        votes = self.votes[:, None]
+        values = np.where(votes == 0, 1.0 / self.k, votes == np.arange(1, self.k + 1)[:, None])
+        return _freeze(values, owned=True).reshape(-1, self.n * self.k)
+
+    @cached_property
+    def abstain(self) -> np.ndarray:
+        return _freeze(np.tile(self.votes == 0, self.k), owned=True)
 
     @property
     def m(self) -> int:
-        return self.values.shape[0]
+        return len(self.values if self.votes is None else self.votes)
 
 
 @dataclass(frozen=True)
@@ -149,10 +163,10 @@ class LabelVector:
 
 
 def expand_pws(votes: np.ndarray, k: int) -> WeakSignalMatrix:
-    """Expand an (m, n) vote matrix over {0 (abstain), 1..k} to signal form.
+    """Hold an (m, n) vote matrix over {0 (abstain), 1..k} in signal form.
 
-    A vote for class c becomes 1 in the class-c block and 0 in all other
-    blocks for that point; an abstain becomes 1/k in every block.
+    A vote for class c reads as 1 in the class-c block and 0 in all other
+    blocks for that point; an abstain as 1/k in every block.
     """
     votes = np.asarray(votes)
     if votes.ndim != 2:
@@ -161,14 +175,11 @@ def expand_pws(votes: np.ndarray, k: int) -> WeakSignalMatrix:
         raise ValueError("votes must be integers")
     if votes.size and (votes.min() < 0 or votes.max() > k):
         raise ValueError(f"votes must lie in 0..{k}")
-    m, n = votes.shape
-    ab = votes == 0
-    # (m, k, n) with class c in plane c - 1: the reshape lays out the class blocks
-    values = np.where(ab[:, None], 1.0 / k, votes[:, None] == np.arange(1, k + 1)[:, None])
-    w = WeakSignalMatrix(values=_freeze(values, owned=True).reshape(m, n * k),
-                         abstain=_freeze(np.tile(ab, k), owned=True), n=n, k=k)
+    _check_size(votes.shape[1], k)
+    w = WeakSignalMatrix.__new__(WeakSignalMatrix)
     # a copy, so the caller's array stays writeable
-    object.__setattr__(w, "votes", _freeze(votes.astype(np.min_scalar_type(k)), owned=True))
+    w.__dict__.update(n=votes.shape[1], k=k,
+                      votes=_freeze(votes.astype(np.min_scalar_type(k)), owned=True))
     return w
 
 
@@ -227,7 +238,47 @@ def _parse_votes(rows: list, row_numbers, k: int, text) -> np.ndarray:
     return v.astype(np.int64)
 
 
+def _byte_votes(data: bytes, n: int, k: int):
+    """The (m, n) uint8 votes of a canonical vote CSV's bytes, else None.
+
+    Canonical: n tokens a row, each one vote digit (for k=2 also ``+1`` or
+    ``-1``) followed by ``,`` inside a row and ``\\n`` at its end.
+    """
+    b = np.frombuffer(data, dtype=np.uint8)
+    if k > 9 or not data.endswith(b"\n"):
+        return None
+    if k > 2:  # one byte a token: the votes are the even bytes
+        if b.size % (2 * n):
+            return None
+        t = b.reshape(-1, n, 2)
+        votes = t[:, :, 0] - 48  # a byte below '0' wraps above k
+        ok = (t[:, :-1, 1] == 44).all() and (t[:, -1, 1] == 10).all()
+        return votes if ok and votes.max() <= k else None
+    parts, lo = [], 0
+    while lo < b.size:  # whole rows at a time, so the index arrays stay small
+        hi = data.index(b"\n", min(lo + _BLOCK, b.size) - 1) + 1
+        r, lo = b[lo:hi], hi
+        end = np.flatnonzero((r == 44) | (r == 10))  # each token's separator
+        if end.size % n or end[0] == 0:  # an empty first token; r[end - 2] needs 2 bytes
+            return None
+        seps = r[end].reshape(-1, n)
+        gap = np.diff(end, prepend=-1)  # a token's length + 1
+        vote, sign = r[end - 1] - 48, r[end - 2]
+        signed = (gap == 3) & (vote == 1) & ((sign == 43) | (sign == 45))
+        if (vote.max() > 1 or not np.all((gap == 2) | signed)
+                or not ((seps[:, :-1] == 44).all() and (seps[:, -1] == 10).all())):
+            return None
+        parts.append(vote + (signed & (sign == 45)))  # -1 is class 2
+    return np.concatenate(parts).reshape(-1, n)
+
+
 def _load_csv(path: str, n: int, k: int) -> WeakSignalMatrix:
+    with open(path, "rb") as fh:
+        votes = _byte_votes(fh.read(), n, k)
+    return expand_pws(_parse_csv(path, n, k) if votes is None else votes, k)
+
+
+def _parse_csv(path: str, n: int, k: int) -> np.ndarray:
     rows, row_numbers, bad_row, r = [], [], None, -1
     with open(path, newline="") as fh:
         try:
@@ -247,7 +298,7 @@ def _load_csv(path: str, n: int, k: int) -> WeakSignalMatrix:
         raise ValueError(bad_row)
     if not rows:
         raise ValueError(f"{path}: no signal rows")
-    return expand_pws(votes, k)
+    return votes
 
 
 def _load_json(path: str, n: int, k: int) -> WeakSignalMatrix:
@@ -275,10 +326,26 @@ def _load_json(path: str, n: int, k: int) -> WeakSignalMatrix:
             raise ValueError(f"row {r}: expected a list of {width} entries")
         if len(row) != width:
             raise ValueError(f"row {r}: expected {width} entries, found {len(row)}")
+    bools = any(bool in map(type, row) for row in rows)
     if fmt == "pws":
         # np.array reads true and false as 1 and 0, where str() makes them unparsable
-        parse = _scan_votes if any(bool in map(type, row) for row in rows) else _parse_votes
+        parse = _scan_votes if bools else _parse_votes
         return expand_pws(parse(rows, range(len(rows)), k, str), k)
+    try:  # a null reads as NaN and a list entry adds a dimension: both fail the check
+        values = None if bools else np.array(rows, dtype=np.float64)
+    except (ValueError, TypeError, OverflowError):
+        values = None
+    if values is None or values.ndim != 2 or not np.all((values >= 0.0) & (values <= 1.0)):
+        values, abstain = _walk_prob(rows, width, k)
+    else:
+        abstain = np.zeros(values.shape, dtype=bool)
+    return WeakSignalMatrix(values=_freeze(values, owned=True),
+                            abstain=_freeze(abstain, owned=True), n=n, k=k)
+
+
+def _walk_prob(rows: list, width: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``"prob"`` rows one entry at a time: (values, abstain), or the error of
+    the first bad entry in row-major order."""
     values = np.zeros((len(rows), width))
     abstain = np.zeros((len(rows), width), dtype=bool)
     for r, row in enumerate(rows):
@@ -296,8 +363,7 @@ def _load_json(path: str, n: int, k: int) -> WeakSignalMatrix:
             if v < 0.0 or v > 1.0:
                 raise ValueError(f"row {r}, col {c}: entry {v} outside [0, 1]")
             values[r, c] = v
-    return WeakSignalMatrix(values=_freeze(values, owned=True),
-                            abstain=_freeze(abstain, owned=True), n=n, k=k)
+    return values, abstain
 
 
 def load_pws_matrix(path: str, n: int, k: int) -> WeakSignalMatrix:
@@ -308,12 +374,11 @@ def load_pws_matrix(path: str, n: int, k: int) -> WeakSignalMatrix:
     JSON: ``{"n", "k", "format": "pws"|"prob", "rows"}``; "prob" rows carry
     n*k probabilities in [0, 1] with ``null`` marking an abstained entry.
     NaN anywhere is a hard error.  A bad file raises ``ValueError`` naming
-    its first bad row, or row and column, in row-major order.
+    its first bad row, or row and column, in row-major order.  A CSV of
+    one-digit votes (and ``+1``/``-1`` for k=2) with ``,`` and ``\\n``
+    separators is read from its bytes, any other by its tokens.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_size(n, k)
     if str(path).endswith(".json"):
         return _load_json(str(path), n, k)
     return _load_csv(str(path), n, k)

@@ -213,7 +213,27 @@ def test_label_parse_errors_exit_2(tmp_path, capsys):
     # not a ValueError: it ended in a traceback with exit 1
     bad.write_text("+1,0,-1,0\n" + "1" * 200_000 + ",0,-1,0\n")
     assert run_cli("label", "--weak-labels", str(bad), "--n", "4", "--k", "2") == 2
-    assert capsys.readouterr().err.startswith("onionlabel: row 1: field larger than field limit")
+    assert capsys.readouterr().err.startswith(
+        f"onionlabel: {bad}: row 1: field larger than field limit")
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("w.csv", "+1,0\n+1\n", "{path}: row 1: expected 2 entries, found 1"),
+    ("w.csv", "", "{path}: no signal rows"),  # already names the file
+    ("w.json", '{"n": 2, "k": 2, "format": "pws", "rows": [[1, 0], [1]]}',
+     "{path}: row 1: expected 2 entries, found 1"),
+    ("w.json", '{"n": 3, "k": 2, "format": "pws", "rows": [[1, 0]]}',
+     "{path}: header (n=3, k=2) does not match declared (n=2, k=2)"),
+    ("w.json", "{", "{path}: Expecting property name enclosed in double quotes: "
+                    "line 1 column 2 (char 1)"),
+])
+def test_load_errors_name_the_file_once(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    for command in ("label", "ablate", "inspect-hull"):
+        assert run_cli(command, "--weak-labels", str(path), "--n", "2", "--k", "2") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "onionlabel: " + message.format(path=path)]
 
 
 @pytest.mark.parametrize("flag, value, message", [

@@ -25,7 +25,7 @@ from onionlabel.signals import (
     reduce_signals,
     validate,
 )
-from onionlabel.synth import SynthSpec, generate_instance
+from onionlabel.synth import SynthSpec, generate_instance, generate_votes
 
 # ---------------------------------------------------------------------------
 # layout
@@ -194,6 +194,47 @@ def test_expand_pws_keeps_a_read_only_copy_of_the_votes():
     assert w.votes[0, 0] == 1
     assert WeakSignalMatrix(values=w.values, abstain=w.abstain, n=3, k=2).votes is None
     assert reduce_signals(w, 1).votes is None  # merged signals are no votes
+
+
+def _eager_expand(votes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The float matrix and mask as ``expand_pws`` built them eagerly."""
+    ab = votes == 0
+    values = np.where(ab[:, None], 1.0 / k, votes[:, None] == np.arange(1, k + 1)[:, None])
+    return values.reshape(votes.shape[0], votes.shape[1] * k), np.tile(ab, k)
+
+
+def _assert_read_only_and_equal(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes() and not got.flags.writeable
+
+
+@pytest.mark.parametrize("k, shape", [(2, (3, 5)), (3, (4, 7)), (5, (2, 9)), (3, (0, 4))])
+def test_expand_pws_builds_the_float_matrix_on_first_read(k, shape):
+    votes = np.random.default_rng(k).integers(0, k + 1, size=shape)
+    w = expand_pws(votes, k)
+    assert w.m == shape[0] and "values" not in vars(w) and "abstain" not in vars(w)
+    values, abstain = _eager_expand(votes, k)
+    _assert_read_only_and_equal(w.values, values)
+    _assert_read_only_and_equal(w.abstain, abstain)
+    assert w.values is w.values and w.abstain is w.abstain  # built once
+
+
+def test_pipeline_on_a_vote_csv_never_builds_the_float_matrix(tmp_path):
+    from onionlabel import SolverConfig, majority_vote, run_ablation, run_oua
+
+    votes, _ = generate_votes(SynthSpec(n=500, k=3, m=10, signal_accuracy=0.8,
+                                        abstain_rate=0.3, seed=0))
+    path = tmp_path / "w.csv"
+    np.savetxt(path, votes, fmt="%d", delimiter=",")
+    w = load_pws_matrix(str(path), 500, 3)
+    assert w.m == 10
+    run_oua(w, SolverConfig())
+    run_ablation(w, SolverConfig())
+    majority_vote(w, seed=0)
+    assert "values" not in vars(w) and "abstain" not in vars(w)
+    values, abstain = _eager_expand(votes, 3)
+    _assert_read_only_and_equal(w.values, values)
+    _assert_read_only_and_equal(w.abstain, abstain)
 
 
 def test_expand_pws_rejects_bad_votes():
@@ -389,9 +430,23 @@ def _random_vote_csv(rng: np.random.Generator, n: int, k: int) -> str:
     return end.join(lines) + (end if rng.random() < 0.8 else "")
 
 
-def test_load_csv_matches_per_token_reference_on_fuzzed_files(tmp_path):
+def _count_byte_votes(monkeypatch) -> list:
+    """Patch ``_byte_votes`` to record whether each call read the bytes."""
+    calls, byte_votes = [], signals._byte_votes
+
+    def spy(*args):
+        votes = byte_votes(*args)
+        calls.append(votes is not None)
+        return votes
+
+    monkeypatch.setattr(signals, "_byte_votes", spy)
+    return calls
+
+
+def test_load_csv_matches_per_token_reference_on_fuzzed_files(tmp_path, monkeypatch):
     rng = np.random.default_rng(20231)
     path = tmp_path / "w.csv"
+    byte_path = _count_byte_votes(monkeypatch)
     loaded = 0
     for _ in range(400):
         k = int(rng.choice([2, 3, 4]))
@@ -401,6 +456,75 @@ def test_load_csv_matches_per_token_reference_on_fuzzed_files(tmp_path):
         assert _outcome(load_pws_matrix, str(path), n, k) == expected
         loaded += not isinstance(expected, str)
     assert loaded >= 100  # both the parse and the error path are exercised
+    assert len(byte_path) == 400 and 100 <= sum(byte_path) < loaded  # and both CSV paths
+
+
+def _canonical_files(tmp_path, k):
+    """A planted instance's votes, written by np.savetxt and by ``onionlabel synth``."""
+    from onionlabel.cli import main
+
+    spec = SynthSpec(n=40, k=k, m=4, signal_accuracy=0.8, abstain_rate=0.3, seed=5)
+    votes, _ = generate_votes(spec)
+    saved = tmp_path / f"saved{k}.csv"
+    np.savetxt(saved, np.select([votes == 1, votes == 2], [1, -1], 0) if k == 2 else votes,
+               fmt="%d", delimiter=",")
+    assert main(["synth", "--n", "40", "--k", str(k), "--m", "4", "--accuracy", "0.8",
+                 "--abstain", "0.3", "--seed", "5", "--out-prefix", str(tmp_path / "s")]) == 0
+    return votes, [saved, tmp_path / "s.csv"]
+
+
+@pytest.mark.parametrize("block", [signals._BLOCK, 5])  # 5 bytes: one row a block
+@pytest.mark.parametrize("k", [2, 3])
+def test_canonical_csv_is_read_as_bytes(tmp_path, monkeypatch, k, block):
+    votes, paths = _canonical_files(tmp_path, k)
+    if k == 2:
+        assert b"+1" in paths[1].read_bytes() and b"+1" not in paths[0].read_bytes()
+    monkeypatch.setattr(signals, "_BLOCK", block)
+    monkeypatch.setattr(csv, "reader", None)  # neither reaches the token parse
+    monkeypatch.setattr(signals, "_parse_votes", None)
+    for path in paths:
+        w = load_pws_matrix(str(path), 40, k)
+        assert w.votes.dtype == np.uint8 and w.votes.tolist() == votes.tolist()
+
+
+# files the byte path leaves to the token parse, which loads or rejects them
+_EDGE_CSV = {
+    "crlf": (2, 2, "1,-1\r\n0,+1\r\n"),
+    "crlf-k3": (3, 2, "1,2\r\n3,0\r\n"),
+    "no-final-newline": (2, 2, "1,-1\n0,+1"),
+    "no-final-newline-k3": (3, 2, "1,2\n3,0"),
+    "trailing-blank-line": (2, 2, "1,-1\n0,+1\n\n"),
+    "trailing-blank-line-k3": (3, 2, "1,2\n3,0\n\n"),
+    "bom": (2, 2, "\ufeff1,-1\n"),
+    "bom-k3": (3, 2, "\ufeff1,2\n"),
+    "minus-zero": (2, 2, "-0,1\n"),
+    "plus-zero": (2, 2, "1,+0\n"),
+    "sign-k3": (3, 2, "+1,2\n"),
+    "minus-k3": (3, 2, "1,-1\n"),
+    "trailing-comma": (2, 2, "1,-1,\n"),
+    "trailing-comma-k3": (3, 2, "1,2,\n"),
+    "empty": (2, 2, ""),
+    "empty-k3": (3, 2, ""),
+    "short-row": (2, 3, "1,-1,0\n1,-1\n"),
+    "short-row-k3": (3, 3, "1,2,0\n1,2\n"),
+    "long-row": (2, 2, "1,-1\n1,-1,0\n"),
+    "long-row-k3": (3, 2, "1,2\n1,2,0\n"),
+    "blank-first-line": (2, 2, "\n1,-1\n"),
+    "leading-comma": (2, 2, ",1\n"),
+    "k10": (10, 2, "1,9\n3,0\n"),
+    "k10-two-digits": (10, 2, "10,9\n3,0\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(_EDGE_CSV))
+def test_non_canonical_csv_takes_the_token_parse(tmp_path, monkeypatch, case):
+    k, n, text = _EDGE_CSV[case]
+    path = tmp_path / "w.csv"
+    path.write_bytes(text.encode())
+    byte_path = _count_byte_votes(monkeypatch)
+    assert _outcome(load_pws_matrix, str(path), n, k) == _outcome(_reference_load_csv,
+                                                                   str(path), n, k)
+    assert byte_path == [False]
 
 
 def test_load_json_pws_matches_per_token_reference(tmp_path):
@@ -428,6 +552,55 @@ def test_load_json_pws_matches_per_token_reference(tmp_path):
         assert _outcome(load_pws_matrix, str(path), n, k) == expected
         loaded += not isinstance(expected, str)
     assert loaded >= 50
+
+
+def _reference_load_prob(rows: list, n: int, k: int) -> WeakSignalMatrix:
+    """The per-entry "prob" loader the one-array parse runs in front of."""
+    values = np.zeros((len(rows), n * k))
+    abstain = np.zeros((len(rows), n * k), dtype=bool)
+    for r, row in enumerate(rows):
+        for c, v in enumerate(row):
+            if v is None:
+                values[r, c], abstain[r, c] = 1.0 / k, True
+                continue
+            try:
+                v = float(str(v) if isinstance(v, bool) else v)
+            except (TypeError, ValueError):
+                raise ValueError(f"row {r}, col {c}: unparsable entry {v!r}")
+            if math.isnan(v):
+                raise ValueError(f"row {r}, col {c}: NaN entry")
+            if v < 0.0 or v > 1.0:
+                raise ValueError(f"row {r}, col {c}: entry {v} outside [0, 1]")
+            values[r, c] = v
+    return WeakSignalMatrix(values=values, abstain=abstain, n=n, k=k)
+
+
+def test_load_json_prob_matches_per_entry_reference(tmp_path, monkeypatch):
+    pool = [0, 1, 0.5, -0.0, 1e-300, 0.1 + 0.2, 1.5, -0.25, True, False, None, "0.5",
+            " 0.25 ", "1_0", "x", "nan", math.inf, math.nan, [0.5], {"p": 1}]
+    rng = np.random.default_rng(11)
+    path = tmp_path / "w.json"
+    walks = []
+    walk = signals._walk_prob
+    monkeypatch.setattr(signals, "_walk_prob", lambda *a: walks.append(1) or walk(*a))
+    loaded = parsed = 0
+    for _ in range(200):
+        k = int(rng.choice([2, 3]))
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        odd_rate = rng.choice([0.0, 0.0, 0.1])
+        rows = [[pool[rng.integers(len(pool))] if rng.random() < odd_rate else float(rng.random())
+                 for _ in range(n * k)] for _ in range(m)]
+        path.write_text(json.dumps({"n": n, "k": k, "format": "prob", "rows": rows}))
+        rows = json.loads(path.read_text())["rows"]  # the values the loader sees
+        expected = _outcome(_reference_load_prob, rows, n, k)
+        walks.clear()
+        assert _outcome(load_pws_matrix, str(path), n, k) == expected
+        loaded += not isinstance(expected, str)
+        parsed += not walks
+        # numbers in [0, 1] are parsed in one array, with no walk over the entries
+        if all(type(v) in (int, float) and 0 <= v <= 1 for row in rows for v in row):
+            assert not walks
+    assert 150 <= parsed < loaded  # a null is read by the walk
 
 
 def test_load_csv_binary_rejects_class_labels(tmp_path):
