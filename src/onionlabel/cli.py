@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .hull import PivotBudgetError, safe_region_status
 from .metrics import accuracy, f1
-from .signals import MAX_CHUNKS, LabelVector, WeakSignalMatrix, load_pws_matrix
+from .signals import MAX_CHUNKS, LabelVector, WeakSignalMatrix, _check_size, load_pws_matrix
 from .solver import (
     AnnealingError,
     SolverConfig,
@@ -114,11 +114,12 @@ def _write_manifest(out: str, cfg: SolverConfig, inputs: dict, shape: dict) -> P
 
 def _load_weak(args) -> WeakSignalMatrix:
     """``load_pws_matrix`` on ``--weak-labels``; its errors name the file once."""
+    _check_size(args.n, args.k)  # a bad flag is not the file's fault
     path = str(args.weak_labels)
     try:
         return load_pws_matrix(path, args.n, args.k)
     except ValueError as exc:
-        if str(exc).startswith(path):
+        if str(exc).startswith(f"{path}:"):
             raise
         raise ValueError(f"{path}: {exc}") from exc
 

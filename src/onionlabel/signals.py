@@ -247,13 +247,6 @@ def _byte_votes(data: bytes, n: int, k: int):
     b = np.frombuffer(data, dtype=np.uint8)
     if k > 9 or not data.endswith(b"\n"):
         return None
-    if k > 2:  # one byte a token: the votes are the even bytes
-        if b.size % (2 * n):
-            return None
-        t = b.reshape(-1, n, 2)
-        votes = t[:, :, 0] - 48  # a byte below '0' wraps above k
-        ok = (t[:, :-1, 1] == 44).all() and (t[:, -1, 1] == 10).all()
-        return votes if ok and votes.max() <= k else None
     parts, lo = [], 0
     while lo < b.size:  # whole rows at a time, so the index arrays stay small
         hi = data.index(b"\n", min(lo + _BLOCK, b.size) - 1) + 1
@@ -263,9 +256,9 @@ def _byte_votes(data: bytes, n: int, k: int):
             return None
         seps = r[end].reshape(-1, n)
         gap = np.diff(end, prepend=-1)  # a token's length + 1
-        vote, sign = r[end - 1] - 48, r[end - 2]
-        signed = (gap == 3) & (vote == 1) & ((sign == 43) | (sign == 45))
-        if (vote.max() > 1 or not np.all((gap == 2) | signed)
+        vote, sign = r[end - 1] - 48, r[end - 2]  # a byte below '0' wraps above 9
+        signed = (k == 2) & (gap == 3) & (vote == 1) & ((sign == 43) | (sign == 45))
+        if (vote.max() > (1 if k == 2 else k) or not np.all((gap == 2) | signed)
                 or not ((seps[:, :-1] == 44).all() and (seps[:, -1] == 10).all())):
             return None
         parts.append(vote + (signed & (sign == 45)))  # -1 is class 2
@@ -326,26 +319,10 @@ def _load_json(path: str, n: int, k: int) -> WeakSignalMatrix:
             raise ValueError(f"row {r}: expected a list of {width} entries")
         if len(row) != width:
             raise ValueError(f"row {r}: expected {width} entries, found {len(row)}")
-    bools = any(bool in map(type, row) for row in rows)
     if fmt == "pws":
         # np.array reads true and false as 1 and 0, where str() makes them unparsable
-        parse = _scan_votes if bools else _parse_votes
+        parse = _scan_votes if any(bool in map(type, row) for row in rows) else _parse_votes
         return expand_pws(parse(rows, range(len(rows)), k, str), k)
-    try:  # a null reads as NaN and a list entry adds a dimension: both fail the check
-        values = None if bools else np.array(rows, dtype=np.float64)
-    except (ValueError, TypeError, OverflowError):
-        values = None
-    if values is None or values.ndim != 2 or not np.all((values >= 0.0) & (values <= 1.0)):
-        values, abstain = _walk_prob(rows, width, k)
-    else:
-        abstain = np.zeros(values.shape, dtype=bool)
-    return WeakSignalMatrix(values=_freeze(values, owned=True),
-                            abstain=_freeze(abstain, owned=True), n=n, k=k)
-
-
-def _walk_prob(rows: list, width: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``"prob"`` rows one entry at a time: (values, abstain), or the error of
-    the first bad entry in row-major order."""
     values = np.zeros((len(rows), width))
     abstain = np.zeros((len(rows), width), dtype=bool)
     for r, row in enumerate(rows):
@@ -363,7 +340,8 @@ def _walk_prob(rows: list, width: int, k: int) -> tuple[np.ndarray, np.ndarray]:
             if v < 0.0 or v > 1.0:
                 raise ValueError(f"row {r}, col {c}: entry {v} outside [0, 1]")
             values[r, c] = v
-    return values, abstain
+    return WeakSignalMatrix(values=_freeze(values, owned=True),
+                            abstain=_freeze(abstain, owned=True), n=n, k=k)
 
 
 def load_pws_matrix(path: str, n: int, k: int) -> WeakSignalMatrix:

@@ -217,23 +217,26 @@ def test_label_parse_errors_exit_2(tmp_path, capsys):
         f"onionlabel: {bad}: row 1: field larger than field limit")
 
 
-@pytest.mark.parametrize("name, text, message", [
-    ("w.csv", "+1,0\n+1\n", "{path}: row 1: expected 2 entries, found 1"),
-    ("w.csv", "", "{path}: no signal rows"),  # already names the file
-    ("w.json", '{"n": 2, "k": 2, "format": "pws", "rows": [[1, 0], [1]]}',
-     "{path}: row 1: expected 2 entries, found 1"),
-    ("w.json", '{"n": 3, "k": 2, "format": "pws", "rows": [[1, 0]]}',
-     "{path}: header (n=3, k=2) does not match declared (n=2, k=2)"),
-    ("w.json", "{", "{path}: Expecting property name enclosed in double quotes: "
-                    "line 1 column 2 (char 1)"),
+@pytest.mark.parametrize("name, text, flags, message", [
+    ("w.csv", "+1,0\n+1\n", (), "w.csv: row 1: expected 2 entries, found 1"),
+    ("row", "+1,0\n+1\n", (), "row: row 1: expected 2 entries, found 1"),  # a prefix
+    ("w.csv", "", (), "w.csv: no signal rows"),  # already names the file
+    ("w.json", '{"n": 2, "k": 2, "format": "pws", "rows": [[1, 0], [1]]}', (),
+     "w.json: row 1: expected 2 entries, found 1"),
+    ("w.json", '{"n": 3, "k": 2, "format": "pws", "rows": [[1, 0]]}', (),
+     "w.json: header (n=3, k=2) does not match declared (n=2, k=2)"),
+    ("w.json", "{", (), "w.json: Expecting property name enclosed in double quotes: "
+                        "line 1 column 2 (char 1)"),
+    ("k", "+1,0\n", ("--k", "1"), "k must be >= 2, got 1"),  # a bad flag, not a bad file
+    ("w.csv", "+1,0\n", ("--n", "0"), "n must be >= 1, got 0"),
 ])
-def test_load_errors_name_the_file_once(tmp_path, capsys, name, text, message):
-    path = tmp_path / name
-    path.write_text(text)
+def test_load_errors_name_the_file_once(tmp_path, monkeypatch, capsys, name, text, flags,
+                                        message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(text)
     for command in ("label", "ablate", "inspect-hull"):
-        assert run_cli(command, "--weak-labels", str(path), "--n", "2", "--k", "2") == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "onionlabel: " + message.format(path=path)]
+        assert run_cli(command, "--weak-labels", name, "--n", "2", "--k", "2", *flags) == 2
+        assert capsys.readouterr().err.splitlines() == ["onionlabel: " + message]
 
 
 @pytest.mark.parametrize("flag, value, message", [

@@ -554,55 +554,6 @@ def test_load_json_pws_matches_per_token_reference(tmp_path):
     assert loaded >= 50
 
 
-def _reference_load_prob(rows: list, n: int, k: int) -> WeakSignalMatrix:
-    """The per-entry "prob" loader the one-array parse runs in front of."""
-    values = np.zeros((len(rows), n * k))
-    abstain = np.zeros((len(rows), n * k), dtype=bool)
-    for r, row in enumerate(rows):
-        for c, v in enumerate(row):
-            if v is None:
-                values[r, c], abstain[r, c] = 1.0 / k, True
-                continue
-            try:
-                v = float(str(v) if isinstance(v, bool) else v)
-            except (TypeError, ValueError):
-                raise ValueError(f"row {r}, col {c}: unparsable entry {v!r}")
-            if math.isnan(v):
-                raise ValueError(f"row {r}, col {c}: NaN entry")
-            if v < 0.0 or v > 1.0:
-                raise ValueError(f"row {r}, col {c}: entry {v} outside [0, 1]")
-            values[r, c] = v
-    return WeakSignalMatrix(values=values, abstain=abstain, n=n, k=k)
-
-
-def test_load_json_prob_matches_per_entry_reference(tmp_path, monkeypatch):
-    pool = [0, 1, 0.5, -0.0, 1e-300, 0.1 + 0.2, 1.5, -0.25, True, False, None, "0.5",
-            " 0.25 ", "1_0", "x", "nan", math.inf, math.nan, [0.5], {"p": 1}]
-    rng = np.random.default_rng(11)
-    path = tmp_path / "w.json"
-    walks = []
-    walk = signals._walk_prob
-    monkeypatch.setattr(signals, "_walk_prob", lambda *a: walks.append(1) or walk(*a))
-    loaded = parsed = 0
-    for _ in range(200):
-        k = int(rng.choice([2, 3]))
-        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        odd_rate = rng.choice([0.0, 0.0, 0.1])
-        rows = [[pool[rng.integers(len(pool))] if rng.random() < odd_rate else float(rng.random())
-                 for _ in range(n * k)] for _ in range(m)]
-        path.write_text(json.dumps({"n": n, "k": k, "format": "prob", "rows": rows}))
-        rows = json.loads(path.read_text())["rows"]  # the values the loader sees
-        expected = _outcome(_reference_load_prob, rows, n, k)
-        walks.clear()
-        assert _outcome(load_pws_matrix, str(path), n, k) == expected
-        loaded += not isinstance(expected, str)
-        parsed += not walks
-        # numbers in [0, 1] are parsed in one array, with no walk over the entries
-        if all(type(v) in (int, float) and 0 <= v <= 1 for row in rows for v in row):
-            assert not walks
-    assert 150 <= parsed < loaded  # a null is read by the walk
-
-
 def test_load_csv_binary_rejects_class_labels(tmp_path):
     path = tmp_path / "w.csv"
     path.write_text("1,2,1\n")  # '2' is not in the binary alphabet {-1,0,+1}
