@@ -22,17 +22,29 @@ settles saturated clouds such as vote lattices.  Otherwise Qhull (Barber,
 Dobkin and Huhdanpaa, ACM TOMS 1996; ``scipy.spatial.ConvexHull``) proposes
 the candidates: the values are centered and projected onto their affine hull
 (its rank by SVD), and Qhull's vertices of the projected cloud are proposed
-at rank 2 to 5, the two ends of the line at rank 1.  A value Qhull leaves
-out is not fitted by an LP, but it is measured against Qhull's facets and
-proposed too when it lies beyond one of them by more than HULL_TOL / 4.
-With too few values for a simplex of the rank, or when Qhull fails, every
-value is a candidate.  Last, one phase-1 LP per candidate
-decides: in ascending order, a candidate that fits the candidates still kept
-within HULL_TOL leaves at once, so of values that fit each other the
-lexicographically last stays.  ``scipy.spatial`` is imported only when
-Qhull runs.  The cloud lives in R^<=5: ``hull_decompose`` refuses a cloud of
-more than ``MAX_CHUNKS`` rows before any LP, while grouping and membership
-take any number of rows.
+at rank 2 to 5, the two ends of the line at rank 1.  With too few values
+for a simplex of the rank, or when Qhull fails, every value is a candidate.
+Last, one phase-1 LP per candidate decides: in ascending order, a candidate
+that fits the candidates still kept within HULL_TOL leaves at once, so of
+values that fit each other the lexicographically last stays.
+``scipy.spatial`` is imported only when Qhull runs.  The cloud lives in
+R^<=5: ``hull_decompose`` refuses a cloud of more than ``MAX_CHUNKS`` rows
+before any LP, while grouping and membership take any number of rows.
+
+A value Qhull leaves out gets no LP, which is sound because Qhull runs
+without option Q12.  By Qhull's notes on imprecision
+(http://www.qhull.org/html/qh-impre.htm), with its default merging every
+input point lies below each facet's outer plane, a roundoff bound above the
+facet, and a merge that would make a facet wide past that bound stops Qhull
+with a precision error; Q12 (http://www.qhull.org/html/qh-optq.htm) lets
+such facets through.  So a value Qhull leaves out lies beyond no facet by
+more than roundoff, or Qhull raises and every value is self-checked.  In the
+projected coordinates the farthest such value lies 1.7e-15 beyond a facet on
+planted votes (300k, 3, 15), 6.7e-16 on (5k, 3, 10), 5e-14 on the
+near-degenerate test clouds and inside every facet on soft Dirichlet clouds,
+against HULL_TOL / 4 = 2.5e-9.  The one cloud known to raise, a pair of
+columns 1e-9 apart in R^5, has a merge 6.8e12 times wider than Qhull's bound
+(QH6271); its 12 self-check LPs get the layers right.
 
 Both layers are sets of distinct values, so the copies of a vertex value
 belong to the outer layer alone, and ``h1`` names each vertex by its lowest
@@ -78,7 +90,6 @@ __all__ = [
 
 HULL_TOL = 1e-8
 _RANK_TOL = 1e-12  # singular values at or below this times the largest are rank-deficient
-_DISTANCE_FLOATS = 1 << 18  # most facet distances held at once
 _COMPARE_RANKS = 16  # most values per row ranked by comparisons (measured crossover)
 _CODE_TABLE = 1 << 16  # most codes of a chunk's votes in a table kept for all calls
 
@@ -422,11 +433,11 @@ def _proposed(distinct: np.ndarray):
     ``_RANK_TOL`` times the largest; it is at least 1, since a cloud with one
     distinct column is settled by the box.  At rank 1 the candidates are the
     columns at either end of the line; at rank 2 to 5 they are the vertices
-    Qhull finds for the columns projected onto their affine hull, and the
-    columns it leaves out that lie beyond one of its facets.  Too few
-    columns for a simplex of the rank (d <= rank + 1) or a ``QhullError``
-    (logged at WARNING) propose every column, so a failed Qhull never yields
-    a vertex set.
+    Qhull finds for the columns projected onto their affine hull, with no
+    Q12 (the module docstring says why no other column can be a vertex).
+    Too few columns for a simplex of the rank (d <= rank + 1) or a
+    ``QhullError`` (logged at WARNING) propose every column, so a failed
+    Qhull never yields a vertex set.
     """
     d = distinct.shape[1]
     everyone = np.arange(d)
@@ -441,30 +452,12 @@ def _proposed(distinct: np.ndarray):
     from scipy.spatial import ConvexHull, QhullError
 
     try:
-        qhull = ConvexHull(Y.T, qhull_options="QbB Q12" + " Qx" * (rank == 5))
+        qhull = ConvexHull(Y.T, qhull_options="QbB" + " Qx" * (rank == 5))
     except QhullError as err:
         log.warning("Qhull failed on %d columns of rank %d, so every column is "
                     "self-checked: %s", d, rank, str(err).strip().splitlines()[0])
         return everyone, rank
-    # Q12 lets Qhull keep wide facets, so its roundoff bound no longer limits
-    # how far outside the hull a column it leaves out may lie: one beyond a
-    # facet by more than HULL_TOL / 4 is proposed too.  The equations are unit
-    # normals for Y scaled by QbB to [-0.5, 0.5] per row, taken back here to
-    # Y's coordinates.  Y is centered, so a column nearer its origin than
-    # every facet plane is inside and skips the product.
-    low, width = Y.min(axis=1), np.ptp(Y, axis=1)  # each > 0 along a principal axis
-    normal = qhull.equations[:, :-1] / width
-    scale = np.linalg.norm(normal, axis=1)
-    offset = (qhull.equations[:, -1] - normal @ (low + width / 2)) / scale
-    normal /= scale[:, None]
-    proposed = np.zeros(d, dtype=bool)
-    proposed[qhull.vertices] = True
-    rest = np.flatnonzero(~proposed & (np.linalg.norm(Y, axis=0) >= -offset.max()))
-    step = max(1, _DISTANCE_FLOATS // offset.size)  # columns per block
-    for i in range(0, rest.size, step):
-        block = rest[i:i + step]
-        proposed[block] = (Y[:, block].T @ normal.T + offset).max(axis=1) > HULL_TOL / 4
-    return np.flatnonzero(proposed), rank
+    return np.sort(qhull.vertices), rank  # counterclockwise at rank 2
 
 
 def _self_check(distinct: np.ndarray, candidates: np.ndarray):

@@ -335,6 +335,8 @@ def _load_json(path: str, n: int, k: int) -> WeakSignalMatrix:
                 v = float(str(v) if isinstance(v, bool) else v)
             except (TypeError, ValueError):
                 raise ValueError(f"row {r}, col {c}: unparsable entry {v!r}")
+            except OverflowError:  # an integer literal past float range; its digits are not echoed
+                raise ValueError(f"row {r}, col {c}: integer entry too large for a float")
             if math.isnan(v):
                 raise ValueError(f"row {r}, col {c}: NaN entry")
             if v < 0.0 or v > 1.0:

@@ -229,6 +229,9 @@ def test_label_parse_errors_exit_2(tmp_path, capsys):
                         "line 1 column 2 (char 1)"),
     ("k", "+1,0\n", ("--k", "1"), "k must be >= 2, got 1"),  # a bad flag, not a bad file
     ("w.csv", "+1,0\n", ("--n", "0"), "n must be >= 1, got 0"),
+    pytest.param("w.json", '{"n": 2, "k": 2, "format": "prob", "rows": [[0.5, 0.5, 0.5, 1%s]]}'
+                 % ("0" * 400), (), "w.json: row 0, col 3: integer entry too large for a float",
+                 id="prob-integer-past-float-range"),  # was an OverflowError traceback
 ])
 def test_load_errors_name_the_file_once(tmp_path, monkeypatch, capsys, name, text, flags,
                                         message):

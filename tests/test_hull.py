@@ -28,7 +28,7 @@ from onionlabel.hull import (
 )
 from onionlabel.signals import WeakSignalMatrix, expand_pws, reduce_signals
 from onionlabel.solver import prepare
-from onionlabel.synth import SynthSpec, generate_instance
+from onionlabel.synth import SynthSpec, generate_instance, generate_votes
 
 
 def cloud_of(*cols) -> ColumnCloud:
@@ -565,15 +565,20 @@ _NEAR_PAIR_R5 = np.array([
 def test_near_duplicate_pair_in_r5_keeps_its_corner(monkeypatch, caplog):
     # the Clarkson pass this one replaced dropped both columns of the pair
     # and gave h1 = [2..11]; of the two that fit each other, the
-    # lexicographically last stays
+    # lexicographically last stays.  The cloud as the pass gives it to Qhull
+    # is a wide dupridge: Qhull refuses it (QH6271), and every column is
+    # self-checked
     import scipy.spatial
     from scipy.spatial import ConvexHull, QhullError
 
-    points = []
+    errors = []
 
     def recording(Y, qhull_options=None):
-        points.append(Y)
-        return ConvexHull(Y, qhull_options=qhull_options)
+        try:
+            return ConvexHull(Y, qhull_options=qhull_options)
+        except QhullError as err:
+            errors.append(str(err))
+            raise
 
     monkeypatch.setattr(scipy.spatial, "ConvexHull", recording)
     cloud = ColumnCloud(_NEAR_PAIR_R5)
@@ -583,12 +588,12 @@ def test_near_duplicate_pair_in_r5_keeps_its_corner(monkeypatch, caplog):
                       method="highs")
         assert res.status == 2  # infeasible
     caplog.set_level("WARNING", logger="onionlabel.hull")
-    assert hull_decompose(cloud).h1.tolist() == list(range(1, 12))
-    # the cloud as the pass gives it to Qhull is a wide dupridge without Q12,
-    # which Qhull then does not report
-    assert len(points) == 1 and not caplog.records
-    with pytest.raises(QhullError, match="QH6271"):
-        ConvexHull(points[0], qhull_options="QbB Qx")
+    decomp = hull_decompose(cloud)
+    assert decomp.h1.tolist() == list(range(1, 12))
+    assert decomp.vertex_lps == 12
+    assert len(errors) == 1 and "QH6271" in errors[0]
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    assert "QH6271" in caplog.records[0].getMessage()
 
 
 def test_qhull_error_self_checks_every_column(monkeypatch, caplog):
@@ -606,40 +611,12 @@ def test_qhull_error_self_checks_every_column(monkeypatch, caplog):
     assert any("QH6999" in r.getMessage() and r.levelname == "WARNING" for r in caplog.records)
 
 
-def test_a_column_beyond_qhulls_facets_is_self_checked(monkeypatch):
-    # a Qhull that loses a vertex: its hull of the other columns leaves that
-    # column beyond one of its facets, so the column is proposed all the same
-    import scipy.spatial
-    from scipy.spatial import ConvexHull
-
-    lost = []
-
-    def losing(Y, qhull_options=None):
-        t = int(ConvexHull(Y).vertices.max())
-        keep = np.delete(np.arange(len(Y)), t)
-        # the equations in QbB's coordinates: each axis scaled to [-0.5, 0.5]
-        scaled = (Y - Y.min(axis=0)) / np.ptp(Y, axis=0) - 0.5
-        part = ConvexHull(scaled[keep])
-        lost.append(t)
-        return SimpleNamespace(vertices=keep[part.vertices], equations=part.equations)
-
-    monkeypatch.setattr(scipy.spatial, "ConvexHull", losing)
-    rng = np.random.default_rng(12)
-    cloud = ColumnCloud(rng.integers(0, 5, size=(3, 40)) * 0.5)
-    candidates, rank = hull._proposed(cloud.groups[0])
-    assert rank == 3 and len(lost) == 1 and lost[0] in candidates
-    decomp = _assert_matches_all_pairs(cloud)
-    assert cloud.groups[1][lost[0]] in decomp.h1
+_NEAR_DEGENERATE_STEPS = [1e-13, 1e-11, 1e-9, 1e-8, 1e-7, 1e-5, 1e-3]
 
 
-@pytest.mark.parametrize("step", [1e-13, 1e-11, 1e-9, 1e-8, 1e-7, 1e-5, 1e-3])
-def test_vertex_pass_on_near_degenerate_clouds(step):
-    # lattice clouds whose inner coordinates move by +-step, and near pairs:
-    # a copy of a column moved by step in one row.  Steps of 1e-7 and more
-    # give the all-pairs layers bit for bit.  Within about HULL_TOL of the
-    # hull either verdict is accepted (the band 1e-13 ... 1e-8): the pass
-    # raises nothing, no kept vertex fits the other kept vertices, and every
-    # distinct column fits the kept vertices
+def _near_degenerate_clouds(step):
+    """40 seeded lattice clouds whose inner coordinates move by +-step, each
+    with a near pair: a copy of one column moved by step in one row."""
     rng = np.random.default_rng(11)
     for _ in range(40):
         m = int(rng.integers(2, 6))
@@ -650,7 +627,16 @@ def test_vertex_pass_on_near_degenerate_clouds(step):
         near = matrix[:, rng.integers(0, matrix.shape[1])].copy()
         row = rng.integers(0, m)
         near[row] += step if near[row] < 1.0 else -step
-        cloud = ColumnCloud(np.hstack([matrix, near[:, None]]))
+        yield ColumnCloud(np.hstack([matrix, near[:, None]]))
+
+
+@pytest.mark.parametrize("step", _NEAR_DEGENERATE_STEPS)
+def test_vertex_pass_on_near_degenerate_clouds(step):
+    # Steps of 1e-7 and more give the all-pairs layers bit for bit.  Within
+    # about HULL_TOL of the hull either verdict is accepted (the band 1e-13
+    # ... 1e-8): the pass raises nothing, no kept vertex fits the other kept
+    # vertices, and every distinct column fits the kept vertices
+    for cloud in _near_degenerate_clouds(step):
         if step >= 1e-7:
             _assert_matches_all_pairs(cloud)
             continue
@@ -661,6 +647,76 @@ def test_vertex_pass_on_near_degenerate_clouds(step):
             assert others.shape[1] == 0 or not convex_combination(others, V[:, j])[1]
         for q in cloud.groups[0].T:  # the vertices cover every column
             assert convex_combination(V, q)[1]
+
+
+def _beyond_facets(points: np.ndarray, qhull) -> np.ndarray:
+    """How far each point lies beyond the farthest of Qhull's facet planes,
+    in the points' coordinates: the check the vertex pass ran on the columns
+    Qhull left out while it let Qhull keep wide facets (option Q12)."""
+    # the equations are unit normals for the points scaled by QbB to
+    # [-0.5, 0.5] per axis, taken back here to the points' coordinates
+    low, width = points.min(axis=0), np.ptp(points, axis=0)
+    normal = qhull.equations[:, :-1] / width
+    scale = np.linalg.norm(normal, axis=1)
+    offset = (qhull.equations[:, -1] - normal @ (low + width / 2)) / scale
+    normal /= scale[:, None]
+    step = max(1, (1 << 18) // offset.size)  # points per block
+    return np.concatenate([(points[i:i + step] @ normal.T + offset).max(axis=1)
+                           for i in range(0, len(points), step)])
+
+
+def _soft_cloud(n, k, m, seed):
+    """Seeded uniform Dirichlet rows to 4 decimals, doubled into a cloud."""
+    rng = np.random.default_rng(seed)
+    p = np.round(rng.dirichlet(np.ones(k), size=(m, n)), 4)  # (m, n, k)
+    values = np.ascontiguousarray(p.transpose(0, 2, 1).reshape(m, n * k))
+    w = WeakSignalMatrix(values=values, abstain=np.zeros(values.shape, dtype=bool), n=n, k=k)
+    return build_A(reduce_signals(w, 5))
+
+
+def _planted_vote_cloud(n, k, m):
+    spec = SynthSpec(n=n, k=k, m=m, signal_accuracy=0.8, abstain_rate=0.3, seed=0)
+    return hull._vote_cloud(generate_votes(spec)[0], k, 5)
+
+
+@pytest.mark.parametrize("clouds", [
+    pytest.param(lambda n=n, k=k, m=m: [_planted_vote_cloud(n, k, m)], id=f"votes-{n}-{k}-{m}")
+    for n, k, m in [(500, 2, 10), (5000, 3, 10), (300_000, 3, 15)]
+] + [
+    pytest.param(lambda: [_soft_cloud(5000, 3, 10, seed=0)], id="soft-5000-3-10"),
+    pytest.param(lambda: [cloud for step in _NEAR_DEGENERATE_STEPS
+                          for cloud in _near_degenerate_clouds(step)], id="near-degenerate"),
+])
+def test_qhull_leaves_no_column_beyond_its_facets(monkeypatch, clouds):
+    # The vertex pass proposes Qhull's vertices alone, ascending.  Without
+    # Q12 Qhull either raises or leaves every point within its roundoff of
+    # its facets, so no column it leaves out lies beyond a facet by more than
+    # HULL_TOL / 4, and the check this measures no longer runs
+    import scipy.spatial
+    from scipy.spatial import ConvexHull
+
+    runs = []
+
+    def recording(Y, qhull_options=None):
+        runs.append((Y, ConvexHull(Y, qhull_options=qhull_options)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", recording)
+    ran = 0
+    for cloud in clouds():
+        runs.clear()
+        distinct = cloud.groups[0]
+        candidates, rank = hull._proposed(distinct)
+        if rank == 1 or distinct.shape[1] <= rank + 1:  # Qhull does not run
+            assert not runs
+            continue
+        (Y, qhull), = runs
+        ran += 1
+        assert candidates.tolist() == sorted(qhull.vertices.tolist())
+        beyond = _beyond_facets(Y, qhull)
+        beyond[qhull.vertices] = -np.inf
+        assert beyond.max() <= hull.HULL_TOL / 4
+    assert ran
 
 
 def test_box_settled_run_does_not_import_scipy_spatial():

@@ -628,6 +628,12 @@ def test_load_json_rejects_bad_documents(tmp_path):
          "row 0, col 0: unparsable entry False"),
         ('{"n": 1, "k": 2, "format": "prob", "rows": [[0.5, 0.5], [NaN, 0.5]]}',
          "row 1, col 0: NaN entry"),
+        # float() raises OverflowError on an integer past float range, which
+        # ended `label` in a traceback; the message does not echo its digits
+        ('{"n": 1, "k": 2, "format": "prob", "rows": [[0.5, 1%s]]}' % ("0" * 400),
+         "^row 0, col 1: integer entry too large for a float$"),
+        ('{"n": 1, "k": 2, "format": "prob", "rows": [[-1%s, 0.5]]}' % ("0" * 400),
+         "^row 0, col 0: integer entry too large for a float$"),
         ('{"n": 1, "k": 2, "format": "pws", "rows": 1}', "'rows' must be a non-empty list"),
         ('{"n": 1, "k": 2, "format": "pws", "rows": [1]}', "row 0"),
         ('{"n": 1, "k": 2, "format": "prob", "rows": [[0.5, 0.5], [0.5]]}',

@@ -34,7 +34,7 @@ from onionlabel.solver import (
     run_oua,
     solve_labels,
 )
-from onionlabel.synth import SynthSpec, generate_instance, run_ablation
+from onionlabel.synth import SynthSpec, generate_instance, generate_votes, run_ablation
 
 
 def signals_from_columns(cols, n, k) -> WeakSignalMatrix:
@@ -829,3 +829,49 @@ def test_run_oua_perfect_signals_stay_safe_at_the_bound():
     assert abs(lbl.soft.sum() - w.n) <= w.n * 1e-6
     assert accuracy(majority_vote(w), truth).value == 1.0
     assert accuracy(weighted_majority_vote(w), truth).value == 1.0
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relations at production size
+
+
+def _oua_stages(votes: np.ndarray, k: int):
+    """``run_oua``'s stages on a vote matrix: (decomp, target, label)."""
+    w, cfg = expand_pws(votes, k), SolverConfig()
+    cloud, decomp = solver.prepare(w, cfg)
+    tv = anneal_b(w, cloud, decomp, cfg)
+    label = solver._solve(tv.b, w.n, cloud.groups, cloud.counts, cfg, epsilon_used=tv.epsilon)
+    return decomp, tv, label
+
+
+@pytest.mark.parametrize("n, k, m", [(300_000, 3, 15), (1_000_000, 3, 10)])
+def test_metamorphic_relations_at_production_size(n, k, m):
+    # Relabeling the classes, permuting the points and tiling them twice
+    # leave the distinct cloud and its counts per column unchanged, up to a
+    # common factor of 2 for the tiling.  The hull sees the same sorted
+    # distinct cloud under each relation, so these guard the grouping, the
+    # target and the solve, not Qhull's column order: eps and b/n are equal
+    # bit for bit, the inner layer is, the outer layer is as a set (it is in
+    # h1 order), and the relative residuals agree within the solve's gap.
+    # (300k, 3, 15) reaches Qhull; the box certificate settles (10^6, 3, 10)
+    spec = SynthSpec(n=n, k=k, m=m, signal_accuracy=0.8, abstain_rate=0.3, seed=0)
+    votes = generate_votes(spec)[0].astype(np.uint8)
+    base, base_tv, base_label = _oua_stages(votes, k)
+    assert (base.vertex_certified == 0) == (n < 10**6)
+    relabel = np.array([0, *np.random.default_rng(1).permutation(np.arange(1, k + 1))],
+                       dtype=np.uint8)
+    relations = {
+        "relabel": relabel[votes],
+        "permute": votes[:, np.random.default_rng(2).permutation(n)],
+        "tile": np.tile(votes, 2),
+    }
+    for name, changed in relations.items():
+        decomp, tv, label = _oua_stages(changed, k)
+        assert label.epsilon_used == tv.epsilon == base_tv.epsilon, name
+        assert np.array_equal(tv.b / changed.shape[1], base_tv.b / n), name
+        assert np.array_equal(decomp.interior_columns, base.interior_columns), name
+        assert np.array_equal(np.unique(decomp.vertex_columns, axis=1),
+                              np.unique(base.vertex_columns, axis=1)), name
+        relative = label.residual / np.linalg.norm(tv.b)
+        assert abs(relative - base_label.residual / np.linalg.norm(base_tv.b)) \
+            <= backends.GAP_TOL, name
