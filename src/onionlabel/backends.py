@@ -167,7 +167,8 @@ def _relative_gap(A, b, counts, s, target, scale):
     order = np.argsort(g, kind="stable")
     cap = counts[order]
     v = np.empty_like(s)
-    v[order] = np.clip(target - (np.cumsum(cap) - cap), 0.0, cap)
+    # np.clip's bits without its Python wrapper: no -0.0 or NaN reaches it
+    v[order] = np.minimum(np.maximum(target - (np.cumsum(cap) - cap), 0.0), cap)
     gap = float(g @ s - g @ v)
     return math.sqrt(2.0 * max(gap, 0.0)) / scale, v
 
@@ -219,6 +220,7 @@ def pgd(A, b, counts, s0, target):
         s = lam @ V
         agree = (V == V[0]).all(axis=0)
         s[agree] = V[0, agree]
-        np.clip(s, 0.0, c, out=s)
+        # np.clip's bits: positive weights on atoms of +0.0 or more give no -0.0
+        np.minimum(np.maximum(s, 0.0, out=s), c, out=s)
     gap = _relative_gap(A, b, c, s, target, scale)[0]
     return s, MAX_CYCLES, gap, gap <= GAP_TOL

@@ -127,8 +127,9 @@ def _check_cloud(m: np.ndarray, top: float = 2.0) -> None:
 class ColumnCloud:
     """Columns of the doubled signal matrix, entries in [0, 2], as points in
     R^m, held as their groups: ``_unique_columns(matrix)``, read-only.  Each
-    group's size as float64 (``counts``) and ``matrix = distinct[:, group]``
-    are built on first read; the caller's matrix is neither kept nor frozen."""
+    group's size as float64 (``counts``), unless a vote cloud set it from its
+    point groups, and ``matrix = distinct[:, group]`` are built on first
+    read; the caller's matrix is neither kept nor frozen."""
 
     groups: tuple  # (distinct (m, d), first (d,), group (p,))
 
@@ -138,11 +139,14 @@ class ColumnCloud:
         self._hold(*_unique_columns(matrix))
 
     @classmethod
-    def _of_groups(cls, distinct, first, group) -> "ColumnCloud":
-        """The cloud of ``(distinct, first, group)``; only distinct is checked."""
+    def _of_groups(cls, distinct, first, group, counts=None) -> "ColumnCloud":
+        """The cloud of ``(distinct, first, group)``; only distinct is checked.
+        ``counts``, when given, must be ``bincount(group)`` as float64."""
         _check_cloud(distinct)
         cloud = cls.__new__(cls)
         cloud._hold(distinct, first, group)
+        if counts is not None:
+            cloud.__dict__["counts"] = _freeze(counts, owned=True)
         return cloud
 
     def _hold(self, distinct, first, group):
@@ -158,6 +162,8 @@ class ColumnCloud:
 
     @cached_property
     def counts(self):
+        """Each group's size as float64: a count over the nk columns, unless
+        the grouping already knew the sizes (``_vote_cloud``)."""
         return _freeze(np.bincount(self.groups[2]).astype(np.float64), owned=True)
 
     @cached_property
@@ -215,7 +221,10 @@ def _vote_cloud(votes: np.ndarray, k: int, chunks: int) -> ColumnCloud:
     for row, (values, ranks) in zip(distinct, parts):
         row[:] = values[ranks[pair]]
     group = np.take(pair_group.reshape(k, point.size), pattern, axis=1).ravel()
-    return ColumnCloud._of_groups(distinct, first, group)
+    # a group's size is the sum of its pairs' point group sizes: one count over
+    # the n points, not over the nk columns
+    counts = np.bincount(pair_group, np.tile(np.bincount(pattern), k), first.size)
+    return ColumnCloud._of_groups(distinct, first, group, counts)
 
 
 def _chunk_groups(g: int, k: int, block: np.ndarray):

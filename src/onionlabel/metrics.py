@@ -38,12 +38,17 @@ class EvalReport:
 
 def _class_tallies(w: WeakSignalMatrix) -> np.ndarray:
     """(k, n) sums of non-abstain signal values per class and point; the
-    vote counts, exactly as floats, for a matrix that keeps its votes.
+    vote counts, exactly as floats, for a matrix that keeps its votes.  Each
+    class is counted in the smallest unsigned dtype that holds m, which sums
+    the m rows in a fraction of the time an intp count takes.
     Raises on a float matrix holding NaN or a value outside [0, 1], as
     ``build_A`` does."""
     if w.votes is not None:
-        return np.stack([np.count_nonzero(w.votes == c, axis=0) for c in range(1, w.k + 1)]
-                        ).astype(np.float64)
+        tallies = np.empty((w.k, w.n))
+        count = np.min_scalar_type(w.m)
+        for c, row in enumerate(tallies, start=1):
+            row[:] = (w.votes == c).sum(axis=0, dtype=count)
+        return tallies
     _check_cloud(w.values, top=1.0)
     masked = np.where(w.abstain, 0.0, w.values)
     return masked.sum(axis=0).reshape(w.k, w.n)

@@ -7,8 +7,9 @@ rate ``eps`` downward from its upper bound ``2/k - 2/k**2`` in steps of
 ``alpha`` until ``b/n`` leaves the inner hull.  Since ``b/n`` moves on a line
 and the inner hull is convex, the first grid point outside it is bracketed in
 a few rounds of membership LPs, solved one at a time, each round's probes
-predicted from the separating hyperplane of the last outside probe; the
-answer is the one a walk over every grid index gives.  The soft labels
+predicted from the separating hyperplane of the last outside probe, which
+also cuts off later probes with no LP; the answer is the one a walk over
+every grid index gives.  The soft labels
 solve ``min ||A y - b||_2`` over {y in [0, 1]^(nk) : sum(y) = n} exactly.
 The objective depends on y only through the label sums of identical
 columns, so the solve runs over the distinct columns (``backends.pgd``:
@@ -222,6 +223,47 @@ def _target_at_bound(w: WeakSignalMatrix, cloud: ColumnCloud) -> TargetVector:
     return _target(w, _row_sums(cloud), epsilon_upper_bound(w.k))
 
 
+def _cut_off(E: np.ndarray, y: np.ndarray, q: np.ndarray) -> bool:
+    """Whether the plane y = (g, g0) proves q outside the hull of the columns
+    V of ``E = [V; 1^T]`` as ``_fits`` decides it, so that no LP is needed.
+
+    Let f = [q; 1], t = ``HULL_TOL`` and a_j = y.E_j.  ``_fits`` accepts a
+    weight vector lam only if r = E lam - f has |r|_inf <= t and the negative
+    weight N = sum_j max(0, -lam_j) is at most t.  Then the positive weights
+    sum to sum(lam) + N <= 1 + 2t, and
+        y.f = sum_j lam_j a_j - y.r
+            <= (1 + 2t) max(0, max_j a_j) + t max_j |a_j| + t |y|_1.
+    A y.f above this bound leaves no lam for ``_fits`` to accept, so the LP's
+    verdict would be outside too.  Rounding in a, in y.f and in ``_fits``' sums
+    over the p columns moves the comparison by at most 16 (m + p + 2) eps w^2
+    |y|_1 to first order, with w = max(2, |q|_inf) a bound on |E| and |f|;
+    the slack is four times that.
+    """
+    a = y @ E
+    norm, w = float(np.abs(y).sum()), max(2.0, float(np.abs(q).max()))
+    bound = (HULL_TOL * (norm + float(np.abs(a).max()))
+             + (1.0 + 2.0 * HULL_TOL) * max(0.0, float(a.max())))
+    slack = 64 * (E.shape[0] + E.shape[1] + 1) * np.finfo(np.float64).eps * w * w * norm
+    return float(y[:-1] @ q + y[-1]) > bound + slack
+
+
+def _inside_box(vertices: np.ndarray, q: np.ndarray) -> bool:
+    """Whether q lies, by more than ``HULL_TOL`` on every row, inside the
+    bounding box of vertex columns that the box certificate settled, so that
+    an LP against them would find q inside.
+
+    Those vertices are the box's corners, so Conv(H1) is the box, and a q
+    inside it is an exact convex combination of the corners (multilinear
+    weights): the phase-1 LP's optimum is 0, and its weights reproduce q up
+    to rounding far below the margin.  A box with a constant row is left to
+    the LP: phase-1 keeps each row's residual on one side, so a q a hair
+    below a constant value c forces sum(lam) <= q_i / c, a sum-row residual
+    of (c - q_i) / c that passes ``HULL_TOL`` when c is small.
+    """
+    low, high = vertices.min(axis=1), vertices.max(axis=1)
+    return bool((q - low > HULL_TOL).all() and (high - q > HULL_TOL).all())
+
+
 def anneal_b(w: WeakSignalMatrix, cloud: ColumnCloud, decomp: HullDecomposition,
              cfg: SolverConfig | None = None) -> TargetVector:
     """Lower eps from its upper bound until b/n escapes the inner hull.
@@ -236,24 +278,28 @@ def anneal_b(w: WeakSignalMatrix, cloud: ColumnCloud, decomp: HullDecomposition,
 
     The line meets the convex inner hull Conv(I) in a segment, so once index
     0 is inside, the inside grid indices form a prefix.  Its end is bracketed
-    in rounds of membership LPs against Conv(I), one LP per probe
-    (``hull._combination``).  A round probes its indices in increasing order
-    and stops at the first one outside, which becomes the bracket's top, so
-    the round's later indices are never solved.  The first round tests
-    indices 0 and J; index 0 outside Conv(I) settles the run before J is
-    solved.  The duals (g, g0) of the outside probe at the bracket's top
-    separate it from Conv(I), and g.q_j + g0 is affine in j, so its zero
-    predicts the exit; each later round tests the two indices around that
-    zero (Kelley's cutting planes) and, from the third round on or when the
-    line does not rise through the plane, the bracket's midpoint, so it takes
-    at most two rounds more than bisection.  A zero below the bracket is
-    clipped to its first index only while the HULL_TOL band past the plane
-    spans fewer indices than bisection takes rounds; a wider band is left to
-    the midpoint.
-    The duals only choose the probes; every verdict comes from a probe's
-    explicit residual, so the answer is the index a walk over the whole grid
-    finds.  Only the final index is tested against Conv(H1).  Each probed
-    rate is computed from its index, so J may reach ~2e307.
+    in rounds of membership probes against Conv(I).  A round probes its
+    indices in increasing order and stops at the first one outside, which
+    becomes the bracket's top, so the round's later indices are never
+    decided.  The first round tests indices 0 and J by one LP each
+    (``hull._combination``); index 0 outside Conv(I) settles the run before J
+    is solved.  The duals (g, g0) of the last outside LP separate its index
+    from Conv(I), and g.q_j + g0 is affine in j, so its zero predicts the
+    exit; each later round tests the two indices around that zero (Kelley's
+    cutting planes) and, from the third round on or when the line does not
+    rise through the plane, the bracket's midpoint, so it takes at most two
+    rounds more than bisection.  A zero below the bracket is clipped to its
+    first index only while the HULL_TOL band past the plane spans fewer
+    indices than bisection takes rounds; a wider band is left to the
+    midpoint.  A later probe that the same plane already proves outside
+    (``_cut_off``) is decided without an LP; any other is solved.
+    The duals only choose the probes and prove some of them outside; every
+    other verdict comes from a probe's explicit residual, so the answer is
+    the index a walk over the whole grid finds.  Only the final index is
+    tested against Conv(H1): inside the bounding box that the box
+    certificate settled by more than HULL_TOL (``_inside_box``) it is SAFE
+    with no LP.  Each probed rate is computed from its index, so J may reach
+    ~2e307.
 
     The targets' row sums w_i.1 are read from the cloud (``_row_sums``);
     only n and k are taken from w, so w may be the matrix the cloud was
@@ -269,16 +315,17 @@ def anneal_b(w: WeakSignalMatrix, cloud: ColumnCloud, decomp: HullDecomposition,
     row_sums = _row_sums(cloud)
     inner = decomp.interior_columns
     E = np.vstack([inner, np.ones((1, inner.shape[1]))])
+    shift = -w.n * w.k
 
-    def q_at(j: int) -> np.ndarray:
-        return _target(w, row_sums, eps_at(j)).b / float(w.n)
+    def q_at(j: int) -> np.ndarray:  # _target(w, row_sums, eps_at(j)).b / n, bit for bit
+        return (shift * eps_at(j) + row_sums + w.n) / float(w.n)
 
     # invariant: index lo is INSIDE_H2 (-1: none is known to be) and index hi
     # is not (J + 1: none is known not to be); an empty inner hull contains
     # no index
     lo, hi = -1, last + 1 if inner.shape[1] else 0
-    picks = [0, last]
-    rounds = probes = 0  # a probe is one LP against Conv(I)
+    picks, y = [0, last], None
+    rounds = probes = lps = 0  # a probe is one verdict against Conv(I)
     while hi - lo > 1:
         if rounds:
             picks = set()
@@ -300,22 +347,30 @@ def anneal_b(w: WeakSignalMatrix, cloud: ColumnCloud, decomp: HullDecomposition,
         rounds += 1
         for j in picks:  # in index order, up to the first one outside
             probes += 1
-            _, inside, y_j, _ = _combination(E, q_at(j))
+            q = q_at(j)
+            if y is not None and _cut_off(E, y, q):
+                hi = j
+                break
+            lps += 1
+            _, inside, y_j, _ = _combination(E, q)
             if not inside:
                 hi, y = j, y_j
                 break
             lo = j
-    tv = _target(w, row_sums, eps_at(hi))
     status = SafeRegionStatus.INSIDE_H2
     if hi <= last:
-        safe = convex_combination(decomp.vertex_columns, tv.b / float(w.n))[1]
+        q = q_at(hi)
+        safe = decomp.vertex_certified > 0 and _inside_box(decomp.vertex_columns, q)
+        if not safe:
+            lps += 1
+            safe = convex_combination(decomp.vertex_columns, q)[1]
         status = SafeRegionStatus.SAFE if safe else SafeRegionStatus.OUTSIDE_H1
     reached = min(hi, last)
-    log.debug("anneal: %s at eps=%.6f, grid index %d of %d, %d probes in %d rounds, %d LPs",
-              status.value, eps_at(reached), reached, last + 1, probes, rounds,
-              probes + (hi <= last))
+    log.debug("anneal: %s at eps=%.6f, grid index %d of %d, %d probes in %d rounds, "
+              "%d verdicts by %d LPs", status.value, eps_at(reached), reached, last + 1,
+              probes, rounds, probes + (hi <= last), lps)
     if status is SafeRegionStatus.SAFE:
-        return tv
+        return _target(w, row_sums, eps_at(hi))
     if status is SafeRegionStatus.OUTSIDE_H1:
         raise HullInconsistencyError(
             f"b/n fell outside Conv(H1) at eps={eps_at(hi):.6f}; "
@@ -337,13 +392,21 @@ def augment_system(cloud: ColumnCloud, b: TargetVector, n: int):
 
 def _block_argmax(scores: np.ndarray) -> np.ndarray:
     """Classes 1..k of the column maxima of finite (k, n) scores, ties to the
-    lowest class: ``argmax(axis=0) + 1`` without its copy of the array."""
+    lowest class: ``argmax(axis=0) + 1`` without its strided pass.
+
+    Class c + 1 takes a point only when it beats every lower class, and then
+    it is above the class held, so the labels are kept with no masked copy
+    (a branch per point) as ``max(hard, (c + 1) [scores[c] > best])``; from
+    the all-ones start the first class comparison is ``1 + [scores[1] >
+    scores[0]]``."""
     k, n = scores.shape
-    best, hard = scores[0], np.ones(n, dtype=np.int64)
-    for c in range(1, k):
-        np.copyto(hard, c + 1, where=scores[c] > best)
-        if c + 1 < k:
-            best = np.maximum(best, scores[c])
+    if k == 1:
+        return np.ones(n, dtype=np.int64)
+    best = scores[0]
+    hard = np.add(scores[1] > best, 1, dtype=np.int64)
+    for c in range(2, k):
+        best = np.maximum(best, scores[c - 1])
+        np.maximum(hard, np.multiply(scores[c] > best, c + 1, dtype=np.int64), out=hard)
     return hard
 
 
@@ -402,7 +465,8 @@ def _solve(b: np.ndarray, n: int, groups, counts: np.ndarray, cfg: SolverConfig,
     _unique_columns(A)`` and their float sizes ``counts``, as a cloud holds them."""
     distinct, _, group = groups
     nk, n = group.size, int(n)  # a numpy n would reach the JSON artifact
-    z = np.random.default_rng(cfg.seed).uniform(0.0, 1.0, size=nk)
+    # Uniform(0, 1): uniform(0.0, 1.0) draws the same bits as 0 + 1 u
+    z = np.random.default_rng(cfg.seed).random(nk)
 
     # the start spreads z to sum n as one group; only its group sums are
     # formed, clipped because rounding can leave a full group an ulp above c

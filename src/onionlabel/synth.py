@@ -106,11 +106,15 @@ def generate_votes(spec: SynthSpec) -> tuple[np.ndarray, LabelVector]:
     y = rng.choice(np.arange(1, spec.k + 1), size=spec.n, p=spec.balance)
     ab = rng.random((spec.m, spec.n)) < spec.abstain_rate
     correct = rng.random((spec.m, spec.n)) < spec.signal_accuracy
-    offset = rng.integers(1, spec.k, size=(spec.m, spec.n))  # 1..k-1
-    wrong = (y[None, :] - 1 + offset) % spec.k + 1
-    votes = np.where(correct, y[None, :], wrong)
+    # the wrong class y - 1 + offset (mod k) + 1, offset in 1..k-1, is built in
+    # place in the int64 offsets, then overwritten by y where correct
+    votes = rng.integers(1, spec.k, size=(spec.m, spec.n), dtype=np.int64)
+    votes += y - 1
+    votes %= spec.k
+    votes += 1
+    np.copyto(votes, y, where=correct)
     votes[ab] = 0
-    return votes.astype(np.int64), LabelVector(hard=_freeze(y, owned=True), k=spec.k)
+    return votes, LabelVector(hard=_freeze(y, owned=True), k=spec.k)
 
 
 def generate_instance(spec: SynthSpec) -> tuple[WeakSignalMatrix, LabelVector]:

@@ -960,6 +960,7 @@ def assert_vote_cloud_is_float_cloud(votes: np.ndarray, k: int, chunks: int, hul
     for name, a, b in zip(("distinct", "first", "group"), got.groups, want.groups):
         assert same_array(a, b), name
     assert (got.dim, got.n_points) == (want.dim, want.n_points)
+    assert same_array(got.counts, want.counts)
     if hull_too and got.dim <= 5:
         assert_same_decomposition(hull_decompose(got), hull_decompose(want))
     elif hull_too:  # the hull refuses both clouds by their row count
@@ -996,6 +997,18 @@ def test_vote_groups_rerank_a_code_past_int64(monkeypatch):
     votes = random_votes(np.random.default_rng(0), 48, 5000, 2, 0.4)
     assert_vote_cloud_is_float_cloud(votes, 2, 1, hull_too=False)
     assert reranks
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+def test_vote_cloud_counts_are_the_group_sizes(k):
+    # the counts summed over point groups are bincount(group), as float64
+    rng = np.random.default_rng(k)
+    for m, chunks in itertools.product((1, 2, 7, 16, 40), range(1, 6)):
+        cloud = hull._vote_cloud(random_votes(rng, m, 60, k, 0.3), k, chunks)
+        want = np.bincount(cloud.groups[2]).astype(np.float64)
+        assert "counts" in vars(cloud)  # set by the grouping, not counted on read
+        assert same_array(cloud.counts, want)
+        assert not cloud.counts.flags.writeable
 
 
 @st.composite

@@ -17,6 +17,7 @@ from onionlabel.metrics import (
     random_baseline_error,
     weighted_majority_vote,
 )
+from onionlabel.metrics import _class_tallies
 from onionlabel.hull import build_A
 from onionlabel.signals import LabelVector, WeakSignalMatrix, expand_pws
 
@@ -37,6 +38,22 @@ def test_majority_vote_tie_picks_lowest_class():
     votes = np.array([[2], [1]])  # one vote each for classes 2 and 1
     pred = majority_vote(expand_pws(votes, k=2))
     assert pred.hard.tolist() == [1]
+
+
+@pytest.mark.parametrize("m", [1, 255, 256, 300])
+def test_vote_tallies_are_the_vote_counts(m):
+    # each class is summed in the smallest unsigned dtype that holds m:
+    # uint8 up to 255 signals, uint16 from 256, here with every signal on one
+    # class for some points so the count reaches m
+    rng = np.random.default_rng(m)
+    for k in (2, 3, 5):
+        votes = rng.integers(0, k + 1, size=(m, 40))
+        votes[:, :k] = np.arange(1, k + 1)
+        w = expand_pws(votes, k)
+        want = np.stack([np.count_nonzero(votes == c, axis=0) for c in range(1, k + 1)])
+        got = _class_tallies(w)
+        assert got.dtype == np.float64 and got.tobytes() == want.astype(np.float64).tobytes()
+        assert got.max() == m
 
 
 def test_majority_vote_all_abstain_uses_seeded_fallback():

@@ -6,7 +6,8 @@ functions it names (``hull.phase1_simplex``, ``safe_region_status`` in
 rename or a changed return shape in ``src/`` breaks ``--trace 1`` without
 failing any package test, so one small traced run guards them all.  The same
 run cross-checks the hull's vertices against the harness's HiGHS oracle.  A
-short untraced run covers the timed path that reports the end-to-end metrics.
+short untraced run of each timed workload covers the path that reports the
+end-to-end metrics.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,11 +58,13 @@ def test_traced_benchmark_replays_a_reduced_cloud_bitwise():
     assert result["metrics"]["hull.vertex_mismatch"]["value"] == 0
 
 
-def test_untraced_benchmark_runs_and_checks_its_labels():
-    # the timed path (--trace 0) behind the end-to-end metrics: every label's
-    # eps must re-classify as SAFE, and the metrics are the declared ones
+@pytest.mark.parametrize("workload", ["anneal-fine", "solve-wide"])
+def test_untraced_benchmark_runs_and_checks_its_labels(workload):
+    # the timed path (--trace 0) behind the end-to-end metrics, on both timed
+    # workloads: every label's eps must re-classify as SAFE, and the metrics
+    # are the declared ones
     r = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "anneal-fine", "--seed", "0",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
          "--seconds", "1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )

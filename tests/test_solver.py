@@ -16,7 +16,14 @@ from hypothesis import strategies as st
 
 from onionlabel import backends, hull, solver
 from onionlabel.cli import main
-from onionlabel.hull import SafeRegionStatus, build_A, hull_decompose, safe_region_status
+from onionlabel.hull import (
+    HULL_TOL,
+    SafeRegionStatus,
+    build_A,
+    convex_combination,
+    hull_decompose,
+    safe_region_status,
+)
 from onionlabel.metrics import majority_vote, weighted_majority_vote, accuracy
 from onionlabel.signals import WeakSignalMatrix, expand_pws, reduce_signals
 from onionlabel.solver import (
@@ -299,21 +306,75 @@ def anneal_probes(monkeypatch) -> list:
     return probes
 
 
-def test_anneal_probe_count_is_logarithmic(anneal_clouds, anneal_probes, caplog):
-    # at most two rounds more than bisection's, of one to three LPs each
-    # (summed over the rounds: the fixture sees LPs, the DEBUG line rounds)
+@pytest.fixture()
+def anneal_certified(monkeypatch) -> dict:
+    """The verdicts ``anneal_b`` reaches with no LP, in order: ``"cut"`` holds
+    ``(E, q, outside)`` of each probe checked against the last plane
+    (``_cut_off``), ``"box"`` holds ``(vertices, q, inside)`` of each final
+    test checked against the bounding box (``_inside_box``)."""
+    seen: dict = {"cut": [], "box": []}
+    real_cut, real_box = solver._cut_off, solver._inside_box
+
+    def cut(E, y, q):
+        out = real_cut(E, y, q)
+        seen["cut"].append((E, q.copy(), out))
+        return out
+
+    def box(vertices, q):
+        out = real_box(vertices, q)
+        seen["box"].append((vertices, q.copy(), out))
+        return out
+
+    monkeypatch.setattr(solver, "_cut_off", cut)
+    monkeypatch.setattr(solver, "_inside_box", box)
+    return seen
+
+
+def test_anneal_probe_count_is_logarithmic(anneal_clouds, anneal_probes, anneal_certified,
+                                           caplog):
+    # at most two rounds more than bisection's, of one to three probes each;
+    # a probe is an LP unless the last plane cuts it off, and the final test
+    # is an LP unless the box settles it (summed over the rounds: the
+    # fixtures see LPs and certified verdicts, the DEBUG line rounds)
     caplog.set_level("DEBUG", logger="onionlabel.solver")
     for cfg in (SolverConfig(alpha=0.0005), SolverConfig(alpha=0.003), SolverConfig(alpha=1e-9)):
         for w, cloud, decomp in anneal_clouds:
             grid_len = math.ceil(epsilon_upper_bound(w.k) / cfg.alpha) + 1
             anneal_probes.clear()
+            for seen in anneal_certified.values():
+                seen.clear()
             _anneal_outcome(anneal_b, w, cloud, decomp, cfg)
-            logged = re.search(r"(\d+) probes in (\d+) rounds", caplog.records[-1].getMessage())
-            probes, rounds = int(logged[1]), int(logged[2])
-            assert probes == len(anneal_probes)
+            logged = re.search(r"(\d+) probes in (\d+) rounds, (\d+) verdicts by (\d+) LPs",
+                               caplog.records[-1].getMessage())
+            probes, rounds, verdicts, lps = map(int, logged.groups())
+            cuts = sum(out for *_, out in anneal_certified["cut"])
+            boxed = sum(out for *_, out in anneal_certified["box"])
+            assert probes == len(anneal_probes) + cuts
+            assert verdicts - probes in (0, 1)  # the final test, when one is due
+            assert lps == len(anneal_probes) + verdicts - probes - boxed
             assert probes >= 1 or not decomp.interior_columns.shape[1]
             assert rounds <= math.ceil(math.log2(grid_len)) + 2
             assert rounds <= probes <= 3 * rounds
+
+
+def test_anneal_certified_verdicts_agree_with_the_lps(anneal_clouds, anneal_certified):
+    # every probe the last plane cuts off is outside by its own LP, and every
+    # final index the box settles is inside Conv(H1) by its LP, on the anneal
+    # clouds and on the planted suite (n=500, k=2, m=10, seeds 0-4)
+    for cfg in _ANNEAL_CONFIGS + [SolverConfig(alpha=1e-9)]:
+        for w, cloud, decomp in anneal_clouds:
+            _anneal_outcome(anneal_b, w, cloud, decomp, cfg)
+    for seed in range(5):
+        w, _ = generate_instance(SynthSpec(
+            n=500, k=2, m=10, signal_accuracy=0.8, abstain_rate=0.3, seed=seed))
+        run_oua(w, SolverConfig(seed=seed))
+    cuts = [(E, q) for E, q, outside in anneal_certified["cut"] if outside]
+    boxed = [(V, q) for V, q, inside in anneal_certified["box"] if inside]
+    assert len(cuts) >= 50 and len(boxed) >= 10  # neither check is vacuous
+    for E, q in cuts:
+        assert not hull._combination(E, q)[1]
+    for V, q in boxed:
+        assert convex_combination(V, q)[1]
 
 
 @pytest.mark.parametrize("alpha", [1e-17, sys.float_info.min])
@@ -332,16 +393,47 @@ def test_anneal_bisects_a_tolerance_band_of_many_indices(anneal_probes, alpha):
     assert 1 <= len(anneal_probes) <= math.ceil(math.log2(grid_len)) + 4
 
 
+def test_box_test_leaves_a_constant_row_and_the_margin_to_the_lp(caplog):
+    # a box with a constant row: the target at eps = ub lies on that row, in
+    # Conv(H1) by the LP, but the box test leaves it to the LP, so both
+    # verdicts of the run take one
+    w = signals_from_columns([[0, 0.5], [1, 0.5], [0.1, 0.5], [0.1, 0.5]], n=2, k=2)
+    cloud = build_A(w)
+    decomp = hull_decompose(cloud)
+    assert decomp.vertex_certified == 2
+    q = init_b(w, epsilon_upper_bound(w.k)).b / w.n
+    assert q[1] == decomp.vertex_columns[1, 0]
+    assert convex_combination(decomp.vertex_columns, q)[1]
+    assert not solver._inside_box(decomp.vertex_columns, q)
+    with caplog.at_level("DEBUG", logger="onionlabel.solver"):
+        assert anneal_b(w, cloud, decomp, SolverConfig(alpha=0.01)).epsilon == 0.5
+    assert caplog.records[-1].getMessage().endswith("1 probes in 1 rounds, 2 verdicts by 2 LPs")
+    # a full square: a q within HULL_TOL of a side is left to the LP, one
+    # farther inside is settled, and the LP agrees with both
+    w = signals_from_columns([[0, 0], [1, 0], [0, 1], [1, 1], [0.5, 0.5], [0.5, 0.5]],
+                             n=3, k=2)
+    vertices = hull_decompose(build_A(w)).vertex_columns
+    for inset, settled in ((0.0, False), (HULL_TOL / 2, False), (HULL_TOL, False),
+                           (2 * HULL_TOL, True), (1.0, True)):
+        for q in ([1.0, inset], [2.0 - inset, 1.0]):
+            assert solver._inside_box(vertices, np.array(q)) is settled
+            assert convex_combination(vertices, np.array(q))[1]
+
+
 def test_anneal_brackets_the_workload_exit_in_few_lps(anneal_probes, caplog):
-    # bisection took 11 probes and 16 LPs here; eps is the walk's, bit for bit
+    # bisection took 11 probes and 16 LPs here; eps is the walk's, bit for bit.
+    # The second round's upper index is cut off by the first round's plane
+    # and the final index lies inside the certified box, so 3 of the 5
+    # verdicts take an LP
     w, cloud, decomp = _reduced_instance(SynthSpec(
         n=5000, k=2, m=5, signal_accuracy=0.8, abstain_rate=0.3, seed=97))
     with caplog.at_level("DEBUG", logger="onionlabel.solver"):
         tv = anneal_b(w, cloud, decomp, SolverConfig(alpha=0.0005))
     assert tv.epsilon == 0.09949999999999998
-    assert len(anneal_probes) == 4
+    assert len(anneal_probes) == 3
     assert [r.getMessage() for r in caplog.records] == [
-        "anneal: SAFE at eps=0.099500, grid index 801 of 1001, 4 probes in 2 rounds, 5 LPs"]
+        "anneal: SAFE at eps=0.099500, grid index 801 of 1001, 4 probes in 2 rounds, "
+        "5 verdicts by 3 LPs"]
 
 
 def test_anneal_solves_no_probe_past_the_first_outside(anneal_clouds, anneal_probes):
@@ -537,7 +629,7 @@ def test_decode_layout_and_ties():
         decode_labels(np.zeros(5), 2, 2)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("k", range(2, 10))
 def test_block_argmax_is_argmax_with_ties_to_the_lowest_class(k):
     rng = np.random.default_rng(k)
     for scores in (rng.uniform(size=(k, 500)),
@@ -547,6 +639,15 @@ def test_block_argmax_is_argmax_with_ties_to_the_lowest_class(k):
         got = solver._block_argmax(scores)
         assert got.dtype == np.int64 and got.tolist() == want.tolist()
         assert decode_labels(scores.ravel(), scores.shape[1], k).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 97, 2**40])
+def test_solve_draws_the_uniform_bits(seed):
+    # _solve's start draws random(nk); uniform(0.0, 1.0) computes 0 + 1 u
+    # from the same u, so the draws are the same bits on every numpy
+    for nk in (1, 7, 40_000):
+        want = np.random.default_rng(seed).uniform(0.0, 1.0, size=nk)
+        assert np.random.default_rng(seed).random(nk).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +750,9 @@ def test_vote_input_never_builds_the_cloud_matrix(monkeypatch, dedup_calls):
 
 def test_one_group_count_per_pipeline_run(monkeypatch):
     # each run counts its cloud's groups once, and the anneal and the solve
-    # read those counts
+    # read those counts: over the nk columns of a float matrix, and over the
+    # n points of a vote matrix, whose point groups give its column groups'
+    # sizes
     counts = []
     bincount = np.bincount
 
@@ -661,10 +764,10 @@ def test_one_group_count_per_pipeline_run(monkeypatch):
     monkeypatch.setattr(np, "bincount", spy)
     w, _ = generate_instance(PIPELINE_SPECS[1])
     for run in (run_oua, run_ablation):
-        for x in (w, _without_votes(w)):
+        for x, size in ((w, w.n), (_without_votes(w), w.n * w.k)):
             counts.clear()
             run(x, SolverConfig())
-            assert counts == [w.n * w.k], run.__name__
+            assert counts == [size], run.__name__
 
 
 def test_vote_input_is_never_reduced_as_floats(monkeypatch, tmp_path, capsys):

@@ -127,6 +127,36 @@ def test_generate_votes_respects_class_balance():
     assert float((truth.hard == 1).mean()) == pytest.approx(0.9, abs=0.02)
 
 
+def _generate_votes_by_copies(spec):
+    """``generate_votes`` as it was written before it built the votes in
+    place: the same draws, with a copy for each step."""
+    rng = np.random.default_rng(spec.seed)
+    y = rng.choice(np.arange(1, spec.k + 1), size=spec.n, p=spec.balance)
+    ab = rng.random((spec.m, spec.n)) < spec.abstain_rate
+    correct = rng.random((spec.m, spec.n)) < spec.signal_accuracy
+    offset = rng.integers(1, spec.k, size=(spec.m, spec.n))
+    wrong = (y[None, :] - 1 + offset) % spec.k + 1
+    votes = np.where(correct, y[None, :], wrong)
+    votes[ab] = 0
+    return votes.astype(np.int64), y
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("balanced", [True, False])
+def test_generate_votes_in_place_equals_the_copies(k, balanced):
+    # bitwise the same votes, dtype and layout, and the same truth
+    weights = np.arange(1.0, k + 1.0)
+    balance = None if balanced else tuple(weights / weights.sum())
+    for n, m, seed in ((1, 1, 0), (300, 7, 5), (2000, 10, 97)):
+        spec = SynthSpec(n=n, k=k, m=m, signal_accuracy=0.7, abstain_rate=0.3,
+                         class_balance=balance, seed=seed)
+        votes, truth = generate_votes(spec)
+        want_votes, want_truth = _generate_votes_by_copies(spec)
+        assert votes.dtype == want_votes.dtype and votes.flags.c_contiguous
+        assert votes.tobytes() == want_votes.tobytes()
+        assert truth.hard.tobytes() == want_truth.tobytes()
+
+
 def test_generate_instance_expands_votes():
     spec = SynthSpec(n=6, k=2, m=2, signal_accuracy=0.9, abstain_rate=0.4, seed=4)
     votes, _ = generate_votes(spec)
